@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .errors import (AngleKitError, ConfigError, DegenerateQuadError, InvalidInputError,
-                     ParseError)
+from .errors import AngleKitError, DegenerateQuadError, InvalidInputError, ParseError
 from .obb import (AxisAlignedBox, OrientedBox, QuadPolygon, aabb_giou,
                   convex_intersection_area, from_acute90, from_corners, longside,
                   rotated_iou, rotated_nms, to_corners)
@@ -18,8 +17,7 @@ from .losses import (AnchorBox, AssignedSample, BoxDeltas, LossBreakdown, LossWe
 from .evaluation import (COCO_THRESHOLDS, VOC07, VOC12, CategoryThresholdResult,
                          DetectionRecord, EvalReport, GroundTruthRecord, MatchResult,
                          average_precision, evaluate, match_detections)
-from .io_formats import (AnnotationFile, RunConfig, load_config, parse_annotation_dir,
-                         parse_annotation_file, parse_detections, report_to_dict,
-                         write_detections, write_report)
+from .io_formats import (AnnotationFile, parse_annotation_dir, parse_annotation_file,
+                         parse_detections, report_to_dict, write_detections, write_report)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

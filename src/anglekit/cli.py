@@ -3,63 +3,49 @@
 Every subcommand writes machine output (JSON or CSV) to stdout and
 diagnostics to stderr. Identical invocations produce byte-identical
 output. Exit codes: 0 success, 1 check failure, 2 usage or input error,
-3 empty-input condition. ANGLEKIT_THREADS caps internal parallelism
-(0 or unset = auto).
+3 empty-input condition.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .codecs import (AnglePrediction, CodecConfig, FitFunction, Method, analytic_errors,
-                     decode, empirical_errors, encode, head_thickness, omega)
+from .codecs import (C_THETA_CHOICES, AnglePrediction, CodecConfig, FitFunction, Method,
+                     analytic_errors, decode, empirical_errors, encode, head_thickness, omega)
 from .errors import AngleKitError
-from .evaluation import VOC07, VOC12, evaluate
-from .io_formats import (DEFAULT_IOU_THRESHOLDS, parse_annotation_dir, parse_detections,
-                         write_report)
+from .evaluation import COCO_THRESHOLDS, VOC07, VOC12, evaluate
+from .io_formats import parse_annotation_dir, parse_detections, write_report
 from .losses import run_gradient_checks
 from .obb import OrientedBox, rotated_iou, rotated_nms
 
 GRADCHECK_TOLERANCE = 1e-4
-
-_METHOD_DEFAULT_CTHETA = {
-    Method.REGRESSION: (1,),
-    Method.CSL: (180,),
-    Method.DCL_BINARY: (32, 64, 128, 256),
-    Method.DCL_GRAY: (32, 64, 128, 256),
-    Method.MGAR: (3, 4, 5),
-}
-
-
-def thread_cap() -> int | None:
-    """Worker cap from ANGLEKIT_THREADS; None means auto."""
-    raw = os.environ.get("ANGLEKIT_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise AngleKitError(f"ANGLEKIT_THREADS must be an integer, got {raw!r}")
-    if value < 0:
-        raise AngleKitError(f"ANGLEKIT_THREADS must be >= 0, got {value}")
-    return value or None
 
 
 def _emit(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+def _comma_list(text: str, parse, kind: str) -> list:
+    """Parse a comma-separated option value, naming the first bad token."""
+    values = []
+    for token in text.split(","):
+        try:
+            values.append(parse(token))
+        except ValueError:
+            raise AngleKitError(f"invalid {kind} {token!r} in {text!r}") from None
+    return values
+
+
 def _parse_box(text: str) -> OrientedBox:
-    parts = text.split(",")
-    if len(parts) != 5:
+    values = _comma_list(text, float, "box value")
+    if len(values) != 5:
         raise AngleKitError(f"box must be 'cx,cy,w,h,theta', got {text!r}")
-    return OrientedBox(*[float(p) for p in parts])
+    return OrientedBox(*values)
 
 
 def _codec_from_args(args) -> CodecConfig:
@@ -88,7 +74,7 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     config = _codec_from_args(args)
-    logits = np.array([float(v) for v in args.logits.split(",")]) if args.logits else np.zeros(0)
+    logits = np.array(_comma_list(args.logits, float, "logit")) if args.logits else np.zeros(0)
     pred = AnglePrediction(class_logits=logits, regression_output=args.treg)
     _emit({"theta": decode(pred, config)})
     return 0
@@ -100,7 +86,7 @@ def cmd_iou(args) -> int:
 
 
 def cmd_nms(args) -> int:
-    records = parse_detections(args.detections, strict=False, max_workers=thread_cap())
+    records = parse_detections(args.detections, strict=False)
     items = [(r.box, r.score, r.category) for r in records]
     kept = rotated_nms(items, args.threshold, class_agnostic=args.class_agnostic)
     _emit({"kept": kept, "total": len(items)})
@@ -113,10 +99,10 @@ def cmd_thickness(args) -> int:
 
 
 def cmd_codec_report(args) -> int:
-    methods = [Method(m) for m in args.methods.split(",")] if args.methods else list(Method)
+    methods = _comma_list(args.methods, Method, "method") if args.methods else list(Method)
     rows = []
     for method in methods:
-        for c_theta in _METHOD_DEFAULT_CTHETA[method]:
+        for c_theta in C_THETA_CHOICES[method]:
             config = CodecConfig(method=method, c_theta=c_theta)
             a_max, a_mean = analytic_errors(config)
             e_max, e_mean = empirical_errors(config, args.grid_step)
@@ -143,12 +129,13 @@ def cmd_codec_report(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    workers = thread_cap()
-    gts = parse_annotation_dir(args.gt, strict=False, max_workers=workers)
+    thresholds = (_comma_list(args.thresholds, float, "IoU threshold") if args.thresholds
+                  else COCO_THRESHOLDS)
+    gts = parse_annotation_dir(args.gt, strict=False)
     if not gts:
         print("no ground-truth records found", file=sys.stderr)
         return 3
-    dets = parse_detections(args.det, strict=False, max_workers=workers)
+    dets = parse_detections(args.det, strict=False)
     if args.nms is not None:
         by_image: dict[str, list[int]] = {}
         for i, r in enumerate(dets):
@@ -159,8 +146,6 @@ def cmd_eval(args) -> int:
             items = [(dets[i].box, dets[i].score, dets[i].category) for i in idxs]
             keep.extend(idxs[k] for k in rotated_nms(items, args.nms))
         dets = [dets[i] for i in sorted(keep)]
-    thresholds = ([float(t) for t in args.thresholds.split(",")] if args.thresholds
-                  else list(DEFAULT_IOU_THRESHOLDS))
     report = evaluate(gts, dets, thresholds, mode=args.mode)
     if args.out:
         fmt = "csv" if str(args.out).endswith(".csv") else "json"
@@ -173,7 +158,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_gradient_checks(seed=args.seed, points=args.points, corrupt=args.corrupt)
+    results = run_gradient_checks(seed=args.seed, points=args.points)
     errors = {name: r.max_relative_error for name, r in results.items()}
     failed = {name: r for name, r in results.items()
               if r.max_relative_error >= GRADCHECK_TOLERANCE}
@@ -259,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference check of all loss gradients")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--points", type=int, default=100)
-    p.add_argument("--corrupt", default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

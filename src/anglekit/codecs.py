@@ -13,6 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -45,8 +46,16 @@ DEFAULT_C_THETA = {
     Method.MGAR: 3,
 }
 
-DCL_C_THETA_CHOICES = (32, 64, 128, 256)
-MGAR_C_THETA_DEFAULTS = (3, 4, 5)
+# Published c_theta values per method: the rows of codec-report and, except
+# for MGAR, the only values accepted. MGAR takes any divisor of 180 but
+# warns outside this set.
+C_THETA_CHOICES = {
+    Method.REGRESSION: (1,),
+    Method.CSL: (180,),
+    Method.DCL_BINARY: (32, 64, 128, 256),
+    Method.DCL_GRAY: (32, 64, 128, 256),
+    Method.MGAR: (3, 4, 5),
+}
 
 _CLASSIFICATION_METHODS = (Method.CSL, Method.DCL_BINARY, Method.DCL_GRAY, Method.MGAR)
 _REGRESSION_METHODS = (Method.REGRESSION, Method.MGAR)
@@ -54,21 +63,24 @@ _DCL_METHODS = (Method.DCL_BINARY, Method.DCL_GRAY)
 
 
 def _validate_c_theta(method: Method, c_theta: int, warn: bool = False) -> None:
-    if method is Method.REGRESSION and c_theta != 1:
-        raise InvalidInputError(f"regression uses a single angle bin, got c_theta={c_theta}")
-    if method is Method.CSL and c_theta != 180:
-        raise InvalidInputError(f"csl uses one bin per degree (c_theta=180), got {c_theta}")
-    if method in _DCL_METHODS and c_theta not in DCL_C_THETA_CHOICES:
-        raise InvalidInputError(f"dcl supports c_theta in {DCL_C_THETA_CHOICES}, got {c_theta}")
-    if method is Method.MGAR:
-        if c_theta < 1 or 180 % c_theta != 0:
-            raise InvalidInputError(f"mgar requires c_theta to divide 180, got {c_theta}")
-        if warn and c_theta not in MGAR_C_THETA_DEFAULTS:
-            warnings.warn(
-                f"mgar c_theta={c_theta} is outside the recommended set {MGAR_C_THETA_DEFAULTS}",
-                UserWarning,
-                stacklevel=3,
-            )
+    choices = C_THETA_CHOICES[method]
+    if method is not Method.MGAR:
+        if c_theta not in choices:
+            raise InvalidInputError(f"{method.value} supports c_theta in {choices}, got {c_theta}")
+        return
+    if c_theta < 1 or 180 % c_theta != 0:
+        raise InvalidInputError(f"mgar requires c_theta to divide 180, got {c_theta}")
+    if warn and c_theta not in choices:
+        warnings.warn(f"mgar c_theta={c_theta} is outside the recommended set {choices}",
+                      UserWarning, stacklevel=3)
+
+
+def _code_length(method: Method, c_theta: int) -> int:
+    if method in _DCL_METHODS:
+        return math.ceil(math.log2(c_theta))
+    if method is Method.REGRESSION:
+        return 0
+    return c_theta
 
 
 @dataclass(frozen=True)
@@ -106,14 +118,10 @@ class CodecConfig:
     def has_regression(self) -> bool:
         return self.method in _REGRESSION_METHODS
 
-    @property
+    @cached_property
     def code_length(self) -> int:
         """Length of the class vector this codec emits."""
-        if self.method in _DCL_METHODS:
-            return max(1, math.ceil(math.log2(self.c_theta)))
-        if self.method is Method.REGRESSION:
-            return 0
-        return self.c_theta
+        return _code_length(self.method, self.c_theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +144,7 @@ class AnglePrediction:
     def __post_init__(self):
         logits = np.asarray(self.class_logits, dtype=float)
         object.__setattr__(self, "class_logits", logits)
-        if not np.all(np.isfinite(logits)):
+        if not np.isfinite(logits).all():
             raise InvalidInputError("non-finite class logits")
         if self.regression_output is not None and not math.isfinite(self.regression_output):
             raise InvalidInputError(f"non-finite regression output {self.regression_output}")
@@ -194,20 +202,24 @@ def _fit_forward(value: float, fit: FitFunction, width: float) -> float:
     return width / (1.0 + math.exp(-value))
 
 
+@lru_cache(maxsize=1024)
 def _csl_label(k: int, c_theta: int, window_size: float) -> np.ndarray:
     # Circular Gaussian window, sigma = window/3, zero outside the window.
+    # Cached and read-only: callers copy before handing the label out.
     half = c_theta // 2
     d = (np.arange(c_theta) - k + half) % c_theta - half
     sigma = window_size / 3.0
     label = np.zeros(c_theta)
     mask = np.abs(d) <= window_size
     label[mask] = np.exp(-(d[mask] ** 2) / (2.0 * sigma * sigma))
+    label.flags.writeable = False
     return label
 
 
-def _dcl_bits(k: int, length: int, gray: bool) -> tuple[int, ...]:
-    bits = tuple((k >> (length - 1 - i)) & 1 for i in range(length))
-    return gray_from_binary(bits) if gray else bits
+def _dcl_bits(k: int, length: int, gray: bool) -> list[int]:
+    # k ^ (k >> 1) is the Gray code of k, i.e. gray_from_binary of its bits.
+    code = k ^ (k >> 1) if gray else k
+    return [(code >> (length - 1 - i)) & 1 for i in range(length)]
 
 
 def encode(theta_gt: float, config: CodecConfig) -> AngleTarget:
@@ -231,7 +243,7 @@ def encode(theta_gt: float, config: CodecConfig) -> AngleTarget:
         vector = np.zeros(config.c_theta)
         vector[k] = 1.0
     elif method is Method.CSL:
-        vector = _csl_label(k, config.c_theta, config.window_size)
+        vector = _csl_label(k, config.c_theta, config.window_size).copy()
     else:
         bits = _dcl_bits(k, config.code_length, gray=method is Method.DCL_GRAY)
         vector = np.array(bits, dtype=float)
@@ -263,12 +275,12 @@ def decode(pred: AnglePrediction, config: CodecConfig) -> float:
     if method is Method.REGRESSION:
         k = 0
     elif method in _DCL_METHODS:
-        bits = tuple(int(v) for v in (1.0 / (1.0 + np.exp(-logits)) > 0.5))
-        if method is Method.DCL_GRAY:
-            bits = binary_from_gray(bits)
-        k = 0
-        for b in bits:
-            k = (k << 1) | b
+        gray = method is Method.DCL_GRAY
+        k = bit = 0
+        for on in (1.0 / (1.0 + np.exp(-logits)) > 0.5).tolist():
+            # A Gray code bit flips the running binary bit (binary_from_gray).
+            bit = bit ^ on if gray else on
+            k = (k << 1) | bit
         k = min(k, config.c_theta - 1)
     else:
         k = int(np.argmax(logits))
@@ -311,6 +323,9 @@ def empirical_errors(config: CodecConfig, grid_step: float) -> tuple[float, floa
     if not grid_step > 0:
         raise InvalidInputError(f"grid_step must be positive, got {grid_step}")
     count = int(round(config.angle_range / grid_step))
+    if count < 1:
+        raise InvalidInputError(
+            f"grid_step {grid_step} leaves no angle to sweep in [0, {config.angle_range})")
     worst = 0.0
     total = 0.0
     n = 0
@@ -333,10 +348,4 @@ def head_thickness(method: Method | str, c_theta: int, anchors: int) -> int:
     if anchors < 1:
         raise InvalidInputError(f"anchor count must be >= 1, got {anchors}")
     _validate_c_theta(method, c_theta)
-    if method is Method.REGRESSION:
-        return anchors
-    if method is Method.CSL:
-        return anchors * c_theta
-    if method in _DCL_METHODS:
-        return anchors * math.ceil(math.log2(c_theta))
-    return anchors * (c_theta + 1)
+    return anchors * (_code_length(method, c_theta) + (method in _REGRESSION_METHODS))

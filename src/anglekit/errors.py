@@ -20,7 +20,3 @@ class ParseError(AngleKitError):
         self.path = str(path)
         self.line_no = line_no
         super().__init__(f"{self.path}:{line_no}: {message}")
-
-
-class ConfigError(AngleKitError):
-    """A run-configuration file is malformed or references bad values."""

@@ -61,6 +61,11 @@ class MatchResult:
     gt_matched: tuple[bool, ...]
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in (VOC07, VOC12):
+        raise InvalidInputError(f"mode must be {VOC07!r} or {VOC12!r}, got {mode!r}")
+
+
 def _det_order(dets: Sequence[DetectionRecord]) -> list[int]:
     return sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].image_id, i))
 
@@ -119,8 +124,7 @@ def average_precision(recall: Sequence[float], precision: Sequence[float], mode:
         raise InvalidInputError("recall and precision must be equal-length vectors")
     if rec.size and np.any(np.diff(rec) < 0):
         raise InvalidInputError("recall must be non-decreasing")
-    if mode not in (VOC07, VOC12):
-        raise InvalidInputError(f"mode must be {VOC07!r} or {VOC12!r}, got {mode!r}")
+    _check_mode(mode)
     if rec.size == 0:
         return 0.0
 
@@ -171,8 +175,7 @@ def evaluate(gts: Sequence[GroundTruthRecord], dets: Sequence[DetectionRecord],
     of its thresholds were requested. Thresholds are canonicalized to two
     decimals.
     """
-    if mode not in (VOC07, VOC12):
-        raise InvalidInputError(f"mode must be {VOC07!r} or {VOC12!r}, got {mode!r}")
+    _check_mode(mode)
     thresholds = tuple(sorted({round(float(t), 2) for t in iou_thresholds}))
     if not thresholds:
         raise InvalidInputError("at least one IoU threshold is required")

@@ -2,8 +2,8 @@
 
 Reads DOTA-style per-image annotation files and task-format or JSON
 detection files, writes evaluation reports (JSON or CSV) and normalized
-detection JSON, and loads run configuration. This is a pure metadata tool:
-no image pixels are ever read. Writers are byte-deterministic.
+detection JSON. This is a pure metadata tool: no image pixels are ever
+read. Writers are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -11,14 +11,11 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .codecs import CodecConfig, FitFunction, Method
-from .errors import ConfigError, InvalidInputError, ParseError
-from .evaluation import COCO_THRESHOLDS, VOC07, VOC12, DetectionRecord, EvalReport, GroundTruthRecord
-from .losses import LossWeights
+from .errors import InvalidInputError, ParseError
+from .evaluation import DetectionRecord, EvalReport, GroundTruthRecord
 from .obb import OrientedBox, QuadPolygon, from_corners
 
 log = logging.getLogger("anglekit")
@@ -26,31 +23,13 @@ log = logging.getLogger("anglekit")
 _HEADER_PREFIXES = ("imagesource:", "gsd:")
 _DETECTION_KEYS = {"image_id", "category", "score", "cx", "cy", "w", "h", "theta"}
 
-DEFAULT_IOU_THRESHOLDS = tuple(sorted({0.5, 0.75, 0.85} | set(COCO_THRESHOLDS)))
-DEFAULT_NMS_THRESHOLD = 0.1
-
 
 @dataclass(frozen=True)
 class AnnotationFile:
     """One parsed per-image annotation file."""
 
     image_id: str
-    header: tuple[str, ...]
     records: tuple[tuple[QuadPolygon, str, bool], ...]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run configuration with defaults applied."""
-
-    codec: CodecConfig
-    loss_weights: LossWeights
-    iou_thresholds: tuple[float, ...]
-    nms_threshold: float
-    ap_mode: str
-    ground_truth_dir: Path | None = None
-    detections_path: Path | None = None
-    report_path: Path | None = None
 
 
 def _fail_or_skip(strict: bool, path, line_no: int, message: str) -> None:
@@ -66,10 +45,9 @@ def _parse_quad(tokens: list[str]) -> QuadPolygon:
 
 
 def parse_annotation_file(path, strict: bool = True) -> AnnotationFile:
-    """Parse one annotation file: optional header lines, then one object
-    per line as "x1 y1 x2 y2 x3 y3 x4 y4 category difficulty"."""
+    """Parse one annotation file: optional header lines, which are skipped,
+    then one object per line as "x1 y1 x2 y2 x3 y3 x4 y4 category difficulty"."""
     path = Path(path)
-    header: list[str] = []
     records: list[tuple[QuadPolygon, str, bool]] = []
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -77,7 +55,6 @@ def parse_annotation_file(path, strict: bool = True) -> AnnotationFile:
             if not line:
                 continue
             if any(line.lower().startswith(p) for p in _HEADER_PREFIXES):
-                header.append(line)
                 continue
             tokens = line.split()
             if len(tokens) != 10:
@@ -90,24 +67,21 @@ def parse_annotation_file(path, strict: bool = True) -> AnnotationFile:
                 _fail_or_skip(strict, path, line_no, str(exc))
                 continue
             records.append((quad, tokens[8], difficulty != 0))
-    return AnnotationFile(image_id=path.stem, header=tuple(header), records=tuple(records))
+    return AnnotationFile(image_id=path.stem, records=tuple(records))
 
 
-def parse_annotation_dir(path, strict: bool = True,
-                         max_workers: int | None = None) -> list[GroundTruthRecord]:
+def parse_annotation_dir(path, strict: bool = True) -> list[GroundTruthRecord]:
     """Parse every .txt file under a directory into ground-truth records.
 
-    Files are read concurrently but merged in path-sorted order, so the
-    result is deterministic. Quads are fitted to long-side boxes.
+    Files are read in path-sorted order, so the result is deterministic.
+    Quads are fitted to long-side boxes.
     """
     root = Path(path)
     if not root.is_dir():
         raise InvalidInputError(f"not a directory: {root}")
-    files = sorted(root.glob("*.txt"))
-    with ThreadPoolExecutor(max_workers=max_workers or None) as pool:
-        parsed = list(pool.map(lambda p: parse_annotation_file(p, strict), files))
     out: list[GroundTruthRecord] = []
-    for ann in parsed:
+    for file in sorted(root.glob("*.txt")):
+        ann = parse_annotation_file(file, strict)
         for quad, category, difficult in ann.records:
             out.append(GroundTruthRecord(image_id=ann.image_id, box=from_corners(quad),
                                          category=category, difficult=difficult))
@@ -163,8 +137,7 @@ def _parse_detection_json(path: Path, strict: bool) -> list[DetectionRecord]:
     return records
 
 
-def parse_detections(path, strict: bool = True,
-                     max_workers: int | None = None) -> list[DetectionRecord]:
+def parse_detections(path, strict: bool = True) -> list[DetectionRecord]:
     """Parse detections from a Task1_<category>.txt directory or a JSON file.
 
     Text lines read "image_id score x1 y1 ... y4"; quads are fitted to
@@ -176,11 +149,8 @@ def parse_detections(path, strict: bool = True,
         files = sorted(path.glob("Task1_*.txt"))
         if not files:
             raise InvalidInputError(f"no Task1_*.txt files under {path}")
-        categories = [f.stem[len("Task1_"):] for f in files]
-        with ThreadPoolExecutor(max_workers=max_workers or None) as pool:
-            chunks = list(pool.map(lambda fc: _parse_task_file(fc[0], fc[1], strict),
-                                   zip(files, categories)))
-        return [rec for chunk in chunks for rec in chunk]
+        return [rec for f in files
+                for rec in _parse_task_file(f, f.stem[len("Task1_"):], strict)]
     if path.suffix.lower() == ".json":
         return _parse_detection_json(path, strict)
     raise InvalidInputError(f"detections must be a directory or a .json file: {path}")
@@ -265,101 +235,3 @@ def write_report(report: EvalReport, format: str, path) -> None:
         if report.map_50_95 is not None:
             writer.writerow(["mAP@0.50:0.95", "", f"{report.map_50_95:.6f}", "", "", ""])
 
-
-_CODEC_KEYS = {"method", "c_theta", "window_size", "fit_function"}
-_TOP_KEYS = {"codec", "loss_weights", "ap_mode", "iou_thresholds", "nms_threshold",
-             "ground_truth_dir", "detections_path", "report_path"}
-
-
-def load_config(path) -> RunConfig:
-    """Load a JSON run configuration, applying defaults for absent keys.
-
-    Unknown keys are rejected by name; invalid values report the expected
-    domain. Input paths named by the file must exist.
-    """
-    path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys: {sorted(unknown)}")
-
-    codec_raw = raw.get("codec", {})
-    if not isinstance(codec_raw, dict):
-        raise ConfigError(f"{path}: 'codec' must be an object")
-    unknown = set(codec_raw) - _CODEC_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown codec keys: {sorted(unknown)}")
-    try:
-        codec = CodecConfig(
-            method=Method(codec_raw.get("method", "mgar")),
-            c_theta=int(codec_raw.get("c_theta", 0)),
-            window_size=float(codec_raw.get("window_size", 6.0)),
-            fit_function=FitFunction(codec_raw.get("fit_function", "square")),
-        )
-    except (ValueError, InvalidInputError) as exc:
-        raise ConfigError(f"{path}: invalid codec: {exc}")
-
-    weights_raw = raw.get("loss_weights", [2.0, 2.0, 5.0, 2.0, 0.5])
-    if not (isinstance(weights_raw, list) and len(weights_raw) == 5):
-        raise ConfigError(f"{path}: 'loss_weights' must be a list of 5 non-negative numbers")
-    try:
-        weights = LossWeights(*[float(v) for v in weights_raw])
-    except (TypeError, ValueError, InvalidInputError) as exc:
-        raise ConfigError(f"{path}: invalid loss_weights: {exc}")
-
-    ap_mode = raw.get("ap_mode", VOC12)
-    if ap_mode not in (VOC07, VOC12):
-        raise ConfigError(f"{path}: 'ap_mode' must be '{VOC07}' or '{VOC12}', got {ap_mode!r}")
-
-    thresholds_raw = raw.get("iou_thresholds", list(DEFAULT_IOU_THRESHOLDS))
-    if not isinstance(thresholds_raw, list) or not thresholds_raw:
-        raise ConfigError(f"{path}: 'iou_thresholds' must be a non-empty list in (0, 1]")
-    try:
-        thresholds = tuple(sorted({round(float(t), 2) for t in thresholds_raw}))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: 'iou_thresholds' must be numbers in (0, 1]")
-    if any(not 0.0 < t <= 1.0 for t in thresholds):
-        raise ConfigError(f"{path}: 'iou_thresholds' must lie in (0, 1]")
-
-    nms_raw = raw.get("nms_threshold", DEFAULT_NMS_THRESHOLD)
-    try:
-        nms_threshold = float(nms_raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: 'nms_threshold' must be a number in [0, 1]")
-    if not 0.0 <= nms_threshold <= 1.0:
-        raise ConfigError(f"{path}: 'nms_threshold' must lie in [0, 1], got {nms_threshold}")
-
-    def resolve(key, must_be_dir=False):
-        value = raw.get(key)
-        if value is None:
-            return None
-        p = Path(value)
-        if not p.is_absolute():
-            p = path.parent / p
-        if must_be_dir and not p.is_dir():
-            raise ConfigError(f"{path}: '{key}' is not a directory: {p}")
-        if not must_be_dir and not p.exists():
-            raise ConfigError(f"{path}: '{key}' does not exist: {p}")
-        return p
-
-    gt_dir = resolve("ground_truth_dir", must_be_dir=True)
-    det_path = resolve("detections_path")
-    report_raw = raw.get("report_path")
-    report_path = None
-    if report_raw is not None:
-        report_path = Path(report_raw)
-        if not report_path.is_absolute():
-            report_path = path.parent / report_path
-        if not report_path.parent.is_dir():
-            raise ConfigError(f"{path}: 'report_path' parent does not exist: {report_path.parent}")
-
-    return RunConfig(codec=codec, loss_weights=weights, iou_thresholds=thresholds,
-                     nms_threshold=nms_threshold, ap_mode=ap_mode,
-                     ground_truth_dir=gt_dir, detections_path=det_path,
-                     report_path=report_path)

@@ -392,25 +392,19 @@ def _sample_giou_case(rng) -> tuple[np.ndarray, np.ndarray]:
             return pred, target
 
 
-def run_gradient_checks(seed: int = 0, points: int = 100, epsilon: float = 1e-6,
-                        corrupt: str | None = None) -> dict[str, GradCheckResult]:
+def run_gradient_checks(seed: int = 0, points: int = 100,
+                        epsilon: float = 1e-6) -> dict[str, GradCheckResult]:
     """Finite-difference check of every analytic gradient at random smooth points.
 
     Returns the worst relative error (and the point attaining it) per loss.
-    `corrupt` names a loss whose gradient is deliberately perturbed; it
-    exists to verify that the harness reports failures.
     """
     rng = np.random.default_rng(seed)
     results: dict[str, GradCheckResult] = {}
 
     def run(name, make_case):
         worst, worst_point = 0.0, ()
-        bad = 1e-2 if corrupt == name else 0.0
         for _ in range(points):
             fn, grad_fn, point = make_case()
-            if bad:
-                inner = grad_fn
-                grad_fn = lambda x, _g=inner: np.atleast_1d(np.asarray(_g(x), float)) + bad
             err = finite_diff_grad_check(fn, grad_fn, point, epsilon)
             if err > worst:
                 worst, worst_point = err, tuple(float(v) for v in np.atleast_1d(point))

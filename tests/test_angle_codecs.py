@@ -238,8 +238,10 @@ class TestEmpiricalErrors:
         assert worst == pytest.approx(2.8125, abs=1e-3)
 
     def test_rejects_bad_step(self):
-        with pytest.raises(InvalidInputError):
-            empirical_errors(mgar(3), 0.0)
+        # 0 is not a step; 500 and inf are steps too coarse to sweep any angle
+        for step in (0.0, 500.0, math.inf):
+            with pytest.raises(InvalidInputError):
+                empirical_errors(mgar(3), step)
 
 
 class TestHeadThickness:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import anglekit.losses
 from anglekit import DetectionRecord, OrientedBox, to_corners, write_detections
 from anglekit.cli import main
 
@@ -57,10 +58,22 @@ class TestGeometryCommands:
         assert code == 0
         assert json.loads(out)["iou"] == pytest.approx(1 / 3)
 
-    def test_iou_bad_box_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "iou", "--box-a", "0,0,2,1", "--box-b", "1,0,2,1,0")
+    @pytest.mark.parametrize("argv, message", [
+        (["iou", "--box-a", "0,0,2,1", "--box-b", "1,0,2,1,0"], "cx,cy,w,h,theta"),
+        (["iou", "--box-a", "0,0,x,1,0", "--box-b", "1,0,2,1,0"], "'x'"),
+        (["decode", "--method", "csl", "--logits=a,b,c"], "'a'"),
+        (["eval", "--gt", "gt", "--det", "dets.json", "--thresholds", "abc"], "'abc'"),
+        (["codec-report", "--methods", "foo"], "'foo'"),
+        (["codec-report", "--methods", "mgar", "--grid-step", "500"], "grid_step"),
+        (["codec-report", "--methods", "mgar", "--grid-step", "inf"], "grid_step"),
+    ], ids=["short-box", "box-token", "logit-token", "threshold-token", "method-token",
+            "grid-step-500", "grid-step-inf"])
+    def test_iou_bad_box_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
-        assert "cx,cy,w,h,theta" in err
+        assert out == ""
+        assert err.startswith("error: ")
+        assert message in err
 
     def test_nms(self, capsys, tmp_path):
         box = OrientedBox(0, 0, 2, 1, 15)
@@ -207,25 +220,11 @@ class TestGradcheck:
         assert code_a == code_b == 0
         assert out_a == out_b
 
-    def test_corrupt_hook_exits_1(self, capsys):
-        code, out, err = run_cli(capsys, "gradcheck", "--points", "10",
-                                 "--corrupt", "smooth_l1")
+    def test_corrupt_hook_exits_1(self, capsys, monkeypatch):
+        exact = anglekit.losses.smooth_l1_grad
+        monkeypatch.setattr(anglekit.losses, "smooth_l1_grad",
+                            lambda pred, target, beta=1.0: exact(pred, target, beta) + 1e-2)
+        code, out, err = run_cli(capsys, "gradcheck", "--points", "10")
         assert code == 1
         assert json.loads(out)["passed"] is False
         assert "smooth_l1" in err
-
-
-class TestThreadCap:
-    def test_invalid_env_value_exits_2(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("ANGLEKIT_THREADS", "lots")
-        empty = tmp_path / "gt"
-        empty.mkdir()
-        code, _, err = run_cli(capsys, "eval", "--gt", str(empty), "--det", str(empty))
-        assert code == 2
-        assert "ANGLEKIT_THREADS" in err
-
-    def test_zero_means_auto(self, capsys, monkeypatch):
-        monkeypatch.setenv("ANGLEKIT_THREADS", "0")
-        code, out, _ = run_cli(capsys, "iou", "--box-a", "0,0,2,1,0", "--box-b", "0,0,2,1,0")
-        assert code == 0
-        assert json.loads(out)["iou"] == 1.0

@@ -2,11 +2,9 @@ import json
 
 import pytest
 
-from anglekit import (ConfigError, DetectionRecord, GroundTruthRecord, InvalidInputError,
-                      Method, OrientedBox, ParseError, evaluate, load_config,
-                      parse_annotation_dir, parse_annotation_file, parse_detections,
-                      to_corners, write_detections, write_report)
-from anglekit.io_formats import DEFAULT_IOU_THRESHOLDS
+from anglekit import (DetectionRecord, GroundTruthRecord, InvalidInputError, OrientedBox,
+                      ParseError, evaluate, parse_annotation_dir, parse_annotation_file,
+                      parse_detections, to_corners, write_detections, write_report)
 
 
 def corner_line(box, category, difficulty):
@@ -72,8 +70,8 @@ class TestParseAnnotations:
         path = tmp_path / "P2.txt"
         path.write_text("imagesource:GoogleEarth\ngsd:1.2\n")
         ann = parse_annotation_file(path)
+        assert ann.image_id == "P2"
         assert ann.records == ()
-        assert ann.header == ("imagesource:GoogleEarth", "gsd:1.2")
 
     def test_fixture_directory_matches_manifest(self, annotation_dir):
         records = parse_annotation_dir(annotation_dir)
@@ -227,74 +225,3 @@ class TestWriteReport:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(InvalidInputError):
             write_report(small_report(), "xml", tmp_path / "x.xml")
-
-
-class TestLoadConfig:
-    def test_minimal_file_gets_defaults(self, tmp_path):
-        path = tmp_path / "run.json"
-        path.write_text("{}")
-        config = load_config(path)
-        assert config.codec.method is Method.MGAR
-        assert config.codec.c_theta == 3
-        assert config.codec.fit_function.value == "square"
-        assert (config.loss_weights.location, config.loss_weights.confidence,
-                config.loss_weights.category, config.loss_weights.angle_class,
-                config.loss_weights.angle_reg) == (2.0, 2.0, 5.0, 2.0, 0.5)
-        assert config.iou_thresholds == DEFAULT_IOU_THRESHOLDS
-        assert config.nms_threshold == 0.1
-        assert config.ap_mode == "voc12"
-        assert config.ground_truth_dir is None
-
-    def test_full_override_echoes_values(self, tmp_path):
-        gt_dir = tmp_path / "gt"
-        gt_dir.mkdir()
-        det_file = tmp_path / "dets.json"
-        det_file.write_text("[]")
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({
-            "codec": {"method": "csl", "c_theta": 180, "window_size": 4.0},
-            "loss_weights": [1, 1, 1, 1, 1],
-            "ap_mode": "voc07",
-            "iou_thresholds": [0.5, 0.75],
-            "nms_threshold": 0.3,
-            "ground_truth_dir": "gt",
-            "detections_path": "dets.json",
-            "report_path": "out.json",
-        }))
-        config = load_config(path)
-        assert config.codec.method is Method.CSL
-        assert config.codec.window_size == 4.0
-        assert config.ap_mode == "voc07"
-        assert config.iou_thresholds == (0.5, 0.75)
-        assert config.nms_threshold == 0.3
-        assert config.ground_truth_dir == gt_dir
-        assert config.detections_path == det_file
-        assert config.report_path == tmp_path / "out.json"
-
-    def test_invalid_ctheta_divisibility(self, tmp_path):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"codec": {"method": "mgar", "c_theta": 7}}))
-        with pytest.raises(ConfigError) as info:
-            load_config(path)
-        assert "divide 180" in str(info.value)
-
-    def test_unknown_keys_listed(self, tmp_path):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"codex": {}, "nms_threshol": 0.1}))
-        with pytest.raises(ConfigError) as info:
-            load_config(path)
-        assert "codex" in str(info.value)
-        assert "nms_threshol" in str(info.value)
-
-    def test_missing_referenced_path(self, tmp_path):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"ground_truth_dir": "nowhere"}))
-        with pytest.raises(ConfigError):
-            load_config(path)
-
-    def test_invalid_values_name_expected_domain(self, tmp_path):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"nms_threshold": 1.7}))
-        with pytest.raises(ConfigError) as info:
-            load_config(path)
-        assert "[0, 1]" in str(info.value)
