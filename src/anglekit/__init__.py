@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .errors import AngleKitError, DegenerateQuadError, InvalidInputError, ParseError
 from .obb import (AxisAlignedBox, OrientedBox, QuadPolygon, aabb_giou,
-                  convex_intersection_area, from_acute90, from_corners, longside,
+                  convex_intersection_area, from_acute90, from_corners, iou_matrix, longside,
                   rotated_iou, rotated_nms, to_corners)
 from .codecs import (AnglePrediction, AngleTarget, CodecConfig, FitFunction, Method,
                      analytic_errors, binary_from_gray, decode, empirical_errors, encode,

@@ -21,7 +21,7 @@ from .errors import AngleKitError
 from .evaluation import COCO_THRESHOLDS, VOC07, VOC12, evaluate
 from .io_formats import parse_annotation_dir, parse_detections, write_report
 from .losses import run_gradient_checks
-from .obb import OrientedBox, rotated_iou, rotated_nms
+from .obb import OrientedBox, check_nms_threshold, rotated_iou, rotated_nms
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -131,6 +131,8 @@ def cmd_codec_report(args) -> int:
 def cmd_eval(args) -> int:
     thresholds = (_comma_list(args.thresholds, float, "IoU threshold") if args.thresholds
                   else COCO_THRESHOLDS)
+    if args.nms is not None:
+        check_nms_threshold(args.nms)
     gts = parse_annotation_dir(args.gt, strict=False)
     if not gts:
         print("no ground-truth records found", file=sys.stderr)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .obb import OrientedBox, rotated_iou
+from .obb import OrientedBox, iou_matrix
 
 VOC07 = "voc07"
 VOC12 = "voc12"
@@ -85,21 +85,43 @@ def match_detections(dets: Sequence[DetectionRecord], gts: Sequence[GroundTruthR
     categories = {r.category for r in dets} | {r.category for r in gts}
     if len(categories) > 1:
         raise InvalidInputError(f"records span multiple categories: {sorted(categories)}")
+    return _match(gts, _det_order(dets), _candidates(dets, gts), iou_threshold)
 
+
+def _candidates(dets: Sequence[DetectionRecord],
+                gts: Sequence[GroundTruthRecord]) -> list[list[tuple[int, float]]]:
+    """For each detection, (GT index, IoU) over its image's GTs in input order.
+
+    One det x GT IoU table per image, computed once for every threshold.
+    Zero-IoU pairs are left out: no detection can claim them.
+    """
     gt_by_image: dict[str, list[int]] = {}
     for gi, gt in enumerate(gts):
         gt_by_image.setdefault(gt.image_id, []).append(gi)
+    det_by_image: dict[str, list[int]] = {}
+    for di, det in enumerate(dets):
+        det_by_image.setdefault(det.image_id, []).append(di)
+    candidates: list[list[tuple[int, float]]] = [[] for _ in dets]
+    for image_id, dis in det_by_image.items():
+        gis = gt_by_image.get(image_id)
+        if not gis:
+            continue
+        table = iou_matrix([dets[di].box for di in dis], [gts[gi].box for gi in gis])
+        for di, row in zip(dis, table):
+            candidates[di] = [(gi, iou) for gi, iou in zip(gis, row) if iou > 0.0]
+    return candidates
 
-    tp = [False] * len(dets)
-    fp = [False] * len(dets)
+
+def _match(gts: Sequence[GroundTruthRecord], order: Sequence[int],
+           candidates: list[list[tuple[int, float]]], iou_threshold: float) -> MatchResult:
+    tp = [False] * len(candidates)
+    fp = [False] * len(candidates)
     matched = [False] * len(gts)
-    for di in _det_order(dets):
-        det = dets[di]
+    for di in order:
         best_iou, best_gi = 0.0, -1
-        for gi in gt_by_image.get(det.image_id, ()):
+        for gi, iou in candidates[di]:
             if matched[gi] and not gts[gi].difficult:
                 continue
-            iou = rotated_iou(det.box, gts[gi].box)
             if iou > best_iou:
                 best_iou, best_gi = iou, gi
         if best_gi < 0 or best_iou < iou_threshold:
@@ -173,7 +195,8 @@ def evaluate(gts: Sequence[GroundTruthRecord], dets: Sequence[DetectionRecord],
     Categories with no ground truth are excluded; mAP at a threshold is the
     unweighted mean of category APs. mAP@0.50:0.95 is reported when all ten
     of its thresholds were requested. Thresholds are canonicalized to two
-    decimals.
+    decimals. Each det x GT IoU is computed once per image and category
+    and read by every threshold.
     """
     _check_mode(mode)
     thresholds = tuple(sorted({round(float(t), 2) for t in iou_thresholds}))
@@ -198,9 +221,10 @@ def evaluate(gts: Sequence[GroundTruthRecord], dets: Sequence[DetectionRecord],
         cat_gts = gts_by_cat[cat]
         num_gt = sum(1 for g in cat_gts if not g.difficult)
         order = _det_order(cat_dets)
+        candidates = _candidates(cat_dets, cat_gts)
         cells: dict[float, CategoryThresholdResult] = {}
         for thr in thresholds:
-            result = match_detections(cat_dets, cat_gts, thr)
+            result = _match(cat_gts, order, candidates, thr)
             tp_cum = fp_cum = 0
             rec, prec = [], []
             for di in order:

@@ -2,8 +2,8 @@
 
 Long-side boxes (w is the longest side, theta in [0, 180) degrees), corner
 conversions, minimum-area rectangle fitting, convex polygon intersection,
-rotated IoU, axis-aligned GIoU, and greedy rotated NMS. All functions are
-pure and operate on immutable values.
+rotated IoU (one pair or a whole matrix), axis-aligned GIoU, and greedy
+rotated NMS. All functions are pure and operate on immutable values.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from .errors import DegenerateQuadError, InvalidInputError
 
 Point = tuple[float, float]
 
-# Intersection slivers below this area (px^2) are numerical noise.
+# Quads below this area (px^2), and intersections below this fraction of the
+# smaller quad's area, are numerical noise.
 _SLIVER_AREA = 1e-12
 
 
@@ -253,27 +254,46 @@ def convex_intersection_area(a: QuadPolygon, b: QuadPolygon) -> float:
     if len(poly) < 3:
         return 0.0
     area = abs(_signed_area(poly))
-    if area < _SLIVER_AREA:
+    smaller = min(a.area, b.area)
+    # Relative, so the cutoff scales with the boxes instead of erasing tiny ones.
+    if area < _SLIVER_AREA * smaller:
         return 0.0
-    return min(area, a.area, b.area)
+    return min(area, smaller)
+
+
+def _prepare(box: OrientedBox) -> tuple:
+    # Everything the pair kernel reads of one box: corners, area, AABB.
+    quad = to_corners(box)
+    xs = [p[0] for p in quad.vertices]
+    ys = [p[1] for p in quad.vertices]
+    return quad, quad.area, min(xs), max(xs), min(ys), max(ys)
+
+
+def _pair_iou(a: tuple, b: tuple) -> float:
+    qa, area_a, ax0, ax1, ay0, ay1 = a
+    qb, area_b, bx0, bx1, by0, by1 = b
+    # Cheap axis-aligned reject before clipping.
+    if ax1 < bx0 or bx1 < ax0 or ay1 < by0 or by1 < ay0:
+        return 0.0
+    inter = convex_intersection_area(qa, qb)
+    union = area_a + area_b - inter
+    if union <= 0.0:
+        return 0.0
+    return min(max(inter / union, 0.0), 1.0)
 
 
 def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     """Intersection over union of two oriented boxes, in [0, 1]."""
-    qa = to_corners(a)
-    qb = to_corners(b)
-    # Cheap axis-aligned reject before clipping.
-    axs = [p[0] for p in qa.vertices]
-    ays = [p[1] for p in qa.vertices]
-    bxs = [p[0] for p in qb.vertices]
-    bys = [p[1] for p in qb.vertices]
-    if max(axs) < min(bxs) or max(bxs) < min(axs) or max(ays) < min(bys) or max(bys) < min(ays):
-        return 0.0
-    inter = convex_intersection_area(qa, qb)
-    union = qa.area + qb.area - inter
-    if union <= 0.0:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
+    return _pair_iou(_prepare(a), _prepare(b))
+
+
+def iou_matrix(rows: Sequence[OrientedBox], cols: Sequence[OrientedBox]) -> list[list[float]]:
+    """Rotated IoU of every (row, col) pair; entry [i][j] equals rotated_iou(rows[i], cols[j]).
+
+    Each box's corners are built once, however many pairs it is in.
+    """
+    prepared_cols = [_prepare(b) for b in cols]
+    return [[_pair_iou(a, b) for b in prepared_cols] for a in map(_prepare, rows)]
 
 
 def aabb_giou(a: AxisAlignedBox, b: AxisAlignedBox) -> float:
@@ -293,6 +313,12 @@ def aabb_giou(a: AxisAlignedBox, b: AxisAlignedBox) -> float:
     return iou - (enclosing - union) / enclosing
 
 
+def check_nms_threshold(iou_threshold: float) -> None:
+    """Raise InvalidInputError unless iou_threshold lies in [0, 1]."""
+    if not (0.0 <= iou_threshold <= 1.0):
+        raise InvalidInputError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
+
+
 def rotated_nms(
     items: Sequence[tuple[OrientedBox, float, object]],
     iou_threshold: float,
@@ -305,25 +331,24 @@ def rotated_nms(
     rotated IoU with an already-kept item of the same suppression group
     (same category unless class_agnostic) exceeds iou_threshold.
     """
-    if not (0.0 <= iou_threshold <= 1.0):
-        raise InvalidInputError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
+    check_nms_threshold(iou_threshold)
     for _, score, _ in items:
         if not math.isfinite(score):
             raise InvalidInputError(f"non-finite score {score}")
     order = sorted(range(len(items)), key=lambda i: (-items[i][1], i))
+    prepared = [_prepare(box) for box, _, _ in items]
     suppressed = [False] * len(items)
     kept: list[int] = []
     for pos, i in enumerate(order):
         if suppressed[i]:
             continue
         kept.append(i)
-        box_i, _, cat_i = items[i]
+        cat_i = items[i][2]
         for j in order[pos + 1:]:
             if suppressed[j]:
                 continue
-            box_j, _, cat_j = items[j]
-            if not class_agnostic and cat_i != cat_j:
+            if not class_agnostic and cat_i != items[j][2]:
                 continue
-            if rotated_iou(box_i, box_j) > iou_threshold:
+            if _pair_iou(prepared[i], prepared[j]) > iou_threshold:
                 suppressed[j] = True
     return kept

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+import anglekit.obb
 from anglekit import OrientedBox, rotated_iou, to_corners
 
 
@@ -192,3 +193,16 @@ def reference_evaluate(gts, dets, iou_threshold, mode):
         else:
             aps[cat] = reference_voc12_ap(rec, prec)
     return aps
+
+
+def count_calls(monkeypatch, name):
+    """Count calls to anglekit.obb.<name> while still running it."""
+    calls = [0]
+    original = getattr(anglekit.obb, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(anglekit.obb, name, counted)
+    return calls

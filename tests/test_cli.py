@@ -204,6 +204,19 @@ class TestEval:
         assert code == 0
         assert "mAP@0.50=1.000000" in out
 
+    def test_bad_nms_threshold_exits_2_before_reading(self, capsys, eval_fixture, tmp_path):
+        gt_dir, _ = eval_fixture
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        code, out, err = run_cli(capsys, "eval", "--gt", str(gt_dir), "--det", str(empty),
+                                 "--nms", "7")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "iou_threshold" in err
+        # the threshold is rejected before the (missing) files are opened
+        code, _, err = run_cli(capsys, "eval", "--gt", str(tmp_path / "nowhere"),
+                               "--det", str(tmp_path / "none.json"), "--nms", "7")
+        assert code == 2 and "iou_threshold" in err
+
 
 class TestGradcheck:
     def test_passes_by_default(self, capsys):

@@ -4,7 +4,7 @@ import pytest
 from anglekit import (COCO_THRESHOLDS, VOC07, VOC12, DetectionRecord, GroundTruthRecord,
                       InvalidInputError, OrientedBox, average_precision, evaluate, longside,
                       match_detections)
-from helpers import random_longside_box, reference_evaluate, reference_match
+from helpers import count_calls, random_longside_box, reference_evaluate, reference_match
 
 
 def gt(image_id, box, category="ship", difficult=False):
@@ -177,6 +177,29 @@ class TestEvaluate:
         perm_dets = [dets[i] for i in rng.permutation(len(dets))]
         other = evaluate(perm_gts, perm_dets, [0.75, 0.5], mode=VOC12)
         assert base.map_by_threshold == other.map_by_threshold
+
+    def test_ten_thresholds_equal_single_threshold_runs(self):
+        gts, dets = three_category_fixture(seed=56)
+        report = evaluate(gts, dets, COCO_THRESHOLDS, mode=VOC12)
+        for thr in COCO_THRESHOLDS:
+            single = evaluate(gts, dets, [thr], mode=VOC12)
+            assert single.map_by_threshold[thr] == report.map_by_threshold[thr]
+            for cat, cells in report.categories.items():
+                assert cells[thr] == single.categories[cat][thr]
+                result = match_detections([d for d in dets if d.category == cat],
+                                          [g for g in gts if g.category == cat], thr)
+                assert (cells[thr].tp, cells[thr].fp) == (sum(result.tp), sum(result.fp))
+
+    def test_each_iou_computed_once_for_all_thresholds(self, monkeypatch):
+        gts, dets = three_category_fixture(seed=57)
+        clipped = count_calls(monkeypatch, "convex_intersection_area")
+        corners = count_calls(monkeypatch, "to_corners")
+        evaluate(gts, dets, [0.5], mode=VOC12)
+        one = clipped[0]
+        clipped[0] = corners[0] = 0
+        evaluate(gts, dets, COCO_THRESHOLDS, mode=VOC12)
+        assert clipped[0] == one > 0
+        assert corners[0] <= len(gts) + len(dets)
 
     def test_nested_thresholds_monotone(self):
         gts, dets = three_category_fixture(seed=54)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from anglekit import (AxisAlignedBox, DegenerateQuadError, InvalidInputError, OrientedBox,
                       QuadPolygon, aabb_giou, convex_intersection_area, from_acute90,
-                      from_corners, longside, rotated_iou, rotated_nms, to_corners)
-from helpers import (brute_force_min_rect_area, mc_intersection_fraction, random_longside_box,
-                     reference_nms)
+                      from_corners, iou_matrix, longside, rotated_iou, rotated_nms, to_corners)
+from helpers import (brute_force_min_rect_area, count_calls, mc_intersection_fraction,
+                     random_longside_box, reference_nms)
 
 
 def sorted_corners(quad):
@@ -253,6 +253,11 @@ class TestRotatedIoU:
         assert ab == pytest.approx(rotated_iou(b, a), abs=1e-12)
         assert rotated_iou(a, a) == pytest.approx(1.0, abs=1e-12)
 
+    def test_tiny_box_identity(self):
+        # the sliver cutoff is relative to the boxes, so tiny boxes keep their overlap
+        box = OrientedBox(0.3, 0.2, 2e-7, 1e-7, 30)
+        assert rotated_iou(box, box) == 1.0
+
     def test_invariances(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
@@ -279,6 +284,42 @@ class TestRotatedIoU:
                 OrientedBox(a.cx * k, a.cy * k, a.w * k, a.h * k, a.theta),
                 OrientedBox(b.cx * k, b.cy * k, b.w * k, b.h * k, b.theta))
             assert scaled == pytest.approx(rotated_iou(a, b), abs=1e-9)
+
+
+class TestIouMatrix:
+    def test_equals_rotated_iou_exactly(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        rows = [random_longside_box(rng, span=5.0) for _ in range(25)]
+        cols = [random_longside_box(rng, span=5.0) for _ in range(20)]
+        # thin parallel boxes: their AABBs overlap but the boxes do not
+        rows.append(OrientedBox(0, 0, 10, 1, 45))
+        cols.append(OrientedBox(2, -2, 10, 1, 45))
+        clipped = count_calls(monkeypatch, "convex_intersection_area")
+        table = iou_matrix(rows, cols)
+        assert clipped[0] < len(rows) * len(cols)  # some pairs were AABB-rejected
+        values = [v for row in table for v in row]
+        assert 0.0 in values and any(v > 0.0 for v in values)
+        clipped[0] = 0
+        assert table[-1][-1] == rotated_iou(rows[-1], cols[-1]) == 0.0
+        assert clipped[0] == 1  # the AABBs overlap, so the pair was clipped
+        assert len(table) == len(rows) and all(len(row) == len(cols) for row in table)
+        for i, a in enumerate(rows):
+            for j, b in enumerate(cols):
+                assert table[i][j] == rotated_iou(a, b)
+
+    def test_empty_sides(self):
+        box = OrientedBox(0, 0, 2, 1, 0)
+        assert iou_matrix([], [box]) == []
+        assert iou_matrix([box, box], []) == [[], []]
+        assert iou_matrix([], []) == []
+
+    def test_corners_built_once_per_box(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        rows = [random_longside_box(rng) for _ in range(6)]
+        cols = [random_longside_box(rng) for _ in range(4)]
+        corners = count_calls(monkeypatch, "to_corners")
+        iou_matrix(rows, cols)
+        assert corners[0] == len(rows) + len(cols)
 
 
 class TestAabbGiou:
@@ -341,6 +382,14 @@ class TestRotatedNms:
                       str(rng.integers(0, 3))) for _ in range(50)]
             for threshold in (0.1, 0.3, 0.5):
                 assert rotated_nms(items, threshold) == reference_nms(items, threshold)
+
+    def test_corners_built_once_per_item(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        items = [(random_longside_box(rng, span=2.0), float(rng.uniform(0, 1)), "a")
+                 for _ in range(30)]
+        corners = count_calls(monkeypatch, "to_corners")
+        rotated_nms(items, 0.3)
+        assert corners[0] == len(items)
 
     def test_rejects_bad_inputs(self):
         box = OrientedBox(0, 0, 2, 1, 0)
