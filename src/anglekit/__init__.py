@@ -4,11 +4,11 @@ __version__ = "0.1.0"
 
 from .errors import AngleKitError, DegenerateQuadError, InvalidInputError, ParseError
 from .obb import (AxisAlignedBox, OrientedBox, QuadPolygon, aabb_giou,
-                  convex_intersection_area, from_acute90, from_corners, iou_matrix, longside,
-                  rotated_iou, rotated_nms, to_corners)
+                  convex_intersection_area, from_corners, iou_matrix, longside, rotated_iou,
+                  rotated_nms, to_corners)
 from .codecs import (AnglePrediction, AngleTarget, CodecConfig, FitFunction, Method,
-                     analytic_errors, binary_from_gray, decode, empirical_errors, encode,
-                     gray_from_binary, head_thickness, ideal_prediction, omega)
+                     analytic_errors, decode, empirical_errors, encode, head_thickness,
+                     ideal_prediction, omega)
 from .losses import (AnchorBox, AssignedSample, BoxDeltas, LossBreakdown, LossWeights,
                      cross_entropy, cross_entropy_grad, decode_box_deltas, encode_box_deltas,
                      finite_diff_grad_check, focal_loss, focal_loss_grad, giou_location_loss,

@@ -12,13 +12,11 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .codecs import (C_THETA_CHOICES, AnglePrediction, CodecConfig, FitFunction, Method,
                      analytic_errors, decode, empirical_errors, encode, head_thickness, omega)
 from .errors import AngleKitError
-from .evaluation import COCO_THRESHOLDS, VOC07, VOC12, evaluate
+from .evaluation import COCO_THRESHOLDS, VOC07, VOC12, canonical_thresholds, evaluate
 from .io_formats import parse_annotation_dir, parse_detections, write_report
 from .losses import run_gradient_checks
 from .obb import OrientedBox, check_nms_threshold, rotated_iou, rotated_nms
@@ -74,7 +72,7 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     config = _codec_from_args(args)
-    logits = np.array(_comma_list(args.logits, float, "logit")) if args.logits else np.zeros(0)
+    logits = _comma_list(args.logits, float, "logit") if args.logits else []
     pred = AnglePrediction(class_logits=logits, regression_output=args.treg)
     _emit({"theta": decode(pred, config)})
     return 0
@@ -129,8 +127,9 @@ def cmd_codec_report(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    thresholds = (_comma_list(args.thresholds, float, "IoU threshold") if args.thresholds
-                  else COCO_THRESHOLDS)
+    thresholds = canonical_thresholds(
+        _comma_list(args.thresholds, float, "IoU threshold") if args.thresholds
+        else COCO_THRESHOLDS)
     if args.nms is not None:
         check_nms_threshold(args.nms)
     gts = parse_annotation_dir(args.gt, strict=False)

@@ -85,7 +85,7 @@ def _code_length(method: Method, c_theta: int) -> int:
 
 @dataclass(frozen=True)
 class CodecConfig:
-    """Immutable codec configuration.
+    """Immutable codec configuration over the fixed ANGLE_RANGE of 180 degrees.
 
     c_theta=0 selects the per-method default. window_size applies to CSL
     only; fit_function applies to the regression component (MGAR and
@@ -94,7 +94,6 @@ class CodecConfig:
 
     method: Method
     c_theta: int = 0
-    angle_range: float = ANGLE_RANGE
     window_size: float = 6.0
     fit_function: FitFunction = FitFunction.SQUARE
 
@@ -104,8 +103,6 @@ class CodecConfig:
         object.__setattr__(self, "fit_function", FitFunction(self.fit_function))
         c_theta = int(self.c_theta) if self.c_theta else DEFAULT_C_THETA[method]
         object.__setattr__(self, "c_theta", c_theta)
-        if self.angle_range != ANGLE_RANGE:
-            raise InvalidInputError(f"angle range is fixed at {ANGLE_RANGE} degrees")
         if method is Method.CSL and not self.window_size > 0:
             raise InvalidInputError(f"window_size must be positive, got {self.window_size}")
         _validate_c_theta(method, c_theta, warn=True)
@@ -152,31 +149,7 @@ class AnglePrediction:
 
 def omega(config: CodecConfig) -> float:
     """Discretization granularity in degrees (angle range over bin count)."""
-    return config.angle_range / config.c_theta
-
-
-def gray_from_binary(bits: Sequence[int]) -> tuple[int, ...]:
-    """Gray code of an MSB-first binary bit vector."""
-    _check_bits(bits)
-    return tuple(b ^ (bits[i - 1] if i else 0) for i, b in enumerate(bits))
-
-
-def binary_from_gray(bits: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of gray_from_binary."""
-    _check_bits(bits)
-    out: list[int] = []
-    acc = 0
-    for g in bits:
-        acc ^= g
-        out.append(acc)
-    return tuple(out)
-
-
-def _check_bits(bits: Sequence[int]) -> None:
-    if len(bits) == 0:
-        raise InvalidInputError("empty bit vector")
-    if any(b not in (0, 1) for b in bits):
-        raise InvalidInputError(f"bits must be 0 or 1, got {list(bits)}")
+    return ANGLE_RANGE / config.c_theta
 
 
 def _fit_inverse(degrees: float, fit: FitFunction, width: float) -> float:
@@ -203,23 +176,78 @@ def _fit_forward(value: float, fit: FitFunction, width: float) -> float:
 
 
 @lru_cache(maxsize=1024)
-def _csl_label(k: int, c_theta: int, window_size: float) -> np.ndarray:
+def _csl_label(k: int, c_theta: int, window_size: float) -> tuple[float, ...]:
     # Circular Gaussian window, sigma = window/3, zero outside the window.
-    # Cached and read-only: callers copy before handing the label out.
     half = c_theta // 2
     d = (np.arange(c_theta) - k + half) % c_theta - half
     sigma = window_size / 3.0
     label = np.zeros(c_theta)
     mask = np.abs(d) <= window_size
     label[mask] = np.exp(-(d[mask] ** 2) / (2.0 * sigma * sigma))
-    label.flags.writeable = False
-    return label
+    return tuple(label.tolist())
 
 
-def _dcl_bits(k: int, length: int, gray: bool) -> list[int]:
-    # k ^ (k >> 1) is the Gray code of k, i.e. gray_from_binary of its bits.
-    code = k ^ (k >> 1) if gray else k
-    return [(code >> (length - 1 - i)) & 1 for i in range(length)]
+# The codec kernel: four steps on Python scalars, shared by encode, decode
+# and empirical_errors. numpy enters only at the AngleTarget/AnglePrediction
+# boundary (and in the CSL label and the DCL bit rule, see decode).
+
+def _bin_of(theta: float, width: float, c_theta: int) -> tuple[int, float]:
+    # floor(theta / omega): an angle on a bin boundary starts that bin.
+    k = min(int(theta // width), c_theta - 1)
+    return k, max(theta - k * width, 0.0)
+
+
+def _class_vector(k: int, config: CodecConfig) -> Sequence[float]:
+    method = config.method
+    if method is Method.MGAR:
+        vector = [0.0] * config.c_theta
+        vector[k] = 1.0
+        return vector
+    if method is Method.CSL:
+        return _csl_label(k, config.c_theta, config.window_size)
+    if method in _DCL_METHODS:
+        code = k ^ (k >> 1) if method is Method.DCL_GRAY else k
+        length = config.code_length
+        return [(code >> (length - 1 - i)) & 1 for i in range(length)]
+    return ()
+
+
+def _bin_from_scores(scores: Sequence[float], config: CodecConfig) -> int:
+    # CSL and MGAR: first argmax. DCL: scores are the on/off code bits, MSB first.
+    method = config.method
+    if method in _DCL_METHODS:
+        gray = method is Method.DCL_GRAY
+        k = bit = 0
+        for on in scores:
+            # A Gray code bit flips the running binary bit.
+            bit = bit ^ on if gray else on
+            k = (k << 1) | bit
+        return min(k, config.c_theta - 1)
+    if method is Method.REGRESSION:
+        return 0
+    return scores.index(max(scores))
+
+
+def _angle(k: int, regression_output: float | None, config: CodecConfig) -> float:
+    # Bin start plus fitted residual, or the bin midpoint without a regression
+    # part. Only the final angle wraps; residual overflow past one bin stays.
+    width = omega(config)
+    if config.has_regression:
+        if regression_output is None:
+            raise InvalidInputError(f"{config.method.value} decode requires a regression output")
+        residual = _fit_forward(regression_output, config.fit_function, width)
+    else:
+        if regression_output is not None:
+            raise InvalidInputError(
+                f"{config.method.value} predictions carry no regression output")
+        residual = 0.5 * width
+    return (k * width + residual) % ANGLE_RANGE
+
+
+def _residual_target(residual: float, config: CodecConfig) -> float | None:
+    if config.has_regression:
+        return _fit_inverse(residual, config.fit_function, omega(config))
+    return None
 
 
 def encode(theta_gt: float, config: CodecConfig) -> AngleTarget:
@@ -230,29 +258,12 @@ def encode(theta_gt: float, config: CodecConfig) -> AngleTarget:
     targets carry the fit-space residual; CSL and DCL targets carry only
     the class vector.
     """
-    if not (0.0 <= theta_gt < config.angle_range) or not math.isfinite(theta_gt):
-        raise InvalidInputError(f"angle must lie in [0, {config.angle_range}), got {theta_gt}")
-    width = omega(config)
-    k = min(int(theta_gt // width), config.c_theta - 1)
-    residual = max(theta_gt - k * width, 0.0)
-
-    method = config.method
-    if method is Method.REGRESSION:
-        vector = np.zeros(0)
-    elif method is Method.MGAR:
-        vector = np.zeros(config.c_theta)
-        vector[k] = 1.0
-    elif method is Method.CSL:
-        vector = _csl_label(k, config.c_theta, config.window_size).copy()
-    else:
-        bits = _dcl_bits(k, config.code_length, gray=method is Method.DCL_GRAY)
-        vector = np.array(bits, dtype=float)
-
-    residual_target = None
-    if config.has_regression:
-        residual_target = _fit_inverse(residual, config.fit_function, width)
-    return AngleTarget(class_index=k, class_vector=vector, residual_target=residual_target,
-                       raw_angle=theta_gt)
+    if not (0.0 <= theta_gt < ANGLE_RANGE) or not math.isfinite(theta_gt):
+        raise InvalidInputError(f"angle must lie in [0, {ANGLE_RANGE}), got {theta_gt}")
+    k, residual = _bin_of(theta_gt, omega(config), config.c_theta)
+    return AngleTarget(class_index=k,
+                       class_vector=np.array(_class_vector(k, config), dtype=float),
+                       residual_target=_residual_target(residual, config), raw_angle=theta_gt)
 
 
 def decode(pred: AnglePrediction, config: CodecConfig) -> float:
@@ -264,36 +275,17 @@ def decode(pred: AnglePrediction, config: CodecConfig) -> float:
     to the bin start. Only the final angle is wrapped into range; residual
     overflow past one bin is preserved.
     """
-    width = omega(config)
     logits = pred.class_logits
     expected = config.code_length
     if logits.shape != (expected,):
         raise InvalidInputError(
             f"{config.method.value} expects {expected} logits, got shape {logits.shape}")
-
-    method = config.method
-    if method is Method.REGRESSION:
-        k = 0
-    elif method in _DCL_METHODS:
-        gray = method is Method.DCL_GRAY
-        k = bit = 0
-        for on in (1.0 / (1.0 + np.exp(-logits)) > 0.5).tolist():
-            # A Gray code bit flips the running binary bit (binary_from_gray).
-            bit = bit ^ on if gray else on
-            k = (k << 1) | bit
-        k = min(k, config.c_theta - 1)
+    if config.method in _DCL_METHODS:
+        # numpy's exp, not math.exp: the two round differently at |logit| ~ 1e-16.
+        scores = (1.0 / (1.0 + np.exp(-logits)) > 0.5).tolist()
     else:
-        k = int(np.argmax(logits))
-
-    if config.has_regression:
-        if pred.regression_output is None:
-            raise InvalidInputError(f"{method.value} decode requires a regression output")
-        residual = _fit_forward(pred.regression_output, config.fit_function, width)
-    else:
-        if pred.regression_output is not None:
-            raise InvalidInputError(f"{method.value} predictions carry no regression output")
-        residual = 0.5 * width
-    return (k * width + residual) % config.angle_range
+        scores = logits.tolist()
+    return _angle(_bin_from_scores(scores, config), pred.regression_output, config)
 
 
 def ideal_prediction(target: AngleTarget, config: CodecConfig) -> AnglePrediction:
@@ -317,23 +309,28 @@ def analytic_errors(config: CodecConfig) -> tuple[float, float]:
 def empirical_errors(config: CodecConfig, grid_step: float) -> tuple[float, float]:
     """Swept (max, mean) of |decode(encode(theta)) - theta| over [0, 180).
 
-    Uses loss-free predictions at every grid point, exercising the real
-    encode/decode path rather than the closed forms.
+    Runs the codec kernel that encode and decode wrap on the loss-free
+    prediction at every grid point: its logits are the class vector (for
+    DCL, the 0/1 code bits, which the sigmoid rule maps to themselves) and
+    its regression output is the exact residual target.
     """
     if not grid_step > 0:
         raise InvalidInputError(f"grid_step must be positive, got {grid_step}")
-    count = int(round(config.angle_range / grid_step))
+    count = int(round(ANGLE_RANGE / grid_step))
     if count < 1:
         raise InvalidInputError(
-            f"grid_step {grid_step} leaves no angle to sweep in [0, {config.angle_range})")
+            f"grid_step {grid_step} leaves no angle to sweep in [0, {ANGLE_RANGE})")
+    width = omega(config)
     worst = 0.0
     total = 0.0
     n = 0
     for i in range(count):
         theta = i * grid_step
-        if theta >= config.angle_range:
+        if theta >= ANGLE_RANGE:
             continue
-        decoded = decode(ideal_prediction(encode(theta, config), config), config)
+        k, residual = _bin_of(theta, width, config.c_theta)
+        decoded = _angle(_bin_from_scores(_class_vector(k, config), config),
+                         _residual_target(residual, config), config)
         err = abs(decoded - theta)
         if err > worst:
             worst = err

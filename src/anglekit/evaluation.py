@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import InvalidInputError
 from .obb import OrientedBox, iou_matrix
 
@@ -64,6 +62,22 @@ class MatchResult:
 def _check_mode(mode: str) -> None:
     if mode not in (VOC07, VOC12):
         raise InvalidInputError(f"mode must be {VOC07!r} or {VOC12!r}, got {mode!r}")
+
+
+def canonical_thresholds(iou_thresholds: Sequence[float]) -> tuple[float, ...]:
+    """Thresholds rounded to two decimals, deduplicated and sorted.
+
+    Each must round into (0, 1]; the error names the value as given.
+    """
+    canonical = set()
+    for t in iou_thresholds:
+        rounded = round(float(t), 2)
+        if not (0.0 < rounded <= 1.0):
+            raise InvalidInputError(f"iou threshold must lie in (0, 1], got {t}")
+        canonical.add(rounded)
+    if not canonical:
+        raise InvalidInputError("at least one IoU threshold is required")
+    return tuple(sorted(canonical))
 
 
 def _det_order(dets: Sequence[DetectionRecord]) -> list[int]:
@@ -140,31 +154,31 @@ def average_precision(recall: Sequence[float], precision: Sequence[float], mode:
     VOC07 averages the best precision at recall levels 0, 0.1, ..., 1.0;
     VOC12 integrates the monotone envelope of the full curve.
     """
-    rec = np.asarray(recall, dtype=float)
-    prec = np.asarray(precision, dtype=float)
-    if rec.shape != prec.shape or rec.ndim != 1:
+    try:
+        rec = [float(r) for r in recall]
+        prec = [float(p) for p in precision]
+    except (TypeError, ValueError):
+        raise InvalidInputError("recall and precision must be equal-length vectors") from None
+    if len(rec) != len(prec):
         raise InvalidInputError("recall and precision must be equal-length vectors")
-    if rec.size and np.any(np.diff(rec) < 0):
+    if any(b < a for a, b in zip(rec, rec[1:])):
         raise InvalidInputError("recall must be non-decreasing")
     _check_mode(mode)
-    if rec.size == 0:
+    if not rec:
         return 0.0
 
     # fsum keeps the result independent of accumulation order
     if mode == VOC07:
-        best = []
-        # i / 10 is the closest double to each exact recall level; arange drifts
-        for level in (i / 10.0 for i in range(11)):
-            covered = rec >= level
-            best.append(float(np.max(prec[covered])) if np.any(covered) else 0.0)
-        return math.fsum(best) / 11.0
+        # i / 10 is the closest double to each exact recall level
+        return math.fsum(max((p for r, p in zip(rec, prec) if r >= i / 10.0), default=0.0)
+                         for i in range(11)) / 11.0
 
-    mrec = np.concatenate(([0.0], rec, [1.0]))
-    mpre = np.concatenate(([0.0], prec, [0.0]))
-    for i in range(mpre.size - 1, 0, -1):
+    mrec = [0.0, *rec, 1.0]
+    mpre = [0.0, *prec, 0.0]
+    for i in range(len(mpre) - 1, 0, -1):
         mpre[i - 1] = max(mpre[i - 1], mpre[i])
-    change = np.where(mrec[1:] != mrec[:-1])[0]
-    return math.fsum((mrec[change + 1] - mrec[change]) * mpre[change + 1])
+    return math.fsum((mrec[i + 1] - mrec[i]) * mpre[i + 1]
+                     for i in range(len(mrec) - 1) if mrec[i + 1] != mrec[i])
 
 
 @dataclass(frozen=True)
@@ -194,17 +208,12 @@ def evaluate(gts: Sequence[GroundTruthRecord], dets: Sequence[DetectionRecord],
 
     Categories with no ground truth are excluded; mAP at a threshold is the
     unweighted mean of category APs. mAP@0.50:0.95 is reported when all ten
-    of its thresholds were requested. Thresholds are canonicalized to two
-    decimals. Each det x GT IoU is computed once per image and category
-    and read by every threshold.
+    of its thresholds were requested. Thresholds go through
+    canonical_thresholds. Each det x GT IoU is computed once per image and
+    category and read by every threshold.
     """
     _check_mode(mode)
-    thresholds = tuple(sorted({round(float(t), 2) for t in iou_thresholds}))
-    if not thresholds:
-        raise InvalidInputError("at least one IoU threshold is required")
-    for t in thresholds:
-        if not (0.0 < t <= 1.0):
-            raise InvalidInputError(f"iou threshold must lie in (0, 1], got {t}")
+    thresholds = canonical_thresholds(iou_thresholds)
 
     categories = sorted({g.category for g in gts})
     dets_by_cat: dict[str, list[DetectionRecord]] = {c: [] for c in categories}

@@ -157,19 +157,6 @@ def longside(cx: float, cy: float, w: float, h: float, theta: float) -> Oriented
     return OrientedBox(cx, cy, w, h, theta)
 
 
-def from_acute90(cx: float, cy: float, w_cv: float, h_cv: float, theta_cv: float) -> OrientedBox:
-    """Convert an acute-angle (OpenCV-style) box into long-side form.
-
-    theta_cv in (0, 90] is the angle of the w_cv side measured from the
-    x axis. The output encloses the identical point set.
-    """
-    if not (w_cv > 0 and h_cv > 0):
-        raise InvalidInputError(f"box sides must be positive, got w={w_cv}, h={h_cv}")
-    if not (0.0 < theta_cv <= 90.0):
-        raise InvalidInputError(f"acute convention requires 0 < theta <= 90, got {theta_cv}")
-    return longside(cx, cy, w_cv, h_cv, theta_cv)
-
-
 def to_corners(box: OrientedBox) -> QuadPolygon:
     """Corner polygon of a box, counter-clockwise."""
     rad = math.radians(box.theta)

@@ -6,12 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anglekit import (AnglePrediction, CodecConfig, FitFunction, InvalidInputError, Method,
-                      analytic_errors, binary_from_gray, decode, empirical_errors, encode,
-                      gray_from_binary, head_thickness, ideal_prediction, omega)
+                      analytic_errors, decode, empirical_errors, encode, head_thickness,
+                      ideal_prediction, omega)
+
+# Logits at which the DCL bit rule 1/(1+exp(-x)) > 0.5 is decided by rounding.
+DCL_KNIFE_EDGE = (0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-17, -1e-17, 1.56e-16, -1.56e-16,
+                  2.3e-16, -2.3e-16, 1e3, -1e3)
 
 
 def mgar(c_theta, fit=FitFunction.SQUARE):
     return CodecConfig(Method.MGAR, c_theta, fit_function=fit)
+
+
+def strong_logits(bits):
+    # +-8 logits whose sigmoid bits are `bits`
+    return np.where(np.asarray(bits) > 0, 8.0, -8.0)
 
 
 class TestConfig:
@@ -51,26 +60,38 @@ class TestConfig:
 
 class TestGrayCode:
     def test_basic(self):
-        assert gray_from_binary((1, 0, 1)) == (1, 1, 1)
-        assert gray_from_binary((0, 0, 0)) == (0, 0, 0)
+        # the Gray code of 00101 is 00111; of 00000 it is 00000
+        config = CodecConfig(Method.DCL_GRAY, 32)
+        assert encode(5 * 5.625, config).class_vector.tolist() == [0, 0, 1, 1, 1]
+        assert encode(0.0, config).class_vector.tolist() == [0, 0, 0, 0, 0]
 
     def test_exhaustive_8bit_roundtrip(self):
-        for value in range(256):
-            bits = tuple((value >> (7 - i)) & 1 for i in range(8))
-            assert binary_from_gray(gray_from_binary(bits)) == bits
+        for c_theta in (32, 64, 128, 256):
+            config = CodecConfig(Method.DCL_GRAY, c_theta)
+            width, length = omega(config), config.code_length
+            for k in range(c_theta):
+                midpoint = k * width + width / 2
+                target = encode(midpoint, config)
+                gray = k ^ (k >> 1)
+                bits = [(gray >> (length - 1 - i)) & 1 for i in range(length)]
+                assert target.class_index == k
+                assert target.class_vector.tolist() == bits
+                assert decode(AnglePrediction(strong_logits(bits)), config) == midpoint
 
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=16))
+    @given(st.lists(st.integers(0, 1), min_size=5, max_size=8))
     @settings(max_examples=200)
     def test_roundtrip_property(self, bits):
-        bits = tuple(bits)
-        assert binary_from_gray(gray_from_binary(bits)) == bits
-        assert gray_from_binary(binary_from_gray(bits)) == bits
+        # every code word decodes to a bin whose encoding is that code word
+        config = CodecConfig(Method.DCL_GRAY, 2 ** len(bits))
+        theta = decode(AnglePrediction(strong_logits(bits)), config)
+        assert encode(theta, config).class_vector.tolist() == bits
 
     def test_rejects_bad_bits(self):
+        config = CodecConfig(Method.DCL_GRAY, 32)
         with pytest.raises(InvalidInputError):
-            gray_from_binary(())
+            decode(AnglePrediction([]), config)
         with pytest.raises(InvalidInputError):
-            binary_from_gray((0, 2))
+            decode(AnglePrediction([0.0, 2.0, math.nan, 0.0, 0.0]), config)
 
 
 class TestEncode:
@@ -132,7 +153,7 @@ class TestEncode:
                 encode(bad, mgar(3))
 
     @given(st.floats(0, 179.9999999), st.sampled_from([3, 4, 5]))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_bin_and_residual_ranges(self, theta, c_theta):
         config = mgar(c_theta)
         width = omega(config)
@@ -168,6 +189,19 @@ class TestDecode:
         got = decode(AnglePrediction(logits), config)
         assert got == pytest.approx(5 * 2.8125 + 2.8125 / 2, abs=1e-12)
         assert got == pytest.approx(15.46875, abs=1e-12)
+
+    @pytest.mark.parametrize("method", [Method.DCL_BINARY, Method.DCL_GRAY])
+    def test_dcl_bit_rule_is_numpy_sigmoid(self, method):
+        # A DCL bit is on where numpy finds 1/(1+exp(-x)) > 0.5. At |x| ~ 1.6e-16
+        # math.exp rounds the other way for some x, so a scalar rule would flip bits.
+        config = CodecConfig(method, 256)
+        values = np.concatenate((DCL_KNIFE_EDGE, np.linspace(-1e-15, 1e-15, 2001)))
+        with np.errstate(over="ignore"):
+            for start in range(values.size - 7):
+                logits = values[start:start + 8]
+                bits = 1.0 / (1.0 + np.exp(-logits)) > 0.5
+                assert (decode(AnglePrediction(logits), config)
+                        == decode(AnglePrediction(strong_logits(bits)), config)), logits
 
     def test_csl_midpoint(self):
         config = CodecConfig(Method.CSL)
@@ -263,7 +297,7 @@ class TestHeadThickness:
 
 class TestRoundTripProperty:
     @given(st.floats(0, 179.9999999), st.sampled_from([3, 4, 5]))
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500)
     def test_mgar_lossless(self, theta, c_theta):
         config = mgar(c_theta)
         decoded = decode(ideal_prediction(encode(theta, config), config), config)
@@ -271,7 +305,7 @@ class TestRoundTripProperty:
 
     @given(st.floats(0, 179.9999999),
            st.sampled_from([(Method.CSL, 180), (Method.DCL_BINARY, 64), (Method.DCL_GRAY, 128)]))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_classification_error_bounded_by_half_bin(self, theta, method_ctheta):
         method, c_theta = method_ctheta
         config = CodecConfig(method, c_theta)

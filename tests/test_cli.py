@@ -63,11 +63,13 @@ class TestGeometryCommands:
         (["iou", "--box-a", "0,0,x,1,0", "--box-b", "1,0,2,1,0"], "'x'"),
         (["decode", "--method", "csl", "--logits=a,b,c"], "'a'"),
         (["eval", "--gt", "gt", "--det", "dets.json", "--thresholds", "abc"], "'abc'"),
+        (["eval", "--gt", "gt", "--det", "dets.json", "--thresholds", "0.5,7"], "got 7.0"),
+        (["eval", "--gt", "gt", "--det", "dets.json", "--thresholds", "0.001"], "got 0.001"),
         (["codec-report", "--methods", "foo"], "'foo'"),
         (["codec-report", "--methods", "mgar", "--grid-step", "500"], "grid_step"),
         (["codec-report", "--methods", "mgar", "--grid-step", "inf"], "grid_step"),
-    ], ids=["short-box", "box-token", "logit-token", "threshold-token", "method-token",
-            "grid-step-500", "grid-step-inf"])
+    ], ids=["short-box", "box-token", "logit-token", "threshold-token", "threshold-range",
+            "threshold-rounds-to-0", "method-token", "grid-step-500", "grid-step-inf"])
     def test_iou_bad_box_exits_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

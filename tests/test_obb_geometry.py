@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anglekit import (AxisAlignedBox, DegenerateQuadError, InvalidInputError, OrientedBox,
-                      QuadPolygon, aabb_giou, convex_intersection_area, from_acute90,
-                      from_corners, iou_matrix, longside, rotated_iou, rotated_nms, to_corners)
+                      QuadPolygon, aabb_giou, convex_intersection_area, from_corners,
+                      iou_matrix, longside, rotated_iou, rotated_nms, to_corners)
 from helpers import (brute_force_min_rect_area, count_calls, mc_intersection_fraction,
                      random_longside_box, reference_nms)
 
@@ -19,16 +19,6 @@ def sorted_corners(quad):
 def assert_corner_sets_close(a, b, tol=1e-9):
     for (ax, ay), (bx, by) in zip(sorted(a), sorted(b)):
         assert abs(ax - bx) <= tol and abs(ay - by) <= tol
-
-
-def acute_corner_set(cx, cy, w_cv, h_cv, theta_cv):
-    # Direct corner construction under the acute-angle convention.
-    rad = math.radians(theta_cv)
-    ux, uy = math.cos(rad), math.sin(rad)
-    vx, vy = -uy, ux
-    a, b = w_cv / 2.0, h_cv / 2.0
-    return [(cx + su * a * ux + sv * b * vx, cy + su * a * uy + sv * b * vy)
-            for su in (1, -1) for sv in (1, -1)]
 
 
 class TestOrientedBox:
@@ -47,36 +37,6 @@ class TestOrientedBox:
             OrientedBox(0, 0, 1, 2, 0)
         with pytest.raises(InvalidInputError):
             OrientedBox(0, 0, math.nan, 1, 0)
-
-
-class TestFromAcute90:
-    def test_degenerate_boundary_90(self):
-        box = from_acute90(0, 0, 4, 2, 90.0)
-        assert (box.w, box.h) == (4, 2)
-        assert box.theta in (0.0, 90.0)
-        assert_corner_sets_close(to_corners(box).vertices, acute_corner_set(0, 0, 4, 2, 90.0))
-
-    def test_square_any_theta_same_corners(self):
-        box = from_acute90(0, 0, 2, 2, 30.0)
-        assert_corner_sets_close(to_corners(box).vertices, acute_corner_set(0, 0, 2, 2, 30.0))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            from_acute90(0, 0, 2, 1, 0.0)
-        with pytest.raises(InvalidInputError):
-            from_acute90(0, 0, 2, 1, 90.5)
-        with pytest.raises(InvalidInputError):
-            from_acute90(0, 0, -2, 1, 45.0)
-
-    def test_random_corner_set_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            cx, cy = rng.uniform(-10, 10, size=2)
-            w_cv, h_cv = rng.uniform(0.2, 5.0, size=2)
-            theta_cv = rng.uniform(1e-6, 90.0)
-            box = from_acute90(cx, cy, w_cv, h_cv, theta_cv)
-            assert_corner_sets_close(to_corners(box).vertices,
-                                     acute_corner_set(cx, cy, w_cv, h_cv, theta_cv))
 
 
 class TestToCorners:
@@ -98,7 +58,7 @@ class TestToCorners:
         assert_corner_sets_close(got.vertices, [tuple(p) for p in expected])
 
     @given(st.floats(0, 179.999), st.floats(0.5, 5), st.floats(0.1, 0.49))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_centroid_and_edge_lengths(self, theta, w, hfrac):
         h = w * hfrac
         box = OrientedBox(1.5, -2.5, w, h, theta)
@@ -243,7 +203,7 @@ class TestRotatedIoU:
                            OrientedBox(0, 0, 2, 1, 90)) == pytest.approx(1 / 3, abs=1e-9)
 
     @given(st.integers(0, 10_000))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_symmetric_and_bounded(self, seed):
         rng = np.random.default_rng(seed)
         a = random_longside_box(rng, span=1.0)
