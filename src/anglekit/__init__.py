@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import AngleKitError, DegenerateQuadError, InvalidInputError, ParseError
 from .obb import (AxisAlignedBox, OrientedBox, QuadPolygon, aabb_giou,
                   convex_intersection_area, from_corners, iou_matrix, longside, rotated_iou,
@@ -20,4 +22,4 @@ from .evaluation import (COCO_THRESHOLDS, VOC07, VOC12, CategoryThresholdResult,
 from .io_formats import (AnnotationFile, parse_annotation_dir, parse_annotation_file,
                          parse_detections, report_to_dict, write_detections, write_report)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]

@@ -84,6 +84,7 @@ def cmd_iou(args) -> int:
 
 
 def cmd_nms(args) -> int:
+    check_nms_threshold(args.threshold)
     records = parse_detections(args.detections, strict=False)
     items = [(r.box, r.score, r.category) for r in records]
     kept = rotated_nms(items, args.threshold, class_agnostic=args.class_agnostic)

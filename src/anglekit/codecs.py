@@ -16,8 +16,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import InvalidInputError
 
 ANGLE_RANGE = 180.0
@@ -282,7 +281,9 @@ def decode(pred: AnglePrediction, config: CodecConfig) -> float:
             f"{config.method.value} expects {expected} logits, got shape {logits.shape}")
     if config.method in _DCL_METHODS:
         # numpy's exp, not math.exp: the two round differently at |logit| ~ 1e-16.
-        scores = (1.0 / (1.0 + np.exp(-logits)) > 0.5).tolist()
+        # Below about -709 exp overflows to inf, which still gives the right bit.
+        with np.errstate(over="ignore"):
+            scores = (1.0 / (1.0 + np.exp(-logits)) > 0.5).tolist()
     else:
         scores = logits.tolist()
     return _angle(_bin_from_scores(scores, config), pred.regression_output, config)

@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .codecs import AnglePrediction, CodecConfig, Method, decode, encode
 from .errors import InvalidInputError
 from .obb import AxisAlignedBox, OrientedBox, aabb_giou, longside, rotated_iou

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,14 @@ class TestDecode:
                 bits = 1.0 / (1.0 + np.exp(-logits)) > 0.5
                 assert (decode(AnglePrediction(logits), config)
                         == decode(AnglePrediction(strong_logits(bits)), config)), logits
+
+    def test_dcl_overflowing_logit_decodes_without_warning(self):
+        # exp(1000) overflows to inf, which still switches the bit off.
+        config = CodecConfig(Method.DCL_GRAY, 32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = decode(AnglePrediction([-1000.0, 1, 1, 1, 1]), config)
+        assert got == decode(AnglePrediction([-50.0, 1, 1, 1, 1]), config)
 
     def test_csl_midpoint(self):
         config = CodecConfig(Method.CSL)

@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
+import anglekit
 import anglekit.losses
 from anglekit import DetectionRecord, OrientedBox, to_corners, write_detections
 from anglekit.cli import main
@@ -68,8 +74,10 @@ class TestGeometryCommands:
         (["codec-report", "--methods", "foo"], "'foo'"),
         (["codec-report", "--methods", "mgar", "--grid-step", "500"], "grid_step"),
         (["codec-report", "--methods", "mgar", "--grid-step", "inf"], "grid_step"),
+        (["nms", "--detections", "missing.json", "--threshold", "7"], "iou_threshold"),
     ], ids=["short-box", "box-token", "logit-token", "threshold-token", "threshold-range",
-            "threshold-rounds-to-0", "method-token", "grid-step-500", "grid-step-inf"])
+            "threshold-rounds-to-0", "method-token", "grid-step-500", "grid-step-inf",
+            "nms-threshold"])
     def test_iou_bad_box_exits_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -243,3 +251,65 @@ class TestGradcheck:
         assert code == 1
         assert json.loads(out)["passed"] is False
         assert "smooth_l1" in err
+
+
+def test_star_import_binds_no_module():
+    assert not [n for n in anglekit.__all__ if isinstance(getattr(anglekit, n), types.ModuleType)]
+    namespace = {}
+    exec("from anglekit import *", namespace)
+    assert "codecs" not in namespace and "AngleTarget" in namespace
+
+
+def run_python(code, *argv):
+    """Run `code` in a fresh interpreter that imports anglekit from this tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(anglekit.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, check=False)
+
+
+GEOMETRY_AND_EVAL = """
+import json, sys
+from anglekit.cli import main
+gt, det = sys.argv[1:]
+codes = [main(["iou", "--box-a", "0,0,2,1,0", "--box-b", "1,0,2,1,0"]),
+         main(["nms", "--detections", det, "--threshold", "0.5"]),
+         main(["eval", "--gt", gt, "--det", det])]
+print(json.dumps({"codes": codes,
+                  "numpy": sorted(m for m in sys.modules if m.startswith("numpy.")),
+                  "anglekit": sorted(m for m in sys.modules if m.startswith("anglekit."))}))
+"""
+
+CODECS_THEN_NUMPY = """
+from anglekit.cli import main
+for argv in (["encode", "--method", "mgar", "--ctheta", "3", "--angle", "33.3"],
+             ["encode", "--method", "dcl-gray", "--ctheta", "32", "--angle", "100.5"],
+             ["decode", "--method", "mgar", "--ctheta", "3", "--logits=0.1,2,0.3", "--treg", "4.2"],
+             ["decode", "--method", "dcl-binary", "--ctheta", "32", "--logits=-3,2,-1,4,0.5"]):
+    assert main(argv) == 0
+import numpy
+assert numpy.zeros(2).sum() == 0
+"""
+
+
+class TestLazyNumpy:
+    def test_iou_nms_eval_load_no_numpy(self, eval_fixture):
+        gt_dir, det_path = eval_fixture
+        proc = run_python(GEOMETRY_AND_EVAL, str(gt_dir), str(det_path))
+        assert proc.returncode == 0, proc.stderr
+        state = json.loads(proc.stdout.splitlines()[-1])
+        assert state["codes"] == [0, 0, 0]
+        assert state["numpy"] == []
+        # The parser's choices, and traced runs, need both modules loaded.
+        assert {"anglekit.codecs", "anglekit.losses"} <= set(state["anglekit"])
+
+    def test_codecs_load_numpy_on_first_use(self):
+        proc = run_python(CODECS_THEN_NUMPY)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == [
+            '{"c_theta": 3, "class_vector": [1.0, 0.0, 0.0], "k": 0, "method": "mgar", '
+            '"omega": 60.0, "residual": 33.3, "residual_target": 5.770615218501403}',
+            '{"c_theta": 32, "class_vector": [1.0, 1.0, 0.0, 0.0, 1.0], "k": 17, '
+            '"method": "dcl-gray", "omega": 5.625, "residual": 4.875, "residual_target": null}',
+            '{"theta": 77.64}',
+            '{"theta": 64.6875}',
+        ]
