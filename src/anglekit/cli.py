@@ -83,12 +83,24 @@ def cmd_iou(args) -> int:
     return 0
 
 
+def _nms_per_image(dets, threshold: float, class_agnostic: bool = False) -> list[int]:
+    """Indices of the detections rotated NMS keeps, run separately in each image."""
+    by_image: dict[str, list[int]] = {}
+    for i, r in enumerate(dets):
+        by_image.setdefault(r.image_id, []).append(i)
+    keep: list[int] = []
+    for _, idxs in sorted(by_image.items()):
+        items = [(dets[i].box, dets[i].score, dets[i].category) for i in idxs]
+        keep.extend(idxs[k] for k in rotated_nms(items, threshold, class_agnostic=class_agnostic))
+    return keep
+
+
 def cmd_nms(args) -> int:
     check_nms_threshold(args.threshold)
     records = parse_detections(args.detections, strict=False)
-    items = [(r.box, r.score, r.category) for r in records]
-    kept = rotated_nms(items, args.threshold, class_agnostic=args.class_agnostic)
-    _emit({"kept": kept, "total": len(items)})
+    kept = _nms_per_image(records, args.threshold, args.class_agnostic)
+    kept.sort(key=lambda i: (-records[i].score, i))
+    _emit({"kept": kept, "total": len(records)})
     return 0
 
 
@@ -139,15 +151,7 @@ def cmd_eval(args) -> int:
         return 3
     dets = parse_detections(args.det, strict=False)
     if args.nms is not None:
-        by_image: dict[str, list[int]] = {}
-        for i, r in enumerate(dets):
-            by_image.setdefault(r.image_id, []).append(i)
-        keep: list[int] = []
-        for image_id in sorted(by_image):
-            idxs = by_image[image_id]
-            items = [(dets[i].box, dets[i].score, dets[i].category) for i in idxs]
-            keep.extend(idxs[k] for k in rotated_nms(items, args.nms))
-        dets = [dets[i] for i in sorted(keep)]
+        dets = [dets[i] for i in sorted(_nms_per_image(dets, args.nms))]
     report = evaluate(gts, dets, thresholds, mode=args.mode)
     if args.out:
         fmt = "csv" if str(args.out).endswith(".csv") else "json"

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InvalidInputError, ParseError
@@ -24,89 +23,70 @@ _HEADER_PREFIXES = ("imagesource:", "gsd:")
 _DETECTION_KEYS = {"image_id", "category", "score", "cx", "cy", "w", "h", "theta"}
 
 
-@dataclass(frozen=True)
-class AnnotationFile:
-    """One parsed per-image annotation file."""
-
-    image_id: str
-    records: tuple[tuple[QuadPolygon, str, bool], ...]
-
-
 def _fail_or_skip(strict: bool, path, line_no: int, message: str) -> None:
     if strict:
         raise ParseError(path, line_no, message)
     log.warning("%s:%d: %s (skipped)", path, line_no, message)
 
 
-def _parse_quad(tokens: list[str]) -> QuadPolygon:
-    coords = [float(t) for t in tokens]
-    points = [(coords[i], coords[i + 1]) for i in range(0, 8, 2)]
-    return QuadPolygon.from_points(points)
+def _quad(tokens: list[str]) -> QuadPolygon:
+    xy = [float(t) for t in tokens]
+    return QuadPolygon.from_points(list(zip(xy[0::2], xy[1::2])))
 
 
-def parse_annotation_file(path, strict: bool = True) -> AnnotationFile:
-    """Parse one annotation file: optional header lines, which are skipped,
-    then one object per line as "x1 y1 x2 y2 x3 y3 x4 y4 category difficulty"."""
-    path = Path(path)
-    records: list[tuple[QuadPolygon, str, bool]] = []
+def _ground_truth(stem: str, tokens: list[str]) -> GroundTruthRecord:
+    quad, difficult = _quad(tokens[:8]), int(tokens[9]) != 0
+    return GroundTruthRecord(stem, from_corners(quad), tokens[8], difficult)
+
+
+def _task1_detection(stem: str, tokens: list[str]) -> DetectionRecord:
+    score = float(tokens[1])
+    return DetectionRecord(tokens[0], from_corners(_quad(tokens[2:])),
+                           stem[len("Task1_"):], score)
+
+
+def _read_dota(path: Path, strict: bool, build, headers: bool = False) -> list:
+    """Records of one DOTA text file, each built by `build(path.stem, tokens)`.
+
+    Blank lines are skipped, and so are imagesource:/gsd: lines when
+    `headers` is set (annotation files). A line without 10 fields, or one
+    whose numbers, quad, fit or record are invalid, raises ParseError at
+    path:line when strict, and is logged and skipped otherwise.
+    """
+    records, stem = [], path.stem
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
-                continue
-            if any(line.lower().startswith(p) for p in _HEADER_PREFIXES):
+            if not line or headers and line.lower().startswith(_HEADER_PREFIXES):
                 continue
             tokens = line.split()
-            if len(tokens) != 10:
-                _fail_or_skip(strict, path, line_no, f"expected 10 fields, got {len(tokens)}")
-                continue
             try:
-                quad = _parse_quad(tokens[:8])
-                difficulty = int(tokens[9])
-            except (ValueError, InvalidInputError) as exc:
+                if len(tokens) != 10:
+                    raise InvalidInputError(f"expected 10 fields, got {len(tokens)}")
+                records.append(build(stem, tokens))
+            except ValueError as exc:
                 _fail_or_skip(strict, path, line_no, str(exc))
-                continue
-            records.append((quad, tokens[8], difficulty != 0))
-    return AnnotationFile(image_id=path.stem, records=tuple(records))
+    return records
+
+
+def parse_annotation_file(path, strict: bool = True) -> list[GroundTruthRecord]:
+    """Parse one annotation file: optional header lines, which are skipped,
+    then one object per line as "x1 y1 x2 y2 x3 y3 x4 y4 category difficulty".
+
+    The image id is the file stem; quads are fitted to long-side boxes."""
+    return _read_dota(Path(path), strict, _ground_truth, headers=True)
 
 
 def parse_annotation_dir(path, strict: bool = True) -> list[GroundTruthRecord]:
     """Parse every .txt file under a directory into ground-truth records.
 
     Files are read in path-sorted order, so the result is deterministic.
-    Quads are fitted to long-side boxes.
     """
     root = Path(path)
     if not root.is_dir():
         raise InvalidInputError(f"not a directory: {root}")
-    out: list[GroundTruthRecord] = []
-    for file in sorted(root.glob("*.txt")):
-        ann = parse_annotation_file(file, strict)
-        for quad, category, difficult in ann.records:
-            out.append(GroundTruthRecord(image_id=ann.image_id, box=from_corners(quad),
-                                         category=category, difficult=difficult))
-    return out
-
-
-def _parse_task_file(path: Path, category: str, strict: bool) -> list[DetectionRecord]:
-    records: list[DetectionRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if len(tokens) != 10:
-                _fail_or_skip(strict, path, line_no, f"expected 10 fields, got {len(tokens)}")
-                continue
-            try:
-                score = float(tokens[1])
-                quad = _parse_quad(tokens[2:])
-                records.append(DetectionRecord(image_id=tokens[0], box=from_corners(quad),
-                                               category=category, score=score))
-            except (ValueError, InvalidInputError) as exc:
-                _fail_or_skip(strict, path, line_no, str(exc))
-    return records
+    return [rec for file in sorted(root.glob("*.txt"))
+            for rec in parse_annotation_file(file, strict)]
 
 
 def _parse_detection_json(path: Path, strict: bool) -> list[DetectionRecord]:
@@ -149,8 +129,7 @@ def parse_detections(path, strict: bool = True) -> list[DetectionRecord]:
         files = sorted(path.glob("Task1_*.txt"))
         if not files:
             raise InvalidInputError(f"no Task1_*.txt files under {path}")
-        return [rec for f in files
-                for rec in _parse_task_file(f, f.stem[len("Task1_"):], strict)]
+        return [rec for f in files for rec in _read_dota(f, strict, _task1_detection)]
     if path.suffix.lower() == ".json":
         return _parse_detection_json(path, strict)
     raise InvalidInputError(f"detections must be a directory or a .json file: {path}")

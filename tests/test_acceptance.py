@@ -4,12 +4,15 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import anglekit
 from anglekit import (CodecConfig, DetectionRecord, Method, OrientedBox, analytic_errors,
                       average_precision, decode, empirical_errors, encode, evaluate,
                       head_thickness, ideal_prediction, ifl, omega, rotated_iou, rotated_nms,
@@ -150,9 +153,11 @@ def test_c09_nms_reference_equivalence():
 
 
 def test_c10_cli_determinism(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(anglekit.__file__).parents[1]))
+
     def run(args):
         return subprocess.run([sys.executable, "-m", "anglekit.cli", *args],
-                              capture_output=True, check=False)
+                              capture_output=True, env=env, check=False)
 
     first = run(["codec-report", "--grid-step", "0.05"])
     second = run(["codec-report", "--grid-step", "0.05"])

@@ -97,6 +97,21 @@ class TestGeometryCommands:
         assert code == 0
         assert json.loads(out) == {"kept": [0, 2], "total": 3}
 
+    def test_nms_suppresses_only_within_an_image(self, capsys, tmp_path):
+        box = OrientedBox(10, 10, 4, 2, 30)
+        path = tmp_path / "dets.json"
+        write_detections([DetectionRecord("im1", box, "ship", 0.9),
+                          DetectionRecord("im2", box, "ship", 0.8)], path)
+        code, out, _ = run_cli(capsys, "nms", "--detections", str(path), "--threshold", "0.5")
+        assert (code, json.loads(out)) == (0, {"kept": [0, 1], "total": 2})
+        # kept stays in descending-score order across images; ties go to the lower index
+        write_detections([DetectionRecord("im1", box, "ship", 0.7),
+                          DetectionRecord("im2", box, "ship", 0.9),
+                          DetectionRecord("im1", box, "ship", 0.8),
+                          DetectionRecord("im3", box, "ship", 0.8)], path)
+        code, out, _ = run_cli(capsys, "nms", "--detections", str(path), "--threshold", "0.5")
+        assert (code, json.loads(out)) == (0, {"kept": [1, 2, 3], "total": 4})
+
     def test_thickness(self, capsys):
         code, out, _ = run_cli(capsys, "thickness", "--method", "csl", "--ctheta", "180",
                                "--anchors", "9")
@@ -213,6 +228,18 @@ class TestEval:
                                "--thresholds", "0.5", "--nms", "0.1")
         assert code == 0
         assert "mAP@0.50=1.000000" in out
+
+    def test_unfittable_annotation_line_is_skipped(self, capsys, caplog, eval_fixture):
+        gt_dir, det_path = eval_fixture
+        code, clean, _ = run_cli(capsys, "eval", "--gt", str(gt_dir), "--det", str(det_path))
+        assert code == 0
+        path = gt_dir / "im1.txt"
+        first, second = path.read_text().splitlines(keepends=True)
+        overflow = "-1e308 -1e308 1e308 -1e308 1e308 1e308 -1e308 1e308 ship 0\n"
+        path.write_text(first + overflow + second)
+        code, out, _ = run_cli(capsys, "eval", "--gt", str(gt_dir), "--det", str(det_path))
+        assert (code, out) == (0, clean)
+        assert "im1.txt:2: non-finite box parameters" in caplog.text
 
     def test_bad_nms_threshold_exits_2_before_reading(self, capsys, eval_fixture, tmp_path):
         gt_dir, _ = eval_fixture

@@ -46,6 +46,21 @@ FIXTURE_MANIFEST = [
 ]
 
 
+# Every coordinate is finite and the quad is valid, but its fitted box overflows to NaN.
+OVERFLOW_QUAD = "-1e308 -1e308 1e308 -1e308 1e308 1e308 -1e308 1e308"
+
+
+@pytest.fixture
+def overflow_dir(tmp_path):
+    root = tmp_path / "overflow"
+    root.mkdir()
+    (root / "P1.txt").write_text("0 0 2 0 2 1 0 1 ship 0\n"
+                                 f"{OVERFLOW_QUAD} ship 0\n"
+                                 "4 0 8 3 6.2 5.4 2.2 2.4 plane 1\n")
+    (root / "P2.txt").write_text("10 10 14 10 14 12 10 12 ship 0\n")
+    return root
+
+
 @pytest.fixture
 def annotation_dir(tmp_path):
     root = tmp_path / "annotations"
@@ -59,19 +74,16 @@ class TestParseAnnotations:
     def test_axis_aligned_line(self, tmp_path):
         path = tmp_path / "P1.txt"
         path.write_text("0 0 2 0 2 1 0 1 ship 0\n")
-        ann = parse_annotation_file(path)
-        assert ann.image_id == "P1"
-        assert len(ann.records) == 1
-        quad, category, difficult = ann.records[0]
-        assert category == "ship"
-        assert not difficult
+        records = parse_annotation_file(path)
+        assert len(records) == 1
+        assert records[0].image_id == "P1"
+        assert records[0].category == "ship"
+        assert not records[0].difficult
 
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "P2.txt"
         path.write_text("imagesource:GoogleEarth\ngsd:1.2\n")
-        ann = parse_annotation_file(path)
-        assert ann.image_id == "P2"
-        assert ann.records == ()
+        assert parse_annotation_file(path) == []
 
     def test_fixture_directory_matches_manifest(self, annotation_dir):
         records = parse_annotation_dir(annotation_dir)
@@ -99,8 +111,7 @@ class TestParseAnnotations:
     def test_malformed_line_lenient_skips(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("junk line\n0 0 2 0 2 1 0 1 ship 0\nnot enough fields\n")
-        ann = parse_annotation_file(path, strict=False)
-        assert len(ann.records) == 1
+        assert len(parse_annotation_file(path, strict=False)) == 1
 
     def test_degenerate_quad_reports_location(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -112,8 +123,21 @@ class TestParseAnnotations:
     def test_whitespace_tolerant(self, tmp_path):
         path = tmp_path / "P3.txt"
         path.write_text("0  0\t2 0 2   1 0 1\tship\t0\n")
-        ann = parse_annotation_file(path)
-        assert len(ann.records) == 1
+        assert len(parse_annotation_file(path)) == 1
+
+    @pytest.mark.parametrize("parse", [parse_annotation_file, parse_annotation_dir])
+    def test_unfittable_quad_strict_names_its_line(self, overflow_dir, parse):
+        target = overflow_dir / "P1.txt" if parse is parse_annotation_file else overflow_dir
+        with pytest.raises(ParseError) as info:
+            parse(target, strict=True)
+        assert "P1.txt:2:" in str(info.value)
+        assert "non-finite" in str(info.value)
+
+    def test_unfittable_quad_lenient_skips_only_its_line(self, overflow_dir, caplog):
+        records = parse_annotation_dir(overflow_dir, strict=False)
+        assert [(r.image_id, r.category, r.difficult) for r in records] == [
+            ("P1", "ship", False), ("P1", "plane", True), ("P2", "ship", False)]
+        assert "P1.txt:2: non-finite box parameters" in caplog.text
 
     def test_not_a_directory(self, tmp_path):
         with pytest.raises(InvalidInputError):
@@ -161,6 +185,22 @@ class TestParseDetections:
         (root / "Task1_ship.txt").write_text("P0001 1.5 0 0 2 0 2 1 0 1\n")
         with pytest.raises(ParseError):
             parse_detections(root)
+
+    def test_header_prefixes_are_image_ids_in_task_files(self, tmp_path):
+        root = tmp_path / "dets"
+        root.mkdir()
+        (root / "Task1_ship.txt").write_text("gsd:P0001 0.5 0 0 2 0 2 1 0 1\n")
+        records = parse_detections(root)
+        assert [(r.image_id, r.category) for r in records] == [("gsd:P0001", "ship")]
+
+    def test_unfittable_quad_in_task_file(self, tmp_path):
+        root = tmp_path / "dets"
+        root.mkdir()
+        (root / "Task1_ship.txt").write_text(f"P1 0.9 0 0 2 0 2 1 0 1\nP1 0.8 {OVERFLOW_QUAD}\n")
+        with pytest.raises(ParseError) as info:
+            parse_detections(root)
+        assert "Task1_ship.txt:2:" in str(info.value)
+        assert [r.score for r in parse_detections(root, strict=False)] == [0.9]
 
     def test_unknown_path_kind(self, tmp_path):
         path = tmp_path / "dets.csv"
