@@ -183,12 +183,12 @@ def cmd_gradcheck(args) -> int:
 
 
 def _add_codec_flags(parser, require_angle=False):
-    parser.add_argument("--method", required=True,
-                        choices=[m.value for m in Method])
-    parser.add_argument("--ctheta", type=int, default=0,
+    parser.add_argument("--method", required=True, choices=[m.value for m in Method])
+    parser.add_argument("--ctheta", type=int, default=CodecConfig.c_theta,
                         help="angle bin count (0 = per-method default)")
-    parser.add_argument("--window", type=float, default=6.0, help="CSL window size")
-    parser.add_argument("--fit", default="square",
+    parser.add_argument("--window", type=float, default=CodecConfig.window_size,
+                        help="CSL window size")
+    parser.add_argument("--fit", default=CodecConfig.fit_function.value,
                         choices=[f.value for f in FitFunction],
                         help="residual fitting function")
     if require_angle:

@@ -234,7 +234,13 @@ def _angle(k: int, regression_output: float | None, config: CodecConfig) -> floa
     if config.has_regression:
         if regression_output is None:
             raise InvalidInputError(f"{config.method.value} decode requires a regression output")
-        residual = _fit_forward(regression_output, config.fit_function, width)
+        try:
+            residual = _fit_forward(regression_output, config.fit_function, width)
+        except OverflowError:
+            residual = math.inf
+        if not math.isfinite(residual):
+            raise InvalidInputError(f"regression output {regression_output} overflows "
+                                    f"the {config.fit_function.value} fit")
     else:
         if regression_output is not None:
             raise InvalidInputError(

@@ -3,7 +3,9 @@
 Anchor-relative box deltas, smooth L1, MSE, focal, softmax cross-entropy,
 the IoU-aware residual loss (smooth L1 re-weighted by |-log IoU| + 1), the
 five-term multi-task loss, and a finite-difference gradient checker. Each
-loss ships an analytic gradient for verification.
+loss ships an analytic gradient for verification. The constants are fixed:
+smooth L1 has beta = 1, focal loss alpha = 0.25 and gamma = 2 (RetinaNet),
+and the finite-difference step is 1e-6.
 """
 
 from __future__ import annotations
@@ -23,21 +25,11 @@ FOCAL_GAMMA = 2.0
 # Rotated IoU is clamped here before entering the log re-weighting term.
 _IOU_FLOOR = 1e-6
 
+# Central-difference step of the gradient checker.
+_FD_STEP = 1e-6
 
-@dataclass(frozen=True)
-class AnchorBox:
-    """Prior box the deltas are regressed against."""
-
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.cx, self.cy, self.w, self.h)):
-            raise InvalidInputError("non-finite anchor parameters")
-        if self.w <= 0 or self.h <= 0:
-            raise InvalidInputError(f"anchor sides must be positive, got w={self.w}, h={self.h}")
+# The prior box the deltas are regressed against.
+AnchorBox = AxisAlignedBox
 
 
 @dataclass(frozen=True)
@@ -82,17 +74,19 @@ class AssignedSample:
     pred_angle: AnglePrediction
     gt_box: OrientedBox | None = None
     gt_category: int | None = None
-    confidence_target: float | None = None
 
     def __post_init__(self):
         if self.objectness not in (0, 1):
             raise InvalidInputError(f"objectness must be 0 or 1, got {self.objectness}")
+        if not math.isfinite(self.pred_confidence):
+            raise InvalidInputError(f"non-finite confidence logit {self.pred_confidence}")
         logits = np.asarray(self.pred_category_logits, dtype=float)
         object.__setattr__(self, "pred_category_logits", logits)
+        if logits.ndim != 1 or not all(map(math.isfinite, logits.tolist())):
+            raise InvalidInputError(
+                f"category logits must be a finite 1-D array, got shape {logits.shape}")
         if self.objectness == 1 and (self.gt_box is None or self.gt_category is None):
             raise InvalidInputError("foreground samples need gt_box and gt_category")
-        if self.confidence_target is not None and self.confidence_target not in (0.0, 1.0):
-            raise InvalidInputError(f"confidence target must be 0 or 1, got {self.confidence_target}")
 
 
 @dataclass(frozen=True)
@@ -132,20 +126,18 @@ def decode_box_deltas(deltas: BoxDeltas, anchor: AnchorBox) -> AxisAlignedBox:
     )
 
 
-def smooth_l1(pred: float, target: float, beta: float = 1.0) -> float:
-    """Huber-style loss: quadratic within beta of the target, linear beyond."""
-    if not beta > 0:
-        raise InvalidInputError(f"beta must be positive, got {beta}")
+def smooth_l1(pred: float, target: float) -> float:
+    """Huber-style loss with beta = 1: quadratic within 1 of the target, linear beyond."""
     x = pred - target
-    if abs(x) < beta:
-        return 0.5 * x * x / beta
-    return abs(x) - 0.5 * beta
+    if abs(x) < 1.0:
+        return 0.5 * x * x
+    return abs(x) - 0.5
 
 
-def smooth_l1_grad(pred: float, target: float, beta: float = 1.0) -> float:
+def smooth_l1_grad(pred: float, target: float) -> float:
     x = pred - target
-    if abs(x) < beta:
-        return x / beta
+    if abs(x) < 1.0:
+        return x
     return math.copysign(1.0, x)
 
 
@@ -158,18 +150,17 @@ def mse_grad(pred: float, target: float) -> float:
     return 2.0 * (pred - target)
 
 
-def ifl(pred_residual: float, target_residual: float, iou: float, beta: float = 1.0) -> float:
+def ifl(pred_residual: float, target_residual: float, iou: float) -> float:
     """IoU-aware residual loss: smooth L1 scaled by |-log(iou)| + 1.
 
     The weight is 1 at iou = 1 and grows as the boxes diverge, so poorly
     localized samples push the residual harder.
     """
-    weight = _ifl_weight(iou)
-    return smooth_l1(pred_residual, target_residual, beta) * weight
+    return smooth_l1(pred_residual, target_residual) * _ifl_weight(iou)
 
 
-def ifl_grad(pred_residual: float, target_residual: float, iou: float, beta: float = 1.0) -> float:
-    return smooth_l1_grad(pred_residual, target_residual, beta) * _ifl_weight(iou)
+def ifl_grad(pred_residual: float, target_residual: float, iou: float) -> float:
+    return smooth_l1_grad(pred_residual, target_residual) * _ifl_weight(iou)
 
 
 def _ifl_weight(iou: float) -> float:
@@ -192,39 +183,28 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def focal_loss(logit: float, label: int, alpha: float = FOCAL_ALPHA,
-               gamma: float = FOCAL_GAMMA) -> float:
-    """Focal loss on a single logit; reduces to weighted BCE at gamma = 0."""
+def _focal_terms(logit: float, label: int) -> tuple[float, float, float]:
+    # (z, alpha_t, sign) with pt = sigmoid(z) and dz/dlogit = sign.
     if label not in (0, 1):
         raise InvalidInputError(f"label must be 0 or 1, got {label}")
     if label == 1:
-        log_pt = _log_sigmoid(logit)
-        one_minus_pt = _sigmoid(-logit)
-        alpha_t = alpha
-    else:
-        log_pt = _log_sigmoid(-logit)
-        one_minus_pt = _sigmoid(logit)
-        alpha_t = 1.0 - alpha
-    return -alpha_t * one_minus_pt ** gamma * log_pt
+        return logit, FOCAL_ALPHA, 1.0
+    return -logit, 1.0 - FOCAL_ALPHA, -1.0
 
 
-def focal_loss_grad(logit: float, label: int, alpha: float = FOCAL_ALPHA,
-                    gamma: float = FOCAL_GAMMA) -> float:
-    if label not in (0, 1):
-        raise InvalidInputError(f"label must be 0 or 1, got {label}")
-    p = _sigmoid(logit)
-    if label == 1:
-        pt, alpha_t, dpt = p, alpha, p * (1.0 - p)
-    else:
-        pt, alpha_t, dpt = 1.0 - p, 1.0 - alpha, -p * (1.0 - p)
-    one_minus = 1.0 - pt
-    # d/dpt of -alpha_t (1-pt)^gamma log(pt)
-    if gamma == 0.0:
-        dloss_dpt = -alpha_t / pt
-    else:
-        dloss_dpt = -alpha_t * (-gamma * one_minus ** (gamma - 1.0) * math.log(pt)
-                                + one_minus ** gamma / pt)
-    return dloss_dpt * dpt
+def focal_loss(logit: float, label: int) -> float:
+    """Focal loss -alpha_t (1 - pt)^gamma log(pt) on a single logit."""
+    z, alpha_t, _ = _focal_terms(logit, label)
+    return -alpha_t * _sigmoid(-z) ** FOCAL_GAMMA * _log_sigmoid(z)
+
+
+def focal_loss_grad(logit: float, label: int) -> float:
+    # d/dz = -alpha_t (1-pt)^gamma ((1-pt) - gamma pt log(pt)), written with
+    # sigmoid(-z) for 1 - pt so it stays finite when pt rounds to 0 or 1.
+    z, alpha_t, sign = _focal_terms(logit, label)
+    one_minus_pt = _sigmoid(-z)
+    return sign * -alpha_t * one_minus_pt ** FOCAL_GAMMA * (
+        one_minus_pt - FOCAL_GAMMA * _sigmoid(z) * _log_sigmoid(z))
 
 
 def cross_entropy(logits: Sequence[float], target_index: int) -> float:
@@ -323,8 +303,7 @@ def multitask_loss(samples: Sequence[AssignedSample], weights: LossWeights,
 
     loc, conf, cat, ang_c, ang_r = [], [], [], [], []
     for s in samples:
-        target_conf = s.confidence_target if s.confidence_target is not None else float(s.objectness)
-        conf.append(focal_loss(s.pred_confidence, int(target_conf)))
+        conf.append(focal_loss(s.pred_confidence, s.objectness))
         if not s.objectness:
             continue
         pred_box = decode_box_deltas(s.pred_deltas, s.anchor)
@@ -351,15 +330,15 @@ def multitask_loss(samples: Sequence[AssignedSample], weights: LossWeights,
 
 def finite_diff_grad_check(fn: Callable[[np.ndarray], float],
                            grad_fn: Callable[[np.ndarray], np.ndarray],
-                           point: Sequence[float], epsilon: float = 1e-6) -> float:
+                           point: Sequence[float]) -> float:
     """Max relative error between grad_fn and central differences of fn."""
     x = np.asarray(point, dtype=float)
     analytic = np.atleast_1d(np.asarray(grad_fn(x), dtype=float))
     worst = 0.0
     for i in range(x.size):
         shift = np.zeros_like(x)
-        shift[i] = epsilon
-        fd = (fn(x + shift) - fn(x - shift)) / (2.0 * epsilon)
+        shift[i] = _FD_STEP
+        fd = (fn(x + shift) - fn(x - shift)) / (2.0 * _FD_STEP)
         denom = max(abs(fd), abs(analytic[i]), 1e-8)
         worst = max(worst, abs(fd - analytic[i]) / denom)
     return worst
@@ -391,12 +370,13 @@ def _sample_giou_case(rng) -> tuple[np.ndarray, np.ndarray]:
             return pred, target
 
 
-def run_gradient_checks(seed: int = 0, points: int = 100,
-                        epsilon: float = 1e-6) -> dict[str, GradCheckResult]:
+def run_gradient_checks(seed: int = 0, points: int = 100) -> dict[str, GradCheckResult]:
     """Finite-difference check of every analytic gradient at random smooth points.
 
     Returns the worst relative error (and the point attaining it) per loss.
     """
+    if points < 1:
+        raise InvalidInputError(f"points must be at least 1, got {points}")
     rng = np.random.default_rng(seed)
     results: dict[str, GradCheckResult] = {}
 
@@ -404,20 +384,23 @@ def run_gradient_checks(seed: int = 0, points: int = 100,
         worst, worst_point = 0.0, ()
         for _ in range(points):
             fn, grad_fn, point = make_case()
-            err = finite_diff_grad_check(fn, grad_fn, point, epsilon)
+            err = finite_diff_grad_check(fn, grad_fn, point)
             if err > worst:
                 worst, worst_point = err, tuple(float(v) for v in np.atleast_1d(point))
         results[name] = GradCheckResult(worst, worst_point)
 
-    def smooth_l1_case():
-        target = rng.uniform(-3, 3)
+    def off_kink() -> float:
+        # An offset from the target kept 0.05 clear of smooth L1's kink at |x| = 1.
         while True:
             x = rng.uniform(-3, 3)
             if abs(abs(x) - 1.0) > 0.05:
-                break
+                return x
+
+    def smooth_l1_case():
+        target = rng.uniform(-3, 3)
         return (lambda p: smooth_l1(p[0], target),
                 lambda p: [smooth_l1_grad(p[0], target)],
-                [target + x])
+                [target + off_kink()])
 
     def mse_case():
         target = rng.uniform(-3, 3)
@@ -428,13 +411,9 @@ def run_gradient_checks(seed: int = 0, points: int = 100,
     def ifl_case():
         target = rng.uniform(-3, 3)
         iou = rng.uniform(0.05, 1.0)
-        while True:
-            x = rng.uniform(-3, 3)
-            if abs(abs(x) - 1.0) > 0.05:
-                break
         return (lambda p: ifl(p[0], target, iou),
                 lambda p: [ifl_grad(p[0], target, iou)],
-                [target + x])
+                [target + off_kink()])
 
     def focal_case():
         label = int(rng.integers(0, 2))

@@ -75,9 +75,17 @@ class TestGeometryCommands:
         (["codec-report", "--methods", "mgar", "--grid-step", "500"], "grid_step"),
         (["codec-report", "--methods", "mgar", "--grid-step", "inf"], "grid_step"),
         (["nms", "--detections", "missing.json", "--threshold", "7"], "iou_threshold"),
+        (["gradcheck", "--points", "0"], "points"),
+        (["gradcheck", "--points", "-3"], "points"),
+        (["decode", "--method", "mgar", "--logits=0,1,0", "--fit", "exp", "--treg", "1000"],
+         "regression output"),
+        (["decode", "--method", "mgar", "--logits=0,1,0", "--fit", "sigmoid", "--treg=-1000"],
+         "regression output"),
+        (["decode", "--method", "regression", "--treg", "1e200"], "regression output"),
     ], ids=["short-box", "box-token", "logit-token", "threshold-token", "threshold-range",
             "threshold-rounds-to-0", "method-token", "grid-step-500", "grid-step-inf",
-            "nms-threshold"])
+            "nms-threshold", "gradcheck-points-0", "gradcheck-points-negative",
+            "decode-exp-overflow", "decode-sigmoid-overflow", "decode-square-overflow"])
     def test_iou_bad_box_exits_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -273,7 +281,7 @@ class TestGradcheck:
     def test_corrupt_hook_exits_1(self, capsys, monkeypatch):
         exact = anglekit.losses.smooth_l1_grad
         monkeypatch.setattr(anglekit.losses, "smooth_l1_grad",
-                            lambda pred, target, beta=1.0: exact(pred, target, beta) + 1e-2)
+                            lambda pred, target: exact(pred, target) + 1e-2)
         code, out, err = run_cli(capsys, "gradcheck", "--points", "10")
         assert code == 1
         assert json.loads(out)["passed"] is False

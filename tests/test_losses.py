@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,12 @@ import pytest
 
 import anglekit.losses
 from anglekit import (AnchorBox, AnglePrediction, AssignedSample, AxisAlignedBox, BoxDeltas,
-                      CodecConfig, InvalidInputError, LossWeights, Method, OrientedBox,
-                      aabb_giou, cross_entropy, cross_entropy_grad, decode_box_deltas, encode,
-                      encode_box_deltas, finite_diff_grad_check, focal_loss, focal_loss_grad,
-                      giou_location_loss, giou_location_loss_grad, ifl, ifl_grad, longside,
-                      mse, mse_grad, multitask_loss, rotated_iou, run_gradient_checks,
-                      smooth_l1, smooth_l1_grad)
+                      CodecConfig, FitFunction, InvalidInputError, LossWeights, Method,
+                      OrientedBox, aabb_giou, cross_entropy, cross_entropy_grad,
+                      decode_box_deltas, encode, encode_box_deltas, finite_diff_grad_check,
+                      focal_loss, focal_loss_grad, giou_location_loss, giou_location_loss_grad,
+                      ifl, ifl_grad, longside, mse, mse_grad, multitask_loss, rotated_iou,
+                      run_gradient_checks, smooth_l1, smooth_l1_grad)
 
 
 class TestBoxDeltas:
@@ -44,30 +45,28 @@ class TestBoxDeltas:
         with pytest.raises(InvalidInputError):
             BoxDeltas(0.0, 0.0, math.inf, 0.0)
 
+    def test_anchor_is_the_axis_aligned_box(self):
+        assert AnchorBox is AxisAlignedBox
+
 
 class TestSmoothL1:
     def test_zero_at_target(self):
         assert smooth_l1(1.7, 1.7) == 0.0
 
     def test_boundary_value(self):
-        assert smooth_l1(1.0, 0.0, beta=1.0) == pytest.approx(0.5)
+        assert smooth_l1(1.0, 0.0) == pytest.approx(0.5)
 
     def test_linear_branch(self):
-        assert smooth_l1(3.0, 0.0, beta=1.0) == pytest.approx(2.5)
+        assert smooth_l1(3.0, 0.0) == pytest.approx(2.5)
 
     def test_continuous_and_c1_at_kink(self):
-        beta = 1.0
         eps = 1e-9
-        below = smooth_l1(beta - eps, 0.0, beta)
-        above = smooth_l1(beta + eps, 0.0, beta)
+        below = smooth_l1(1.0 - eps, 0.0)
+        above = smooth_l1(1.0 + eps, 0.0)
         assert abs(above - below) < 1e-8
-        g_below = smooth_l1_grad(beta - eps, 0.0, beta)
-        g_above = smooth_l1_grad(beta + eps, 0.0, beta)
+        g_below = smooth_l1_grad(1.0 - eps, 0.0)
+        g_above = smooth_l1_grad(1.0 + eps, 0.0)
         assert g_below == pytest.approx(g_above, abs=1e-8)
-
-    def test_rejects_bad_beta(self):
-        with pytest.raises(InvalidInputError):
-            smooth_l1(1.0, 0.0, beta=0.0)
 
 
 class TestIfl:
@@ -114,8 +113,18 @@ class TestFocalLoss:
         assert focal_loss(100.0, 1) == pytest.approx(0.0, abs=1e-30)
         assert focal_loss(-100.0, 0) == pytest.approx(0.0, abs=1e-30)
 
-    def test_reduces_to_weighted_bce(self):
-        assert focal_loss(0.0, 1, alpha=0.5, gamma=0.0) == pytest.approx(0.5 * math.log(2))
+    def test_hand_value_at_default_constants(self):
+        # pt = 1/2 at logit 0: alpha_t * (1/2)^2 * log 2, alpha_t = 0.25 or 0.75.
+        assert focal_loss(0.0, 1) == pytest.approx(0.0625 * math.log(2), abs=1e-15)
+        assert focal_loss(0.0, 0) == pytest.approx(0.1875 * math.log(2), abs=1e-15)
+
+    @pytest.mark.parametrize("logit, label, limit", [
+        (37.0, 0, 0.75), (40.0, 0, 0.75), (800.0, 0, 0.75), (-740.0, 1, -0.25), (-800.0, 1, -0.25),
+    ])
+    def test_gradient_finite_at_confident_logits(self, logit, label, limit):
+        grad = focal_loss_grad(logit, label)
+        assert math.isfinite(grad)
+        assert abs(grad - limit) < 1e-9
 
     def test_independent_evaluation(self):
         rng = np.random.default_rng(10)
@@ -288,6 +297,23 @@ class TestMultitaskLoss:
         with pytest.raises(InvalidInputError):
             multitask_loss([background_sample()], self.WEIGHTS,
                            CodecConfig(Method.DCL_GRAY, 64))
+
+    @pytest.mark.parametrize("confidence, logits", [
+        (math.nan, [0.0, 0.0]), (0.0, [0.0, math.inf]), (0.0, [[0.0, 0.0]]),
+    ], ids=["nan-confidence", "inf-category-logit", "2d-category-logits"])
+    def test_rejects_nonfinite_or_non_vector_predictions(self, confidence, logits):
+        with pytest.raises(InvalidInputError):
+            AssignedSample(objectness=0, anchor=AnchorBox(0, 0, 1, 1),
+                           pred_deltas=BoxDeltas(0, 0, 0, 0), pred_confidence=confidence,
+                           pred_category_logits=np.array(logits),
+                           pred_angle=AnglePrediction(np.zeros(3), 0.0))
+
+    def test_overflowing_residual_fit_is_rejected(self):
+        overflowing = dataclasses.replace(perfect_positive_sample(),
+                                          pred_angle=AnglePrediction(np.zeros(3), 1000.0))
+        with pytest.raises(InvalidInputError, match="regression output"):
+            multitask_loss([overflowing], self.WEIGHTS,
+                           CodecConfig(Method.MGAR, 3, fit_function=FitFunction.EXP))
 
     def test_foreground_requires_targets(self):
         with pytest.raises(InvalidInputError):
