@@ -10,13 +10,13 @@ the per-anchor prediction-head thickness it requires.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from ._numpy import np
 from .errors import InvalidInputError
 
 ANGLE_RANGE = 180.0
@@ -61,17 +61,22 @@ _REGRESSION_METHODS = (Method.REGRESSION, Method.MGAR)
 _DCL_METHODS = (Method.DCL_BINARY, Method.DCL_GRAY)
 
 
-def _validate_c_theta(method: Method, c_theta: int, warn: bool = False) -> None:
+def _validate_c_theta(method: Method, c_theta: int, warn: bool = False) -> int:
+    # Returns c_theta as an int; a value with a fractional part is rejected.
+    if not isinstance(c_theta, numbers.Real) or c_theta % 1 != 0:
+        raise InvalidInputError(f"c_theta must be an integer, got {c_theta!r}")
+    c_theta = int(c_theta)
     choices = C_THETA_CHOICES[method]
     if method is not Method.MGAR:
         if c_theta not in choices:
             raise InvalidInputError(f"{method.value} supports c_theta in {choices}, got {c_theta}")
-        return
+        return c_theta
     if c_theta < 1 or 180 % c_theta != 0:
         raise InvalidInputError(f"mgar requires c_theta to divide 180, got {c_theta}")
     if warn and c_theta not in choices:
         warnings.warn(f"mgar c_theta={c_theta} is outside the recommended set {choices}",
                       UserWarning, stacklevel=3)
+    return c_theta
 
 
 def _code_length(method: Method, c_theta: int) -> int:
@@ -100,11 +105,10 @@ class CodecConfig:
         method = Method(self.method)
         object.__setattr__(self, "method", method)
         object.__setattr__(self, "fit_function", FitFunction(self.fit_function))
-        c_theta = int(self.c_theta) if self.c_theta else DEFAULT_C_THETA[method]
-        object.__setattr__(self, "c_theta", c_theta)
         if method is Method.CSL and not self.window_size > 0:
             raise InvalidInputError(f"window_size must be positive, got {self.window_size}")
-        _validate_c_theta(method, c_theta, warn=True)
+        c_theta = _validate_c_theta(method, self.c_theta or DEFAULT_C_THETA[method], warn=True)
+        object.__setattr__(self, "c_theta", c_theta)
 
     @property
     def has_classification(self) -> bool:
@@ -134,10 +138,11 @@ class AngleTarget:
 class AnglePrediction:
     """Raw network-style prediction: class logits plus fit-space residual."""
 
-    class_logits: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    class_logits: np.ndarray = ()
     regression_output: float | None = None
 
     def __post_init__(self):
+        import numpy as np
         logits = np.asarray(self.class_logits, dtype=float)
         object.__setattr__(self, "class_logits", logits)
         if not np.isfinite(logits).all():
@@ -177,6 +182,7 @@ def _fit_forward(value: float, fit: FitFunction, width: float) -> float:
 @lru_cache(maxsize=1024)
 def _csl_label(k: int, c_theta: int, window_size: float) -> tuple[float, ...]:
     # Circular Gaussian window, sigma = window/3, zero outside the window.
+    import numpy as np
     half = c_theta // 2
     d = (np.arange(c_theta) - k + half) % c_theta - half
     sigma = window_size / 3.0
@@ -265,6 +271,7 @@ def encode(theta_gt: float, config: CodecConfig) -> AngleTarget:
     """
     if not (0.0 <= theta_gt < ANGLE_RANGE) or not math.isfinite(theta_gt):
         raise InvalidInputError(f"angle must lie in [0, {ANGLE_RANGE}), got {theta_gt}")
+    import numpy as np
     k, residual = _bin_of(theta_gt, omega(config), config.c_theta)
     return AngleTarget(class_index=k,
                        class_vector=np.array(_class_vector(k, config), dtype=float),
@@ -286,6 +293,7 @@ def decode(pred: AnglePrediction, config: CodecConfig) -> float:
         raise InvalidInputError(
             f"{config.method.value} expects {expected} logits, got shape {logits.shape}")
     if config.method in _DCL_METHODS:
+        import numpy as np
         # numpy's exp, not math.exp: the two round differently at |logit| ~ 1e-16.
         # Below about -709 exp overflows to inf, which still gives the right bit.
         with np.errstate(over="ignore"):
@@ -323,6 +331,8 @@ def empirical_errors(config: CodecConfig, grid_step: float) -> tuple[float, floa
     """
     if not grid_step > 0:
         raise InvalidInputError(f"grid_step must be positive, got {grid_step}")
+    if not math.isfinite(ANGLE_RANGE / grid_step):
+        raise InvalidInputError(f"grid_step {grid_step} is too fine to sweep [0, {ANGLE_RANGE})")
     count = int(round(ANGLE_RANGE / grid_step))
     if count < 1:
         raise InvalidInputError(
@@ -351,5 +361,5 @@ def head_thickness(method: Method | str, c_theta: int, anchors: int) -> int:
     method = Method(method)
     if anchors < 1:
         raise InvalidInputError(f"anchor count must be >= 1, got {anchors}")
-    _validate_c_theta(method, c_theta)
+    c_theta = _validate_c_theta(method, c_theta)
     return anchors * (_code_length(method, c_theta) + (method in _REGRESSION_METHODS))

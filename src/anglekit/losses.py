@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ._numpy import np
 from .codecs import AnglePrediction, CodecConfig, Method, decode, encode
 from .errors import InvalidInputError
 from .obb import AxisAlignedBox, OrientedBox, aabb_giou, longside, rotated_iou
@@ -76,6 +75,7 @@ class AssignedSample:
     gt_category: int | None = None
 
     def __post_init__(self):
+        import numpy as np
         if self.objectness not in (0, 1):
             raise InvalidInputError(f"objectness must be 0 or 1, got {self.objectness}")
         if not math.isfinite(self.pred_confidence):
@@ -209,6 +209,7 @@ def focal_loss_grad(logit: float, label: int) -> float:
 
 def cross_entropy(logits: Sequence[float], target_index: int) -> float:
     """Softmax cross-entropy against a hard class index."""
+    import numpy as np
     z = np.asarray(logits, dtype=float)
     if z.ndim != 1 or not (0 <= target_index < z.size):
         raise InvalidInputError(f"target index {target_index} out of range for {z.size} logits")
@@ -218,6 +219,7 @@ def cross_entropy(logits: Sequence[float], target_index: int) -> float:
 
 
 def cross_entropy_grad(logits: Sequence[float], target_index: int) -> np.ndarray:
+    import numpy as np
     z = np.asarray(logits, dtype=float)
     if z.ndim != 1 or not (0 <= target_index < z.size):
         raise InvalidInputError(f"target index {target_index} out of range for {z.size} logits")
@@ -242,6 +244,7 @@ def giou_location_loss(pred: Sequence[float], target: Sequence[float]) -> float:
 
 def giou_location_loss_grad(pred: Sequence[float], target: Sequence[float]) -> np.ndarray:
     """Gradient of 1 - GIoU with respect to the predicted (cx, cy, w, h)."""
+    import numpy as np
     px, py, pw, ph = (float(v) for v in pred)
     tx, ty, tw, th = (float(v) for v in target)
     e = np.eye(4)
@@ -332,6 +335,7 @@ def finite_diff_grad_check(fn: Callable[[np.ndarray], float],
                            grad_fn: Callable[[np.ndarray], np.ndarray],
                            point: Sequence[float]) -> float:
     """Max relative error between grad_fn and central differences of fn."""
+    import numpy as np
     x = np.asarray(point, dtype=float)
     analytic = np.atleast_1d(np.asarray(grad_fn(x), dtype=float))
     worst = 0.0
@@ -353,6 +357,7 @@ class GradCheckResult:
 def _sample_giou_case(rng) -> tuple[np.ndarray, np.ndarray]:
     # Resample until every min/max branch sits well clear of its boundary,
     # keeping the loss smooth across the finite-difference stencil.
+    import numpy as np
     while True:
         pred = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
                          rng.uniform(1, 3), rng.uniform(1, 3)])
@@ -377,6 +382,9 @@ def run_gradient_checks(seed: int = 0, points: int = 100) -> dict[str, GradCheck
     """
     if points < 1:
         raise InvalidInputError(f"points must be at least 1, got {points}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
+    import numpy as np
     rng = np.random.default_rng(seed)
     results: dict[str, GradCheckResult] = {}
 

@@ -45,6 +45,17 @@ class TestConfig:
             config = CodecConfig(Method.MGAR, 45)
         assert config.c_theta == 45
 
+    def test_non_integral_c_theta_rejected(self):
+        # a fractional bin count is an error, not truncated by int()
+        for c_theta in (2.5, 3.5, math.nan, math.inf):
+            with pytest.raises(InvalidInputError, match="integer"):
+                CodecConfig(Method.MGAR, c_theta)
+            with pytest.raises(InvalidInputError, match="integer"):
+                head_thickness(Method.MGAR, c_theta, 9)
+        assert CodecConfig(Method.MGAR, 3.0).c_theta == 3
+        assert head_thickness(Method.MGAR, 3.0, 9) == 36
+        assert type(head_thickness(Method.MGAR, 3.0, 9)) is int
+
     def test_method_constraints(self):
         with pytest.raises(InvalidInputError):
             CodecConfig(Method.REGRESSION, 2)
@@ -281,8 +292,9 @@ class TestEmpiricalErrors:
         assert worst == pytest.approx(2.8125, abs=1e-3)
 
     def test_rejects_bad_step(self):
-        # 0 is not a step; 500 and inf are steps too coarse to sweep any angle
-        for step in (0.0, 500.0, math.inf):
+        # 0 is not a step; 500 and inf are steps too coarse to sweep any angle;
+        # below about 1e-306 the step count 180 / step overflows to inf
+        for step in (0.0, 500.0, math.inf, 1e-320, 5e-324):
             with pytest.raises(InvalidInputError):
                 empirical_errors(mgar(3), step)
 

@@ -74,9 +74,12 @@ class TestGeometryCommands:
         (["codec-report", "--methods", "foo"], "'foo'"),
         (["codec-report", "--methods", "mgar", "--grid-step", "500"], "grid_step"),
         (["codec-report", "--methods", "mgar", "--grid-step", "inf"], "grid_step"),
+        (["codec-report", "--grid-step", "1e-320"], "grid_step"),
+        (["codec-report", "--grid-step", "5e-324"], "grid_step"),
         (["nms", "--detections", "missing.json", "--threshold", "7"], "iou_threshold"),
         (["gradcheck", "--points", "0"], "points"),
         (["gradcheck", "--points", "-3"], "points"),
+        (["gradcheck", "--seed", "-1"], "seed"),
         (["decode", "--method", "mgar", "--logits=0,1,0", "--fit", "exp", "--treg", "1000"],
          "regression output"),
         (["decode", "--method", "mgar", "--logits=0,1,0", "--fit", "sigmoid", "--treg=-1000"],
@@ -84,7 +87,8 @@ class TestGeometryCommands:
         (["decode", "--method", "regression", "--treg", "1e200"], "regression output"),
     ], ids=["short-box", "box-token", "logit-token", "threshold-token", "threshold-range",
             "threshold-rounds-to-0", "method-token", "grid-step-500", "grid-step-inf",
-            "nms-threshold", "gradcheck-points-0", "gradcheck-points-negative",
+            "grid-step-1e-320", "grid-step-5e-324", "nms-threshold", "gradcheck-points-0",
+            "gradcheck-points-negative", "gradcheck-seed-negative",
             "decode-exp-overflow", "decode-sigmoid-overflow", "decode-square-overflow"])
     def test_iou_bad_box_exits_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -310,7 +314,7 @@ codes = [main(["iou", "--box-a", "0,0,2,1,0", "--box-b", "1,0,2,1,0"]),
          main(["nms", "--detections", det, "--threshold", "0.5"]),
          main(["eval", "--gt", gt, "--det", det])]
 print(json.dumps({"codes": codes,
-                  "numpy": sorted(m for m in sys.modules if m.startswith("numpy.")),
+                  "numpy": sorted(m for m in sys.modules if m.split(".")[0] == "numpy"),
                   "anglekit": sorted(m for m in sys.modules if m.startswith("anglekit."))}))
 """
 
@@ -323,6 +327,42 @@ for argv in (["encode", "--method", "mgar", "--ctheta", "3", "--angle", "33.3"],
     assert main(argv) == 0
 import numpy
 assert numpy.zeros(2).sum() == 0
+"""
+
+# Eight threads make the first numpy-using calls of a fresh process at once.
+# Thread i starts at call i % 3, so each call races for numpy's first import.
+THREADED_FIRST_CALLS = """
+import json, sys, threading
+from anglekit import AnglePrediction, CodecConfig, Method, decode, encode
+
+CALLS = (
+    lambda: encode(10.0, CodecConfig(Method.CSL)).class_vector.tolist(),
+    lambda: decode(AnglePrediction([-2.0, 5.0, -1.0], 3.6742346141747673),
+                   CodecConfig(Method.MGAR)),
+    lambda: decode(AnglePrediction([-3.0, 2.0, -1.0, 4.0, 0.5]),
+                   CodecConfig(Method.DCL_BINARY, 32)),
+)
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(8, timeout=60)
+results, errors = {}, []
+
+def worker(i):
+    barrier.wait()
+    try:
+        order = [(i + j) % len(CALLS) for j in range(len(CALLS))]
+        values = {j: CALLS[j]() for j in order}
+        results[i] = [values[j] for j in range(len(CALLS))]
+    except Exception as exc:
+        errors.append(repr(exc))
+
+threads = [threading.Thread(target=worker, args=(i,), daemon=True) for i in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(60)
+print(json.dumps({"alive": [thread.is_alive() for thread in threads], "errors": errors,
+                  "results": [results.get(i) for i in range(8)],
+                  "single": [call() for call in CALLS]}))
 """
 
 
@@ -348,3 +388,11 @@ class TestLazyNumpy:
             '{"theta": 77.64}',
             '{"theta": 64.6875}',
         ]
+
+    def test_first_calls_from_threads(self):
+        proc = run_python(THREADED_FIRST_CALLS)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        state = json.loads(proc.stdout)
+        assert state["alive"] == [False] * 8
+        assert state["errors"] == []
+        assert state["results"] == [state["single"]] * 8
