@@ -20,6 +20,7 @@ from typing import Sequence
 from .errors import InvalidInputError
 
 ANGLE_RANGE = 180.0
+_MAX_SWEEP_POINTS = 10**7  # per codec in empirical_errors: a 1.8e-5 degree step
 
 
 class Method(str, Enum):
@@ -61,11 +62,14 @@ _REGRESSION_METHODS = (Method.REGRESSION, Method.MGAR)
 _DCL_METHODS = (Method.DCL_BINARY, Method.DCL_GRAY)
 
 
+def _integer(value, name: str) -> int:
+    if not isinstance(value, numbers.Real) or value % 1 != 0:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _validate_c_theta(method: Method, c_theta: int, warn: bool = False) -> int:
-    # Returns c_theta as an int; a value with a fractional part is rejected.
-    if not isinstance(c_theta, numbers.Real) or c_theta % 1 != 0:
-        raise InvalidInputError(f"c_theta must be an integer, got {c_theta!r}")
-    c_theta = int(c_theta)
+    c_theta = _integer(c_theta, "c_theta")
     choices = C_THETA_CHOICES[method]
     if method is not Method.MGAR:
         if c_theta not in choices:
@@ -129,7 +133,7 @@ class AngleTarget:
     """Encoded training target for one ground-truth angle."""
 
     class_index: int
-    class_vector: np.ndarray
+    class_vector: tuple[float, ...]
     residual_target: float | None
     raw_angle: float
 
@@ -138,14 +142,19 @@ class AngleTarget:
 class AnglePrediction:
     """Raw network-style prediction: class logits plus fit-space residual."""
 
-    class_logits: np.ndarray = ()
+    class_logits: tuple[float, ...] = ()
     regression_output: float | None = None
 
     def __post_init__(self):
-        import numpy as np
-        logits = np.asarray(self.class_logits, dtype=float)
+        try:
+            if isinstance(self.class_logits, (str, bytes)):
+                raise TypeError
+            logits = tuple(map(float, self.class_logits))
+        except (TypeError, ValueError):
+            raise InvalidInputError("class logits must be a flat sequence of numbers, "
+                                    f"got {self.class_logits!r}") from None
         object.__setattr__(self, "class_logits", logits)
-        if not np.isfinite(logits).all():
+        if not all(map(math.isfinite, logits)):
             raise InvalidInputError("non-finite class logits")
         if self.regression_output is not None and not math.isfinite(self.regression_output):
             raise InvalidInputError(f"non-finite regression output {self.regression_output}")
@@ -181,20 +190,16 @@ def _fit_forward(value: float, fit: FitFunction, width: float) -> float:
 
 @lru_cache(maxsize=1024)
 def _csl_label(k: int, c_theta: int, window_size: float) -> tuple[float, ...]:
-    # Circular Gaussian window, sigma = window/3, zero outside the window.
-    import numpy as np
+    # Circular Gaussian window, sigma = window/3, zero outside the window. The peak
+    # is 1.0 also for a window so small that 2 sigma^2 underflows to 0.
     half = c_theta // 2
-    d = (np.arange(c_theta) - k + half) % c_theta - half
     sigma = window_size / 3.0
-    label = np.zeros(c_theta)
-    mask = np.abs(d) <= window_size
-    label[mask] = np.exp(-(d[mask] ** 2) / (2.0 * sigma * sigma))
-    return tuple(label.tolist())
+    offsets = ((i - k + half) % c_theta - half for i in range(c_theta))
+    return tuple(math.exp(-(d * d) / (2.0 * sigma * sigma)) if 0 < abs(d) <= window_size
+                 else float(d == 0) for d in offsets)
 
 
-# The codec kernel: four steps on Python scalars, shared by encode, decode
-# and empirical_errors. numpy enters only at the AngleTarget/AnglePrediction
-# boundary (and in the CSL label and the DCL bit rule, see decode).
+# The codec kernel: four steps on Python scalars, shared by encode, decode, empirical_errors.
 
 def _bin_of(theta: float, width: float, c_theta: int) -> tuple[int, float]:
     # floor(theta / omega): an angle on a bin boundary starts that bin.
@@ -271,10 +276,8 @@ def encode(theta_gt: float, config: CodecConfig) -> AngleTarget:
     """
     if not (0.0 <= theta_gt < ANGLE_RANGE) or not math.isfinite(theta_gt):
         raise InvalidInputError(f"angle must lie in [0, {ANGLE_RANGE}), got {theta_gt}")
-    import numpy as np
     k, residual = _bin_of(theta_gt, omega(config), config.c_theta)
-    return AngleTarget(class_index=k,
-                       class_vector=np.array(_class_vector(k, config), dtype=float),
+    return AngleTarget(class_index=k, class_vector=tuple(map(float, _class_vector(k, config))),
                        residual_target=_residual_target(residual, config), raw_angle=theta_gt)
 
 
@@ -289,24 +292,18 @@ def decode(pred: AnglePrediction, config: CodecConfig) -> float:
     """
     logits = pred.class_logits
     expected = config.code_length
-    if logits.shape != (expected,):
+    if len(logits) != expected:
         raise InvalidInputError(
-            f"{config.method.value} expects {expected} logits, got shape {logits.shape}")
+            f"{config.method.value} expects {expected} logits, got shape ({len(logits)},)")
     if config.method in _DCL_METHODS:
-        import numpy as np
-        # numpy's exp, not math.exp: the two round differently at |logit| ~ 1e-16.
-        # Below about -709 exp overflows to inf, which still gives the right bit.
-        with np.errstate(over="ignore"):
-            scores = (1.0 / (1.0 + np.exp(-logits)) > 0.5).tolist()
-    else:
-        scores = logits.tolist()
-    return _angle(_bin_from_scores(scores, config), pred.regression_output, config)
+        # A bit with x <= 0 is off (sigmoid <= 0.5) without exp(-x), which could overflow.
+        logits = [x > 0.0 and 1.0 / (1.0 + math.exp(-x)) > 0.5 for x in logits]
+    return _angle(_bin_from_scores(logits, config), pred.regression_output, config)
 
 
 def ideal_prediction(target: AngleTarget, config: CodecConfig) -> AnglePrediction:
     """Loss-free prediction: logits equal the target vector, residual exact."""
-    return AnglePrediction(class_logits=target.class_vector.copy(),
-                           regression_output=target.residual_target)
+    return AnglePrediction(target.class_vector, target.residual_target)
 
 
 def analytic_errors(config: CodecConfig) -> tuple[float, float]:
@@ -331,7 +328,7 @@ def empirical_errors(config: CodecConfig, grid_step: float) -> tuple[float, floa
     """
     if not grid_step > 0:
         raise InvalidInputError(f"grid_step must be positive, got {grid_step}")
-    if not math.isfinite(ANGLE_RANGE / grid_step):
+    if not ANGLE_RANGE / grid_step <= _MAX_SWEEP_POINTS:
         raise InvalidInputError(f"grid_step {grid_step} is too fine to sweep [0, {ANGLE_RANGE})")
     count = int(round(ANGLE_RANGE / grid_step))
     if count < 1:
@@ -359,6 +356,7 @@ def empirical_errors(config: CodecConfig, grid_step: float) -> tuple[float, floa
 def head_thickness(method: Method | str, c_theta: int, anchors: int) -> int:
     """Channel count of the angle prediction layer for one anchor set."""
     method = Method(method)
+    anchors = _integer(anchors, "anchor count")
     if anchors < 1:
         raise InvalidInputError(f"anchor count must be >= 1, got {anchors}")
     c_theta = _validate_c_theta(method, c_theta)

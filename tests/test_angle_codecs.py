@@ -13,6 +13,9 @@ from anglekit import (AnglePrediction, CodecConfig, FitFunction, InvalidInputErr
 # Logits at which the DCL bit rule 1/(1+exp(-x)) > 0.5 is decided by rounding.
 DCL_KNIFE_EDGE = (0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-17, -1e-17, 1.56e-16, -1.56e-16,
                   2.3e-16, -2.3e-16, 1e3, -1e3)
+# Largest logit whose DCL bit is off under a correctly rounded exp; numpy's
+# baseline (non-AVX-512) exp puts the edge at the same float.
+DCL_EDGE = 1.6653345369377348e-16
 
 
 def mgar(c_theta, fit=FitFunction.SQUARE):
@@ -74,8 +77,8 @@ class TestGrayCode:
     def test_basic(self):
         # the Gray code of 00101 is 00111; of 00000 it is 00000
         config = CodecConfig(Method.DCL_GRAY, 32)
-        assert encode(5 * 5.625, config).class_vector.tolist() == [0, 0, 1, 1, 1]
-        assert encode(0.0, config).class_vector.tolist() == [0, 0, 0, 0, 0]
+        assert list(encode(5 * 5.625, config).class_vector) == [0, 0, 1, 1, 1]
+        assert list(encode(0.0, config).class_vector) == [0, 0, 0, 0, 0]
 
     def test_exhaustive_8bit_roundtrip(self):
         for c_theta in (32, 64, 128, 256):
@@ -87,7 +90,7 @@ class TestGrayCode:
                 gray = k ^ (k >> 1)
                 bits = [(gray >> (length - 1 - i)) & 1 for i in range(length)]
                 assert target.class_index == k
-                assert target.class_vector.tolist() == bits
+                assert list(target.class_vector) == bits
                 assert decode(AnglePrediction(strong_logits(bits)), config) == midpoint
 
     @given(st.lists(st.integers(0, 1), min_size=5, max_size=8))
@@ -96,7 +99,7 @@ class TestGrayCode:
         # every code word decodes to a bin whose encoding is that code word
         config = CodecConfig(Method.DCL_GRAY, 2 ** len(bits))
         theta = decode(AnglePrediction(strong_logits(bits)), config)
-        assert encode(theta, config).class_vector.tolist() == bits
+        assert list(encode(theta, config).class_vector) == bits
 
     def test_rejects_bad_bits(self):
         config = CodecConfig(Method.DCL_GRAY, 32)
@@ -136,7 +139,7 @@ class TestEncode:
 
     def test_regression_has_empty_class_vector(self):
         target = encode(73.5, CodecConfig(Method.REGRESSION))
-        assert target.class_vector.size == 0
+        assert len(target.class_vector) == 0
         assert target.class_index == 0
         assert target.residual_target == pytest.approx(math.sqrt(73.5))
 
@@ -152,6 +155,24 @@ class TestEncode:
         sigma = 6.0 / 3.0
         assert target.class_vector[45 + 3] == pytest.approx(math.exp(-9 / (2 * sigma**2)))
         assert target.residual_target is None
+
+    @pytest.mark.parametrize("window", [3.3, 6.0, 45.0])
+    def test_csl_label_is_exact_gaussian_window(self, window):
+        # Bit for bit the correctly rounded window over the circular bin distance.
+        config = CodecConfig(Method.CSL, window_size=window)
+        sigma = window / 3
+        for theta in (0.5, 45.7, 100.0, 179.5):
+            k = int(theta)
+            distances = [min((i - k) % 180, (k - i) % 180) for i in range(180)]
+            expected = [math.exp(-d * d / (2 * sigma * sigma)) if d <= window else 0.0
+                        for d in distances]
+            assert encode(theta, config).class_vector == tuple(expected)
+
+    def test_csl_tiny_window_is_one_hot(self):
+        # 2 sigma^2 underflows to 0 for these windows; the label stays one-hot
+        for window in (0.5, 1e-200, 5e-324):
+            target = encode(45.7, CodecConfig(Method.CSL, window_size=window))
+            assert target.class_vector == tuple(float(i == 45) for i in range(180))
 
     def test_csl_window_wraps_circularly(self):
         target = encode(0.5, CodecConfig(Method.CSL))
@@ -182,7 +203,7 @@ class TestEncode:
             for theta in rng.uniform(0, 180, size=200):
                 target = encode(theta, config)
                 assert 0 <= target.class_index < config.c_theta
-                assert target.class_vector.shape == (config.code_length,)
+                assert len(target.class_vector) == config.code_length
 
 
 class TestDecode:
@@ -197,23 +218,25 @@ class TestDecode:
     def test_dcl_gray_midpoint(self):
         config = CodecConfig(Method.DCL_GRAY, 64)
         bits = encode(14.2, config).class_vector
-        logits = bits * 8.0 - 4.0  # strong logits matching the code bits
+        logits = [b * 8.0 - 4.0 for b in bits]  # strong logits matching the code bits
         got = decode(AnglePrediction(logits), config)
         assert got == pytest.approx(5 * 2.8125 + 2.8125 / 2, abs=1e-12)
         assert got == pytest.approx(15.46875, abs=1e-12)
 
     @pytest.mark.parametrize("method", [Method.DCL_BINARY, Method.DCL_GRAY])
-    def test_dcl_bit_rule_is_numpy_sigmoid(self, method):
-        # A DCL bit is on where numpy finds 1/(1+exp(-x)) > 0.5. At |x| ~ 1.6e-16
-        # math.exp rounds the other way for some x, so a scalar rule would flip bits.
+    def test_dcl_bit_rule_is_host_independent(self, method):
+        # A DCL bit is on exactly for logits above DCL_EDGE, so never for x <= 0,
+        # on every host.
         config = CodecConfig(method, 256)
-        values = np.concatenate((DCL_KNIFE_EDGE, np.linspace(-1e-15, 1e-15, 2001)))
-        with np.errstate(over="ignore"):
-            for start in range(values.size - 7):
-                logits = values[start:start + 8]
-                bits = 1.0 / (1.0 + np.exp(-logits)) > 0.5
-                assert (decode(AnglePrediction(logits), config)
-                        == decode(AnglePrediction(strong_logits(bits)), config)), logits
+        for x, bit in ((DCL_EDGE, 0), (math.nextafter(DCL_EDGE, math.inf), 1)):
+            assert (decode(AnglePrediction([x] + [-8.0] * 7), config)
+                    == decode(AnglePrediction(strong_logits([bit] + [0] * 7)), config))
+        values = list(DCL_KNIFE_EDGE) + np.linspace(-1e-15, 1e-15, 2001).tolist()
+        for start in range(len(values) - 7):
+            logits = values[start:start + 8]
+            bits = [x > DCL_EDGE for x in logits]
+            assert (decode(AnglePrediction(logits), config)
+                    == decode(AnglePrediction(strong_logits(bits)), config)), logits
 
     def test_dcl_overflowing_logit_decodes_without_warning(self):
         # exp(1000) overflows to inf, which still switches the bit off.
@@ -245,10 +268,15 @@ class TestDecode:
         assert got == pytest.approx((120.0 + 70.0) % 180.0)
 
     def test_wrong_shape_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"^mgar expects 3 logits, got shape \(2,\)$"):
             decode(AnglePrediction([1.0, 2.0], 0.0), mgar(3))
         with pytest.raises(InvalidInputError):
             decode(AnglePrediction([1.0] * 64, 0.0), CodecConfig(Method.DCL_GRAY, 64))
+        # scalar, nested, non-numeric and string logits are not a flat sequence of numbers
+        for bad in (3.0, np.float64(3.0), np.array(3.0), [[1.0], [2.0], [3.0]], np.ones((3, 1)),
+                    ["a", "b", "c"], [1.0, None, 2.0], "123", b"123", None):
+            with pytest.raises(InvalidInputError, match="flat sequence"):
+                decode(AnglePrediction(bad, 0.0), mgar(3))
 
     def test_missing_residual_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -293,8 +321,8 @@ class TestEmpiricalErrors:
 
     def test_rejects_bad_step(self):
         # 0 is not a step; 500 and inf are steps too coarse to sweep any angle;
-        # below about 1e-306 the step count 180 / step overflows to inf
-        for step in (0.0, 500.0, math.inf, 1e-320, 5e-324):
+        # below 1.8e-5 the sweep would take more than 10**7 points (1e-300: 1.8e302)
+        for step in (0.0, 500.0, math.inf, 1.7e-5, 1e-300, 1e-320, 5e-324):
             with pytest.raises(InvalidInputError):
                 empirical_errors(mgar(3), step)
 
@@ -314,6 +342,12 @@ class TestHeadThickness:
     def test_rejects_bad_anchor_count(self):
         with pytest.raises(InvalidInputError):
             head_thickness(Method.MGAR, 3, 0)
+        # a fractional anchor count is an error, not a fractional channel count
+        for anchors in (2.5, 0.5, math.nan, math.inf):
+            with pytest.raises(InvalidInputError, match="integer"):
+                head_thickness(Method.MGAR, 3, anchors)
+        assert head_thickness(Method.MGAR, 3, 2.0) == 8
+        assert type(head_thickness(Method.MGAR, 3, 2.0)) is int
 
 
 class TestRoundTripProperty:

@@ -76,6 +76,7 @@ class TestGeometryCommands:
         (["codec-report", "--methods", "mgar", "--grid-step", "inf"], "grid_step"),
         (["codec-report", "--grid-step", "1e-320"], "grid_step"),
         (["codec-report", "--grid-step", "5e-324"], "grid_step"),
+        (["codec-report", "--methods", "mgar", "--grid-step", "1e-300"], "grid_step"),
         (["nms", "--detections", "missing.json", "--threshold", "7"], "iou_threshold"),
         (["gradcheck", "--points", "0"], "points"),
         (["gradcheck", "--points", "-3"], "points"),
@@ -87,8 +88,8 @@ class TestGeometryCommands:
         (["decode", "--method", "regression", "--treg", "1e200"], "regression output"),
     ], ids=["short-box", "box-token", "logit-token", "threshold-token", "threshold-range",
             "threshold-rounds-to-0", "method-token", "grid-step-500", "grid-step-inf",
-            "grid-step-1e-320", "grid-step-5e-324", "nms-threshold", "gradcheck-points-0",
-            "gradcheck-points-negative", "gradcheck-seed-negative",
+            "grid-step-1e-320", "grid-step-5e-324", "grid-step-1e-300", "nms-threshold",
+            "gradcheck-points-0", "gradcheck-points-negative", "gradcheck-seed-negative",
             "decode-exp-overflow", "decode-sigmoid-overflow", "decode-square-overflow"])
     def test_iou_bad_box_exits_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -306,37 +307,50 @@ def run_python(code, *argv):
                           env=env, check=False)
 
 
-GEOMETRY_AND_EVAL = """
+# Every command but gradcheck, codecs over every method first: the first four
+# print the lines of CODEC_LINES.
+ALL_BUT_GRADCHECK = """
 import json, sys
 from anglekit.cli import main
 gt, det = sys.argv[1:]
-codes = [main(["iou", "--box-a", "0,0,2,1,0", "--box-b", "1,0,2,1,0"]),
-         main(["nms", "--detections", det, "--threshold", "0.5"]),
-         main(["eval", "--gt", gt, "--det", det])]
+argvs = [["encode", "--method", "mgar", "--ctheta", "3", "--angle", "33.3"],
+         ["encode", "--method", "dcl-gray", "--ctheta", "32", "--angle", "100.5"],
+         ["decode", "--method", "mgar", "--ctheta", "3", "--logits=0.1,2,0.3", "--treg", "4.2"],
+         ["decode", "--method", "dcl-binary", "--ctheta", "32", "--logits=-3,2,-1,4,0.5"],
+         ["encode", "--method", "regression", "--angle", "10"],
+         ["encode", "--method", "csl", "--angle", "10", "--window", "3.3"],
+         ["encode", "--method", "dcl-binary", "--angle", "10"],
+         ["decode", "--method", "regression", "--treg", "3"],
+         ["decode", "--method", "csl", "--logits=" + ",".join(["1"] + ["0"] * 179)],
+         ["decode", "--method", "dcl-gray", "--logits=-1000,1,1,1,1,2e-16"],
+         ["codec-report", "--grid-step", "1"],
+         ["thickness", "--method", "csl", "--ctheta", "180"],
+         ["iou", "--box-a", "0,0,2,1,0", "--box-b", "1,0,2,1,0"],
+         ["nms", "--detections", det, "--threshold", "0.5"],
+         ["eval", "--gt", gt, "--det", det]]
+codes = [main(argv) for argv in argvs]
 print(json.dumps({"codes": codes,
                   "numpy": sorted(m for m in sys.modules if m.split(".")[0] == "numpy"),
                   "anglekit": sorted(m for m in sys.modules if m.startswith("anglekit."))}))
 """
 
-CODECS_THEN_NUMPY = """
-from anglekit.cli import main
-for argv in (["encode", "--method", "mgar", "--ctheta", "3", "--angle", "33.3"],
-             ["encode", "--method", "dcl-gray", "--ctheta", "32", "--angle", "100.5"],
-             ["decode", "--method", "mgar", "--ctheta", "3", "--logits=0.1,2,0.3", "--treg", "4.2"],
-             ["decode", "--method", "dcl-binary", "--ctheta", "32", "--logits=-3,2,-1,4,0.5"]):
-    assert main(argv) == 0
-import numpy
-assert numpy.zeros(2).sum() == 0
-"""
+CODEC_LINES = [
+    '{"c_theta": 3, "class_vector": [1.0, 0.0, 0.0], "k": 0, "method": "mgar", '
+    '"omega": 60.0, "residual": 33.3, "residual_target": 5.770615218501403}',
+    '{"c_theta": 32, "class_vector": [1.0, 1.0, 0.0, 0.0, 1.0], "k": 17, '
+    '"method": "dcl-gray", "omega": 5.625, "residual": 4.875, "residual_target": null}',
+    '{"theta": 77.64}',
+    '{"theta": 64.6875}',
+]
 
-# Eight threads make the first numpy-using calls of a fresh process at once.
-# Thread i starts at call i % 3, so each call races for numpy's first import.
+# Eight threads make the first codec calls of a fresh process at once;
+# thread i starts at call i % 3, so each call is some thread's first.
 THREADED_FIRST_CALLS = """
 import json, sys, threading
 from anglekit import AnglePrediction, CodecConfig, Method, decode, encode
 
 CALLS = (
-    lambda: encode(10.0, CodecConfig(Method.CSL)).class_vector.tolist(),
+    lambda: list(encode(10.0, CodecConfig(Method.CSL)).class_vector),
     lambda: decode(AnglePrediction([-2.0, 5.0, -1.0], 3.6742346141747673),
                    CodecConfig(Method.MGAR)),
     lambda: decode(AnglePrediction([-3.0, 2.0, -1.0, 4.0, 0.5]),
@@ -368,26 +382,17 @@ print(json.dumps({"alive": [thread.is_alive() for thread in threads], "errors": 
 
 class TestLazyNumpy:
     def test_iou_nms_eval_load_no_numpy(self, eval_fixture):
+        # Only gradcheck (the losses) computes with numpy.
         gt_dir, det_path = eval_fixture
-        proc = run_python(GEOMETRY_AND_EVAL, str(gt_dir), str(det_path))
-        assert proc.returncode == 0, proc.stderr
-        state = json.loads(proc.stdout.splitlines()[-1])
-        assert state["codes"] == [0, 0, 0]
+        proc = run_python(ALL_BUT_GRADCHECK, str(gt_dir), str(det_path))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines = proc.stdout.splitlines()
+        assert lines[:4] == CODEC_LINES
+        state = json.loads(lines[-1])
+        assert state["codes"] == [0] * 15
         assert state["numpy"] == []
         # The parser's choices, and traced runs, need both modules loaded.
         assert {"anglekit.codecs", "anglekit.losses"} <= set(state["anglekit"])
-
-    def test_codecs_load_numpy_on_first_use(self):
-        proc = run_python(CODECS_THEN_NUMPY)
-        assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout.splitlines() == [
-            '{"c_theta": 3, "class_vector": [1.0, 0.0, 0.0], "k": 0, "method": "mgar", '
-            '"omega": 60.0, "residual": 33.3, "residual_target": 5.770615218501403}',
-            '{"c_theta": 32, "class_vector": [1.0, 1.0, 0.0, 0.0, 1.0], "k": 17, '
-            '"method": "dcl-gray", "omega": 5.625, "residual": 4.875, "residual_target": null}',
-            '{"theta": 77.64}',
-            '{"theta": 64.6875}',
-        ]
 
     def test_first_calls_from_threads(self):
         proc = run_python(THREADED_FIRST_CALLS)

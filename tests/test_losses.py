@@ -176,7 +176,8 @@ def perfect_positive_sample(theta=73.5):
         pred_deltas=encode_box_deltas(gt, anchor),
         pred_confidence=12.0,
         pred_category_logits=np.array([900.0, -900.0]),
-        pred_angle=AnglePrediction(target.class_vector * 1000.0, target.residual_target),
+        pred_angle=AnglePrediction([v * 1000.0 for v in target.class_vector],
+                                   target.residual_target),
         gt_box=gt,
         gt_category=0,
     )
