@@ -68,6 +68,20 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _finite_floats(values, name: str) -> tuple[float, ...]:
+    # A flat sequence of finite numbers (a 1-D array included) as a tuple of floats.
+    try:
+        if isinstance(values, (str, bytes)):
+            raise TypeError
+        floats = tuple(map(float, values))
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} must be a flat sequence of numbers, "
+                                f"got {values!r}") from None
+    if not all(map(math.isfinite, floats)):
+        raise InvalidInputError(f"non-finite {name}")
+    return floats
+
+
 def _validate_c_theta(method: Method, c_theta: int, warn: bool = False) -> int:
     c_theta = _integer(c_theta, "c_theta")
     choices = C_THETA_CHOICES[method]
@@ -109,8 +123,9 @@ class CodecConfig:
         method = Method(self.method)
         object.__setattr__(self, "method", method)
         object.__setattr__(self, "fit_function", FitFunction(self.fit_function))
-        if method is Method.CSL and not self.window_size > 0:
-            raise InvalidInputError(f"window_size must be positive, got {self.window_size}")
+        if method is Method.CSL and not 0 < self.window_size < math.inf:
+            kind = "finite" if self.window_size == math.inf else "positive"
+            raise InvalidInputError(f"window_size must be {kind}, got {self.window_size}")
         c_theta = _validate_c_theta(method, self.c_theta or DEFAULT_C_THETA[method], warn=True)
         object.__setattr__(self, "c_theta", c_theta)
 
@@ -146,16 +161,8 @@ class AnglePrediction:
     regression_output: float | None = None
 
     def __post_init__(self):
-        try:
-            if isinstance(self.class_logits, (str, bytes)):
-                raise TypeError
-            logits = tuple(map(float, self.class_logits))
-        except (TypeError, ValueError):
-            raise InvalidInputError("class logits must be a flat sequence of numbers, "
-                                    f"got {self.class_logits!r}") from None
-        object.__setattr__(self, "class_logits", logits)
-        if not all(map(math.isfinite, logits)):
-            raise InvalidInputError("non-finite class logits")
+        object.__setattr__(self, "class_logits",
+                           _finite_floats(self.class_logits, "class logits"))
         if self.regression_output is not None and not math.isfinite(self.regression_output):
             raise InvalidInputError(f"non-finite regression output {self.regression_output}")
 

@@ -1,20 +1,23 @@
-"""Detection losses and box-delta transforms.
+"""Detection losses and box-delta transforms, in pure Python.
 
 Anchor-relative box deltas, smooth L1, MSE, focal, softmax cross-entropy,
 the IoU-aware residual loss (smooth L1 re-weighted by |-log IoU| + 1), the
 five-term multi-task loss, and a finite-difference gradient checker. Each
-loss ships an analytic gradient for verification. The constants are fixed:
-smooth L1 has beta = 1, focal loss alpha = 0.25 and gamma = 2 (RetinaNet),
-and the finite-difference step is 1e-6.
+loss ships an analytic gradient for verification; vector gradients are
+lists of floats. Logits may be any flat sequence of finite numbers,
+one-dimensional arrays included. The constants are fixed: smooth L1 has
+beta = 1, focal loss alpha = 0.25 and gamma = 2 (RetinaNet), and the
+finite-difference step is 1e-6.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .codecs import AnglePrediction, CodecConfig, Method, decode, encode
+from .codecs import AnglePrediction, CodecConfig, Method, _finite_floats, decode, encode
 from .errors import InvalidInputError
 from .obb import AxisAlignedBox, OrientedBox, aabb_giou, longside, rotated_iou
 
@@ -69,22 +72,18 @@ class AssignedSample:
     anchor: AnchorBox
     pred_deltas: BoxDeltas
     pred_confidence: float
-    pred_category_logits: np.ndarray
+    pred_category_logits: tuple[float, ...]
     pred_angle: AnglePrediction
     gt_box: OrientedBox | None = None
     gt_category: int | None = None
 
     def __post_init__(self):
-        import numpy as np
         if self.objectness not in (0, 1):
             raise InvalidInputError(f"objectness must be 0 or 1, got {self.objectness}")
         if not math.isfinite(self.pred_confidence):
             raise InvalidInputError(f"non-finite confidence logit {self.pred_confidence}")
-        logits = np.asarray(self.pred_category_logits, dtype=float)
-        object.__setattr__(self, "pred_category_logits", logits)
-        if logits.ndim != 1 or not all(map(math.isfinite, logits.tolist())):
-            raise InvalidInputError(
-                f"category logits must be a finite 1-D array, got shape {logits.shape}")
+        object.__setattr__(self, "pred_category_logits",
+                           _finite_floats(self.pred_category_logits, "category logits"))
         if self.objectness == 1 and (self.gt_box is None or self.gt_category is None):
             raise InvalidInputError("foreground samples need gt_box and gt_category")
 
@@ -207,32 +206,28 @@ def focal_loss_grad(logit: float, label: int) -> float:
         one_minus_pt - FOCAL_GAMMA * _sigmoid(z) * _log_sigmoid(z))
 
 
+def _softmax_terms(logits: Sequence[float], target_index: int):
+    # (z, max z, exp(z - max z), the fsum of those), the max-shifted log-sum-exp
+    # behind the cross-entropy and its gradient.
+    z = _finite_floats(logits, "logits")
+    if not 0 <= target_index < len(z):
+        raise InvalidInputError(f"target index {target_index} out of range for {len(z)} logits")
+    m = max(z)
+    exps = [math.exp(v - m) for v in z]
+    return z, m, exps, math.fsum(exps)
+
+
 def cross_entropy(logits: Sequence[float], target_index: int) -> float:
     """Softmax cross-entropy against a hard class index."""
-    import numpy as np
-    z = np.asarray(logits, dtype=float)
-    if z.ndim != 1 or not (0 <= target_index < z.size):
-        raise InvalidInputError(f"target index {target_index} out of range for {z.size} logits")
-    m = float(np.max(z))
-    log_norm = m + math.log(float(np.sum(np.exp(z - m))))
-    return log_norm - float(z[target_index])
+    z, m, _, total = _softmax_terms(logits, target_index)
+    return m + math.log(total) - z[target_index]
 
 
-def cross_entropy_grad(logits: Sequence[float], target_index: int) -> np.ndarray:
-    import numpy as np
-    z = np.asarray(logits, dtype=float)
-    if z.ndim != 1 or not (0 <= target_index < z.size):
-        raise InvalidInputError(f"target index {target_index} out of range for {z.size} logits")
-    exp = np.exp(z - np.max(z))
-    grad = exp / np.sum(exp)
+def cross_entropy_grad(logits: Sequence[float], target_index: int) -> list[float]:
+    _, _, exps, total = _softmax_terms(logits, target_index)
+    grad = [e / total for e in exps]
     grad[target_index] -= 1.0
     return grad
-
-
-def _pick(a: float, ga: np.ndarray, b: float, gb: np.ndarray, take_min: bool):
-    if (a <= b) == take_min:
-        return a, ga
-    return b, gb
 
 
 def giou_location_loss(pred: Sequence[float], target: Sequence[float]) -> float:
@@ -242,50 +237,41 @@ def giou_location_loss(pred: Sequence[float], target: Sequence[float]) -> float:
     return 1.0 - aabb_giou(AxisAlignedBox(px, py, pw, ph), AxisAlignedBox(tx, ty, tw, th))
 
 
-def giou_location_loss_grad(pred: Sequence[float], target: Sequence[float]) -> np.ndarray:
+def _axis_spans(pc: float, ps: float, tc: float, ts: float):
+    # (overlap, d_overlap, enclosing, d_enclosing) of the predicted interval
+    # (centre pc, size ps) and the target's on one axis, each derivative taken in
+    # (pc, ps). Each predicted end bounds exactly one of the two spans: the
+    # overlap where it lies inside the target's end, else the enclosing span. On
+    # a tie the right end counts as inside and the left end as outside.
+    pr, pl = pc + 0.5 * ps, pc - 0.5 * ps
+    tr, tl = tc + 0.5 * ts, tc - 0.5 * ts
+    r_in, l_in = float(pr <= tr), float(pl > tl)
+    overlap = (pr if r_in else tr) - (pl if l_in else tl)
+    d_overlap = (r_in - l_in, 0.5 * (r_in + l_in))
+    if overlap <= 0.0:
+        overlap, d_overlap = 0.0, (0.0, 0.0)
+    r_out, l_out = 1.0 - r_in, 1.0 - l_in
+    enclosing = (tr if r_in else pr) - (tl if l_in else pl)
+    return overlap, d_overlap, enclosing, (r_out - l_out, 0.5 * (r_out + l_out))
+
+
+def giou_location_loss_grad(pred: Sequence[float], target: Sequence[float]) -> list[float]:
     """Gradient of 1 - GIoU with respect to the predicted (cx, cy, w, h)."""
-    import numpy as np
     px, py, pw, ph = (float(v) for v in pred)
     tx, ty, tw, th = (float(v) for v in target)
-    e = np.eye(4)
-    zero = np.zeros(4)
-
-    pr, g_pr = px + 0.5 * pw, e[0] + 0.5 * e[2]
-    pl, g_pl = px - 0.5 * pw, e[0] - 0.5 * e[2]
-    pt_, g_pt = py + 0.5 * ph, e[1] + 0.5 * e[3]
-    pb, g_pb = py - 0.5 * ph, e[1] - 0.5 * e[3]
-    tr, tl = tx + 0.5 * tw, tx - 0.5 * tw
-    tt, tb = ty + 0.5 * th, ty - 0.5 * th
-
-    ir, g_ir = _pick(pr, g_pr, tr, zero, take_min=True)
-    il, g_il = _pick(pl, g_pl, tl, zero, take_min=False)
-    iw, g_iw = ir - il, g_ir - g_il
-    if iw <= 0.0:
-        iw, g_iw = 0.0, zero
-    it, g_it = _pick(pt_, g_pt, tt, zero, take_min=True)
-    ib, g_ib = _pick(pb, g_pb, tb, zero, take_min=False)
-    ih, g_ih = it - ib, g_it - g_ib
-    if ih <= 0.0:
-        ih, g_ih = 0.0, zero
-
+    iw, (diw_c, diw_s), cw, (dcw_c, dcw_s) = _axis_spans(px, pw, tx, tw)
+    ih, (dih_c, dih_s), ch, (dch_c, dch_s) = _axis_spans(py, ph, ty, th)
     inter = iw * ih
-    g_inter = ih * g_iw + iw * g_ih
     union = pw * ph + tw * th - inter
-    g_union = ph * e[2] + pw * e[3] - g_inter
-    g_iou = (g_inter * union - inter * g_union) / (union * union)
-
-    cr, g_cr = _pick(pr, g_pr, tr, zero, take_min=False)
-    cl, g_cl = _pick(pl, g_pl, tl, zero, take_min=True)
-    ct, g_ct = _pick(pt_, g_pt, tt, zero, take_min=False)
-    cb, g_cb = _pick(pb, g_pb, tb, zero, take_min=True)
-    cw, g_cw = cr - cl, g_cr - g_cl
-    ch, g_ch = ct - cb, g_ct - g_cb
     enclosing = cw * ch
-    g_enclosing = ch * g_cw + cw * g_ch
-
+    # Derivatives in (cx, cy, w, h).
+    d_inter = (ih * diw_c, iw * dih_c, ih * diw_s, iw * dih_s)
+    d_union = (-d_inter[0], -d_inter[1], ph - d_inter[2], pw - d_inter[3])
+    d_enclosing = (ch * dcw_c, cw * dch_c, ch * dcw_s, cw * dch_s)
     # giou = iou - 1 + union / enclosing
-    g_giou = g_iou + (g_union * enclosing - union * g_enclosing) / (enclosing * enclosing)
-    return -g_giou
+    return [-((di * union - inter * du) / (union * union)
+              + (du * enclosing - union * de) / (enclosing * enclosing))
+            for di, du, de in zip(d_inter, d_union, d_enclosing)]
 
 
 def multitask_loss(samples: Sequence[AssignedSample], weights: LossWeights,
@@ -309,6 +295,9 @@ def multitask_loss(samples: Sequence[AssignedSample], weights: LossWeights,
         conf.append(focal_loss(s.pred_confidence, s.objectness))
         if not s.objectness:
             continue
+        if len(s.pred_angle.class_logits) != codec.code_length:
+            raise InvalidInputError(f"{codec.method.value} expects {codec.code_length} angle "
+                                    f"logits, got {len(s.pred_angle.class_logits)}")
         pred_box = decode_box_deltas(s.pred_deltas, s.anchor)
         loc.append(giou_location_loss(
             (pred_box.cx, pred_box.cy, pred_box.w, pred_box.h),
@@ -331,18 +320,19 @@ def multitask_loss(samples: Sequence[AssignedSample], weights: LossWeights,
     return LossBreakdown(*terms, total=total)
 
 
-def finite_diff_grad_check(fn: Callable[[np.ndarray], float],
-                           grad_fn: Callable[[np.ndarray], np.ndarray],
+def finite_diff_grad_check(fn: Callable[[list[float]], float],
+                           grad_fn: Callable[[list[float]], Sequence[float]],
                            point: Sequence[float]) -> float:
     """Max relative error between grad_fn and central differences of fn."""
-    import numpy as np
-    x = np.asarray(point, dtype=float)
-    analytic = np.atleast_1d(np.asarray(grad_fn(x), dtype=float))
+    x = _finite_floats(point, "point")
+    analytic = [float(g) for g in grad_fn(list(x))]
     worst = 0.0
-    for i in range(x.size):
-        shift = np.zeros_like(x)
-        shift[i] = _FD_STEP
-        fd = (fn(x + shift) - fn(x - shift)) / (2.0 * _FD_STEP)
+    for i, xi in enumerate(x):
+        shifted = list(x)
+        shifted[i] = xi + _FD_STEP
+        f_plus = fn(shifted)
+        shifted[i] = xi - _FD_STEP
+        fd = (f_plus - fn(shifted)) / (2.0 * _FD_STEP)
         denom = max(abs(fd), abs(analytic[i]), 1e-8)
         worst = max(worst, abs(fd - analytic[i]) / denom)
     return worst
@@ -354,15 +344,12 @@ class GradCheckResult:
     worst_point: tuple[float, ...]
 
 
-def _sample_giou_case(rng) -> tuple[np.ndarray, np.ndarray]:
+def _sample_giou_case(rng: random.Random) -> tuple[list[float], list[float]]:
     # Resample until every min/max branch sits well clear of its boundary,
     # keeping the loss smooth across the finite-difference stencil.
-    import numpy as np
     while True:
-        pred = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
-                         rng.uniform(1, 3), rng.uniform(1, 3)])
-        target = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
-                           rng.uniform(1, 3), rng.uniform(1, 3)])
+        pred = [rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(1, 3), rng.uniform(1, 3)]
+        target = [rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(1, 3), rng.uniform(1, 3)]
         px, py, pw, ph = pred
         tx, ty, tw, th = target
         margins = [
@@ -384,8 +371,7 @@ def run_gradient_checks(seed: int = 0, points: int = 100) -> dict[str, GradCheck
         raise InvalidInputError(f"points must be at least 1, got {points}")
     if seed < 0:
         raise InvalidInputError(f"seed must be non-negative, got {seed}")
-    import numpy as np
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     results: dict[str, GradCheckResult] = {}
 
     def run(name, make_case):
@@ -394,7 +380,7 @@ def run_gradient_checks(seed: int = 0, points: int = 100) -> dict[str, GradCheck
             fn, grad_fn, point = make_case()
             err = finite_diff_grad_check(fn, grad_fn, point)
             if err > worst:
-                worst, worst_point = err, tuple(float(v) for v in np.atleast_1d(point))
+                worst, worst_point = err, tuple(point)
         results[name] = GradCheckResult(worst, worst_point)
 
     def off_kink() -> float:
@@ -424,16 +410,16 @@ def run_gradient_checks(seed: int = 0, points: int = 100) -> dict[str, GradCheck
                 [target + off_kink()])
 
     def focal_case():
-        label = int(rng.integers(0, 2))
+        label = rng.randrange(2)
         return (lambda p: focal_loss(p[0], label),
                 lambda p: [focal_loss_grad(p[0], label)],
                 [rng.uniform(-4, 4)])
 
     def cross_entropy_case():
-        idx = int(rng.integers(0, 5))
+        idx = rng.randrange(5)
         return (lambda p: cross_entropy(p, idx),
                 lambda p: cross_entropy_grad(p, idx),
-                rng.normal(0.0, 1.0, size=5))
+                [rng.gauss(0.0, 1.0) for _ in range(5)])
 
     def giou_case():
         pred, target = _sample_giou_case(rng)

@@ -86,11 +86,13 @@ class TestGeometryCommands:
         (["decode", "--method", "mgar", "--logits=0,1,0", "--fit", "sigmoid", "--treg=-1000"],
          "regression output"),
         (["decode", "--method", "regression", "--treg", "1e200"], "regression output"),
+        (["encode", "--method", "csl", "--window", "inf", "--angle", "10"], "window_size"),
     ], ids=["short-box", "box-token", "logit-token", "threshold-token", "threshold-range",
             "threshold-rounds-to-0", "method-token", "grid-step-500", "grid-step-inf",
             "grid-step-1e-320", "grid-step-5e-324", "grid-step-1e-300", "nms-threshold",
             "gradcheck-points-0", "gradcheck-points-negative", "gradcheck-seed-negative",
-            "decode-exp-overflow", "decode-sigmoid-overflow", "decode-square-overflow"])
+            "decode-exp-overflow", "decode-sigmoid-overflow", "decode-square-overflow",
+            "csl-window-inf"])
     def test_iou_bad_box_exits_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -307,10 +309,13 @@ def run_python(code, *argv):
                           env=env, check=False)
 
 
-# Every command but gradcheck, codecs over every method first: the first four
-# print the lines of CODEC_LINES.
-ALL_BUT_GRADCHECK = """
+# Every command, codecs over every method first, and one multitask_loss call,
+# with numpy blocked: the first four lines printed are CODEC_LINES.
+ALL_COMMANDS_NO_NUMPY = """
 import json, sys
+sys.modules["numpy"] = None  # any numpy import now raises ImportError
+from anglekit import (AnchorBox, AnglePrediction, AssignedSample, BoxDeltas, CodecConfig,
+                      LossWeights, Method, OrientedBox, multitask_loss)
 from anglekit.cli import main
 gt, det = sys.argv[1:]
 argvs = [["encode", "--method", "mgar", "--ctheta", "3", "--angle", "33.3"],
@@ -327,10 +332,18 @@ argvs = [["encode", "--method", "mgar", "--ctheta", "3", "--angle", "33.3"],
          ["thickness", "--method", "csl", "--ctheta", "180"],
          ["iou", "--box-a", "0,0,2,1,0", "--box-b", "1,0,2,1,0"],
          ["nms", "--detections", det, "--threshold", "0.5"],
-         ["eval", "--gt", gt, "--det", det]]
+         ["eval", "--gt", gt, "--det", det],
+         ["gradcheck", "--points", "5"]]
 codes = [main(argv) for argv in argvs]
-print(json.dumps({"codes": codes,
-                  "numpy": sorted(m for m in sys.modules if m.split(".")[0] == "numpy"),
+sample = AssignedSample(objectness=1, anchor=AnchorBox(0.0, 0.0, 4.0, 2.0),
+                        pred_deltas=BoxDeltas(0.1, 0.0, 0.0, 0.0), pred_confidence=1.0,
+                        pred_category_logits=[0.5, -0.5],
+                        pred_angle=AnglePrediction([0.1, 2.0, 0.3], 4.2),
+                        gt_box=OrientedBox(0.0, 0.0, 4.0, 2.0, 70.0), gt_category=0)
+loss = multitask_loss([sample], LossWeights(), CodecConfig(Method.MGAR))
+print(json.dumps({"codes": codes, "total": loss.total,
+                  "numpy": sorted(m for m, module in sys.modules.items()
+                                  if module is not None and m.split(".")[0] == "numpy"),
                   "anglekit": sorted(m for m in sys.modules if m.startswith("anglekit."))}))
 """
 
@@ -382,14 +395,15 @@ print(json.dumps({"alive": [thread.is_alive() for thread in threads], "errors": 
 
 class TestLazyNumpy:
     def test_iou_nms_eval_load_no_numpy(self, eval_fixture):
-        # Only gradcheck (the losses) computes with numpy.
+        # No command and no loss needs numpy: the script blocks its import.
         gt_dir, det_path = eval_fixture
-        proc = run_python(ALL_BUT_GRADCHECK, str(gt_dir), str(det_path))
+        proc = run_python(ALL_COMMANDS_NO_NUMPY, str(gt_dir), str(det_path))
         assert (proc.returncode, proc.stderr) == (0, "")
         lines = proc.stdout.splitlines()
         assert lines[:4] == CODEC_LINES
         state = json.loads(lines[-1])
-        assert state["codes"] == [0] * 15
+        assert state["codes"] == [0] * 16
+        assert math.isfinite(state["total"]) and state["total"] > 0.0
         assert state["numpy"] == []
         # The parser's choices, and traced runs, need both modules loaded.
         assert {"anglekit.codecs", "anglekit.losses"} <= set(state["anglekit"])

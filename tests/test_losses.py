@@ -162,6 +162,31 @@ class TestCrossEntropy:
         with pytest.raises(InvalidInputError):
             cross_entropy([0.0, 1.0], 2)
 
+    def test_gradient_is_a_list_summing_to_zero(self):
+        grad = cross_entropy_grad(np.array([0.2, -1.0, 0.7]), 1)
+        assert type(grad) is list
+        assert grad[1] < 0.0 < min(grad[0], grad[2])
+        assert math.fsum(grad) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("logits", [[0.0, math.inf], [0.0, math.nan], [[0.0, 1.0]], "01"],
+                             ids=["inf", "nan", "nested", "string"])
+    def test_rejects_nonfinite_or_non_flat_logits(self, logits):
+        for fn in (cross_entropy, cross_entropy_grad):
+            with pytest.raises(InvalidInputError):
+                fn(logits, 0)
+
+
+class TestGiouGradient:
+    @pytest.mark.parametrize("pred, target, expected", [
+        ([0, 0, 2, 2], [0, 0, 2, 2], [-1.0, -1.0, 0.0, 0.0]),
+        ([0.5, 0, 2, 2], [0, 0, 1, 2], [0.0, -0.625, 0.25, -0.0625]),
+        ([0, 0, 2, 1], [0.5, 0, 1, 1], [-0.75, -1.25, -0.125, -0.125]),
+    ], ids=["identical", "right-and-y-ends-tie", "right-end-ties"])
+    def test_exact_ties(self, pred, target, expected):
+        # A predicted end that ties the target's bounds the overlap on the right
+        # and the enclosing span on the left.
+        assert giou_location_loss_grad(pred, target) == expected
+
 
 CODEC = CodecConfig(Method.MGAR, 3)
 
@@ -315,6 +340,20 @@ class TestMultitaskLoss:
         with pytest.raises(InvalidInputError, match="regression output"):
             multitask_loss([overflowing], self.WEIGHTS,
                            CodecConfig(Method.MGAR, 3, fit_function=FitFunction.EXP))
+
+    @pytest.mark.parametrize("codec, angle", [
+        (CodecConfig(Method.CSL), AnglePrediction([0.0, 1.0, 0.0])),
+        (CodecConfig(Method.MGAR, 3), AnglePrediction([0.0, 1.0, 0.0, 0.0], 1.0)),
+    ], ids=["csl-3-of-180", "mgar-4-of-3"])
+    def test_rejects_wrong_angle_logit_count(self, codec, angle):
+        sample = dataclasses.replace(perfect_positive_sample(theta=1.0), pred_angle=angle)
+        with pytest.raises(InvalidInputError, match=f"expects {codec.code_length} angle logits"):
+            multitask_loss([sample], self.WEIGHTS, codec)
+
+    def test_category_logits_become_a_tuple(self):
+        sample = dataclasses.replace(background_sample(), pred_category_logits=np.array([1.0, 2.0]))
+        assert sample.pred_category_logits == (1.0, 2.0)
+        assert type(sample.pred_category_logits) is tuple
 
     def test_foreground_requires_targets(self):
         with pytest.raises(InvalidInputError):
