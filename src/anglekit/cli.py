@@ -83,24 +83,20 @@ def cmd_iou(args) -> int:
     return 0
 
 
-def _nms_per_image(dets, threshold: float, class_agnostic: bool = False) -> list[int]:
-    """Indices of the detections rotated NMS keeps, run separately in each image."""
-    by_image: dict[str, list[int]] = {}
-    for i, r in enumerate(dets):
-        by_image.setdefault(r.image_id, []).append(i)
-    keep: list[int] = []
-    for _, idxs in sorted(by_image.items()):
-        items = [(dets[i].box, dets[i].score, dets[i].category) for i in idxs]
-        keep.extend(idxs[k] for k in rotated_nms(items, threshold, class_agnostic=class_agnostic))
-    return keep
+def _nms(dets, threshold: float, class_agnostic: bool = False) -> list[int]:
+    """Indices of the detections rotated NMS keeps, in descending score order.
+
+    Detections suppress each other only within one image and, unless
+    class_agnostic, one category."""
+    items = [(d.box, d.score, d.image_id if class_agnostic else (d.image_id, d.category))
+             for d in dets]
+    return rotated_nms(items, threshold)
 
 
 def cmd_nms(args) -> int:
     check_nms_threshold(args.threshold)
     records = parse_detections(args.detections, strict=False)
-    kept = _nms_per_image(records, args.threshold, args.class_agnostic)
-    kept.sort(key=lambda i: (-records[i].score, i))
-    _emit({"kept": kept, "total": len(records)})
+    _emit({"kept": _nms(records, args.threshold, args.class_agnostic), "total": len(records)})
     return 0
 
 
@@ -151,11 +147,10 @@ def cmd_eval(args) -> int:
         return 3
     dets = parse_detections(args.det, strict=False)
     if args.nms is not None:
-        dets = [dets[i] for i in sorted(_nms_per_image(dets, args.nms))]
+        dets = [dets[i] for i in sorted(_nms(dets, args.nms))]
     report = evaluate(gts, dets, thresholds, mode=args.mode)
     if args.out:
-        fmt = "csv" if str(args.out).endswith(".csv") else "json"
-        write_report(report, fmt, args.out)
+        write_report(report, args.out)
     parts = [f"mAP@{t:.2f}={report.map_by_threshold[t]:.6f}" for t in report.thresholds]
     if report.map_50_95 is not None:
         parts.append(f"mAP@0.50:0.95={report.map_50_95:.6f}")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import InvalidInputError, ParseError
 from .evaluation import DetectionRecord, EvalReport, GroundTruthRecord
-from .obb import OrientedBox, QuadPolygon, from_corners
+from .obb import OrientedBox, QuadPolygon, from_corners, to_corners
 
 log = logging.getLogger("anglekit")
 
@@ -109,6 +109,7 @@ def _parse_detection_json(path: Path, strict: bool) -> list[DetectionRecord]:
                     f"bad record keys (extra={sorted(extra)}, missing={sorted(missing)})")
             box = OrientedBox(float(entry["cx"]), float(entry["cy"]),
                               float(entry["w"]), float(entry["h"]), float(entry["theta"]))
+            to_corners(box)  # a box whose corners collapse fails here, at its record
             records.append(DetectionRecord(image_id=str(entry["image_id"]), box=box,
                                            category=str(entry["category"]),
                                            score=float(entry["score"])))
@@ -189,17 +190,16 @@ def report_to_dict(report: EvalReport) -> dict:
     }
 
 
-def write_report(report: EvalReport, format: str, path) -> None:
-    """Serialize a report to JSON (full precision) or CSV (6 decimals).
+def write_report(report: EvalReport, path) -> None:
+    """Serialize a report to CSV (6 decimals) when path ends in .csv, else to
+    JSON (full precision).
 
     Output is byte-identical across runs for identical reports."""
-    if format == "json":
+    if not str(path).endswith(".csv"):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(report_to_dict(report), fh, sort_keys=True, indent=2)
             fh.write("\n")
         return
-    if format != "csv":
-        raise InvalidInputError(f"format must be 'json' or 'csv', got {format!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["category", "iou_threshold", "ap", "tp", "fp", "num_gt"])

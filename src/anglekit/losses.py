@@ -323,7 +323,9 @@ def multitask_loss(samples: Sequence[AssignedSample], weights: LossWeights,
 def finite_diff_grad_check(fn: Callable[[list[float]], float],
                            grad_fn: Callable[[list[float]], Sequence[float]],
                            point: Sequence[float]) -> float:
-    """Max relative error between grad_fn and central differences of fn."""
+    """Max relative error between grad_fn and central differences of fn.
+
+    A NaN in either gradient gives math.inf, so it fails every tolerance."""
     x = _finite_floats(point, "point")
     analytic = [float(g) for g in grad_fn(list(x))]
     worst = 0.0
@@ -333,6 +335,8 @@ def finite_diff_grad_check(fn: Callable[[list[float]], float],
         f_plus = fn(shifted)
         shifted[i] = xi - _FD_STEP
         fd = (f_plus - fn(shifted)) / (2.0 * _FD_STEP)
+        if math.isnan(fd) or math.isnan(analytic[i]):
+            return math.inf
         denom = max(abs(fd), abs(analytic[i]), 1e-8)
         worst = max(worst, abs(fd - analytic[i]) / denom)
     return worst

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Hashable, Sequence
 
 from .errors import DegenerateQuadError, InvalidInputError
 
@@ -307,35 +307,28 @@ def check_nms_threshold(iou_threshold: float) -> None:
 
 
 def rotated_nms(
-    items: Sequence[tuple[OrientedBox, float, object]],
+    items: Sequence[tuple[OrientedBox, float, Hashable]],
     iou_threshold: float,
-    class_agnostic: bool = False,
 ) -> list[int]:
-    """Greedy NMS over (box, score, category) items.
+    """Greedy NMS over (box, score, group key) items.
 
+    Items suppress each other only when their group keys are equal; a key
+    is any hashable value, such as a category or an (image, category) pair.
     Returns indices of kept items in descending score order (equal scores
     break toward the lower input index). An item is suppressed when its
-    rotated IoU with an already-kept item of the same suppression group
-    (same category unless class_agnostic) exceeds iou_threshold.
+    rotated IoU with an already-kept item of its group exceeds iou_threshold.
     """
     check_nms_threshold(iou_threshold)
     for _, score, _ in items:
         if not math.isfinite(score):
             raise InvalidInputError(f"non-finite score {score}")
-    order = sorted(range(len(items)), key=lambda i: (-items[i][1], i))
     prepared = [_prepare(box) for box, _, _ in items]
-    suppressed = [False] * len(items)
+    kept_by_group: dict[Hashable, list[int]] = {}
     kept: list[int] = []
-    for pos, i in enumerate(order):
-        if suppressed[i]:
-            continue
-        kept.append(i)
-        cat_i = items[i][2]
-        for j in order[pos + 1:]:
-            if suppressed[j]:
-                continue
-            if not class_agnostic and cat_i != items[j][2]:
-                continue
-            if _pair_iou(prepared[i], prepared[j]) > iou_threshold:
-                suppressed[j] = True
+    for i in sorted(range(len(items)), key=lambda i: (-items[i][1], i)):
+        group = kept_by_group.setdefault(items[i][2], [])
+        # `not any(>)` rather than `all(<=)`: a NaN IoU suppresses nothing.
+        if not any(_pair_iou(prepared[k], prepared[i]) > iou_threshold for k in group):
+            group.append(i)
+            kept.append(i)
     return kept

@@ -127,6 +127,18 @@ class TestGeometryCommands:
         code, out, _ = run_cli(capsys, "nms", "--detections", str(path), "--threshold", "0.5")
         assert (code, json.loads(out)) == (0, {"kept": [1, 2, 3], "total": 4})
 
+    def test_nms_class_agnostic_suppresses_across_categories(self, capsys, tmp_path):
+        box = OrientedBox(10, 10, 4, 2, 30)
+        path = tmp_path / "dets.json"
+        write_detections([DetectionRecord("im1", box, "ship", 0.9),
+                          DetectionRecord("im1", box, "plane", 0.8),
+                          DetectionRecord("im2", box, "plane", 0.7)], path)
+        argv = ["nms", "--detections", str(path), "--threshold", "0.5"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, json.loads(out)) == (0, {"kept": [0, 1, 2], "total": 3})
+        code, out, _ = run_cli(capsys, *argv, "--class-agnostic")
+        assert (code, json.loads(out)) == (0, {"kept": [0, 2], "total": 3})
+
     def test_thickness(self, capsys):
         code, out, _ = run_cli(capsys, "thickness", "--method", "csl", "--ctheta", "180",
                                "--anchors", "9")
@@ -256,6 +268,20 @@ class TestEval:
         assert (code, out) == (0, clean)
         assert "im1.txt:2: non-finite box parameters" in caplog.text
 
+    @pytest.mark.parametrize("box", [{"cx": 10.0, "cy": 10.0, "w": 1e-200, "h": 1e-200},
+                                     {"cx": 1e8, "cy": 1e8, "w": 1e-9, "h": 1e-9}])
+    def test_collapsed_json_detection_is_skipped(self, capsys, caplog, eval_fixture, box):
+        gt_dir, det_path = eval_fixture
+        argv = ["eval", "--gt", str(gt_dir), "--det", str(det_path), "--nms", "0.5"]
+        code, clean, _ = run_cli(capsys, *argv)
+        assert code == 0
+        records = json.loads(det_path.read_text())
+        records.insert(1, {**records[0], **box})
+        det_path.write_text(json.dumps(records))
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (0, clean)
+        assert "dets.json:2: record 2: quad must be counter-clockwise" in caplog.text
+
     def test_bad_nms_threshold_exits_2_before_reading(self, capsys, eval_fixture, tmp_path):
         gt_dir, _ = eval_fixture
         empty = tmp_path / "empty.json"
@@ -293,6 +319,13 @@ class TestGradcheck:
         assert code == 1
         assert json.loads(out)["passed"] is False
         assert "smooth_l1" in err
+
+    def test_nan_gradient_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(anglekit.losses, "smooth_l1_grad", lambda pred, target: math.nan)
+        code, out, err = run_cli(capsys, "gradcheck", "--points", "10")
+        assert code == 1
+        assert json.loads(out)["passed"] is False
+        assert "gradient check failed: smooth_l1 rel_err=inf" in err
 
 
 def test_star_import_binds_no_module():

@@ -226,7 +226,7 @@ class TestWriteReport:
     def test_json_roundtrip_exact(self, tmp_path):
         report = small_report()
         path = tmp_path / "report.json"
-        write_report(report, "json", path)
+        write_report(report, path)
         payload = json.loads(path.read_text())
         assert payload["mode"] == "voc12"
         for cat, cells in report.categories.items():
@@ -237,17 +237,17 @@ class TestWriteReport:
 
     def test_byte_identical_across_runs(self, tmp_path):
         report = small_report()
-        write_report(report, "json", tmp_path / "a.json")
-        write_report(report, "json", tmp_path / "b.json")
+        write_report(report, tmp_path / "a.json")
+        write_report(report, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-        write_report(report, "csv", tmp_path / "a.csv")
-        write_report(report, "csv", tmp_path / "b.csv")
+        write_report(report, tmp_path / "a.csv")
+        write_report(report, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_csv_rows_and_aggregates(self, tmp_path):
         report = small_report()
         path = tmp_path / "report.csv"
-        write_report(report, "csv", path)
+        write_report(report, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "category,iou_threshold,ap,tp,fp,num_gt"
         assert len(lines) == 1 + 2 * 2 + 2  # header, 2 cats x 2 thrs, 2 mAP rows
@@ -257,11 +257,7 @@ class TestWriteReport:
     def test_empty_category_report(self, tmp_path):
         report = evaluate([], [], [0.5])
         path = tmp_path / "empty.csv"
-        write_report(report, "csv", path)
+        write_report(report, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "category,iou_threshold,ap,tp,fp,num_gt"
         assert lines[1] == "mAP,0.50,0.000000,,,"
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(InvalidInputError):
-            write_report(small_report(), "xml", tmp_path / "x.xml")

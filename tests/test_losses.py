@@ -402,6 +402,12 @@ class TestFiniteDifference:
             lambda p: giou_location_loss_grad(p, target), pred)
         assert err < 1e-4
 
+    def test_nan_gradient_fails(self):
+        square = lambda p: p[0] ** 2  # noqa: E731
+        assert finite_diff_grad_check(square, lambda p: [math.nan], [1.0]) == math.inf
+        assert finite_diff_grad_check(lambda p: math.nan, lambda p: [2.0 * p[0]],
+                                      [1.0]) == math.inf
+
     def test_full_suite_passes(self):
         results = run_gradient_checks(seed=0, points=100)
         assert set(results) == {"smooth_l1", "mse", "ifl", "focal", "cross_entropy",

@@ -327,9 +327,8 @@ class TestRotatedNms:
 
     def test_category_gating(self):
         box = OrientedBox(0, 0, 2, 1, 15)
-        items = [(box, 0.9, "ship"), (box, 0.8, "plane")]
-        assert rotated_nms(items, 0.5) == [0, 1]
-        assert rotated_nms(items, 0.5, class_agnostic=True) == [0]
+        assert rotated_nms([(box, 0.9, "ship"), (box, 0.8, "plane")], 0.5) == [0, 1]
+        assert rotated_nms([(box, 0.9, "im1"), (box, 0.8, "im1")], 0.5) == [0]
 
     def test_score_tie_breaks_to_lower_index(self):
         box = OrientedBox(0, 0, 2, 1, 15)
@@ -342,6 +341,20 @@ class TestRotatedNms:
                       str(rng.integers(0, 3))) for _ in range(50)]
             for threshold in (0.1, 0.3, 0.5):
                 assert rotated_nms(items, threshold) == reference_nms(items, threshold)
+
+    def test_tuple_keys_match_reference_per_group(self):
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            items = [(random_longside_box(rng, span=2.0), float(rng.uniform(0, 1)),
+                      (str(rng.integers(0, 2)), str(rng.integers(0, 3)))) for _ in range(60)]
+            for threshold in (0.1, 0.3, 0.5):
+                expected = []
+                for key in {item[2] for item in items}:
+                    idxs = [i for i, item in enumerate(items) if item[2] == key]
+                    kept = reference_nms([items[i] for i in idxs], threshold)
+                    expected.extend(idxs[k] for k in kept)
+                expected.sort(key=lambda i: (-items[i][1], i))
+                assert rotated_nms(items, threshold) == expected
 
     def test_corners_built_once_per_item(self, monkeypatch):
         rng = np.random.default_rng(17)
