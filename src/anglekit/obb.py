@@ -38,7 +38,7 @@ class OrientedBox:
 
     def __post_init__(self):
         values = (self.cx, self.cy, self.w, self.h, self.theta)
-        if not all(math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             raise InvalidInputError(f"non-finite box parameters: {values}")
         if self.w <= 0 or self.h <= 0:
             raise InvalidInputError(f"box sides must be positive, got w={self.w}, h={self.h}")
@@ -62,7 +62,7 @@ class AxisAlignedBox:
     h: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.cx, self.cy, self.w, self.h)):
+        if not all(map(math.isfinite, (self.cx, self.cy, self.w, self.h))):
             raise InvalidInputError("non-finite box parameters")
         if self.w <= 0 or self.h <= 0:
             raise InvalidInputError(f"box sides must be positive, got w={self.w}, h={self.h}")
@@ -78,21 +78,62 @@ def _signed_area(vertices: Sequence[Point]) -> float:
     return 0.5 * total
 
 
-def _is_convex_ccw(vertices: Sequence[Point]) -> bool:
-    n = len(vertices)
-    for i in range(n):
-        ax, ay = vertices[i]
-        bx, by = vertices[(i + 1) % n]
-        cx, cy = vertices[(i + 2) % n]
-        cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        if cross < 0.0:
-            return False
-    return True
+# Quad helpers: _signed_area and the per-vertex turn test unrolled for four
+# vertices, term by term in the same order, so the results are the same bits.
+
+def _quad_area(pts) -> float:
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
+    return 0.5 * (0.0 + (x0 * y1 - x1 * y0) + (x1 * y2 - x2 * y1)
+                  + (x2 * y3 - x3 * y2) + (x3 * y0 - x0 * y3))
+
+
+def _quad_convex(pts) -> bool:
+    # No clockwise turn at any vertex; a NaN turn counts as convex.
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
+    return not ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) < 0.0
+                or (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1) < 0.0
+                or (x3 - x2) * (y0 - y2) - (y3 - y2) * (x0 - x2) < 0.0
+                or (x0 - x3) * (y1 - y3) - (y0 - y3) * (x1 - x3) < 0.0)
+
+
+def _quad_finite(pts) -> bool:
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
+    return all(map(math.isfinite, (x0, y0, x1, y1, x2, y2, x3, y3)))
+
+
+def _checked_area(pts) -> float:
+    # Area of four float vertices, after the checks every QuadPolygon passes.
+    if not _quad_finite(pts):
+        raise InvalidInputError("non-finite quad vertices")
+    area = _quad_area(pts)
+    if area <= 0.0:
+        raise DegenerateQuadError("quad must be counter-clockwise with positive area")
+    if not _quad_convex(pts):
+        raise DegenerateQuadError("quad must be convex")
+    return area
+
+
+def _ordered_ccw(candidate: list[Point]):
+    # (vertices, area) of a convex, non-sliver quad in counter-clockwise
+    # order, reversing a clockwise candidate; None if there is none.
+    area = _quad_area(candidate)
+    if area < 0.0:
+        candidate = candidate[::-1]
+        if -area < _SLIVER_AREA or not _quad_convex(candidate):
+            return None
+        # The reversed order sums its terms differently, so measure it again.
+        return candidate, _quad_area(candidate)
+    if area < _SLIVER_AREA or not _quad_convex(candidate):
+        return None
+    return candidate, area
 
 
 @dataclass(frozen=True)
 class QuadPolygon:
-    """Convex quadrilateral with vertices in counter-clockwise order."""
+    """Convex quadrilateral with vertices in counter-clockwise order.
+
+    Construction checks the vertices once and stores their area.
+    """
 
     vertices: tuple[Point, Point, Point, Point]
 
@@ -100,50 +141,50 @@ class QuadPolygon:
         if len(self.vertices) != 4:
             raise InvalidInputError("quad requires exactly 4 vertices")
         pts = tuple((float(x), float(y)) for x, y in self.vertices)
-        if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
-            raise InvalidInputError("non-finite quad vertices")
         object.__setattr__(self, "vertices", pts)
-        if _signed_area(pts) <= 0.0:
-            raise DegenerateQuadError("quad must be counter-clockwise with positive area")
-        if not _is_convex_ccw(pts):
-            raise DegenerateQuadError("quad must be convex")
+        object.__setattr__(self, "_area", _checked_area(pts))
+
+    @classmethod
+    def _trusted(cls, vertices: tuple, area: float) -> "QuadPolygon":
+        # A quad whose float vertices already passed the checks, with their area.
+        quad = object.__new__(cls)
+        object.__setattr__(quad, "vertices", vertices)
+        object.__setattr__(quad, "_area", area)
+        return quad
 
     @classmethod
     def from_points(cls, points: Sequence[Point]) -> "QuadPolygon":
         """Build a quad from 4 points in any winding, normalizing to CCW.
 
         Points given in an order that zig-zags are re-sorted around their
-        centroid. Duplicate or collinear point sets raise DegenerateQuadError.
+        centroid. Non-finite points raise InvalidInputError; duplicate or
+        collinear point sets raise DegenerateQuadError.
         """
         if len(points) != 4:
             raise DegenerateQuadError("expected exactly 4 points")
         pts = [(float(x), float(y)) for x, y in points]
+        if not _quad_finite(pts):
+            raise InvalidInputError("non-finite quad vertices")
         for i in range(4):
             for j in range(i + 1, 4):
                 if pts[i] == pts[j]:
                     raise DegenerateQuadError(f"duplicate point {pts[i]}")
-
-        def ordered_ccw(candidate):
-            area = _signed_area(candidate)
-            if area < 0.0:
-                candidate = list(reversed(candidate))
-                area = -area
-            if area < _SLIVER_AREA or not _is_convex_ccw(candidate):
-                return None
-            return candidate
-
-        result = ordered_ccw(pts)
-        if result is None:
+        found = _ordered_ccw(pts)
+        if found is None:
             cx = sum(p[0] for p in pts) / 4.0
             cy = sum(p[1] for p in pts) / 4.0
-            result = ordered_ccw(sorted(pts, key=lambda p: math.atan2(p[1] - cy, p[0] - cx)))
-        if result is None:
+            found = _ordered_ccw(sorted(pts, key=lambda p: math.atan2(p[1] - cy, p[0] - cx)))
+        if found is None:
             raise DegenerateQuadError("points do not form a convex quad")
-        return cls(tuple(result))
+        vertices, area = found
+        if area <= 0.0:
+            raise DegenerateQuadError("quad must be counter-clockwise with positive area")
+        return cls._trusted(tuple(vertices), area)
 
     @property
     def area(self) -> float:
-        return _signed_area(self.vertices)
+        """Area of the quad (positive), stored when its vertices were checked."""
+        return self._area
 
 
 def longside(cx: float, cy: float, w: float, h: float, theta: float) -> OrientedBox:
@@ -163,12 +204,13 @@ def to_corners(box: OrientedBox) -> QuadPolygon:
     ux, uy = math.cos(rad), math.sin(rad)
     vx, vy = -uy, ux
     a, b = 0.5 * box.w, 0.5 * box.h
-    return QuadPolygon((
+    pts = (
         (box.cx + a * ux + b * vx, box.cy + a * uy + b * vy),
         (box.cx - a * ux + b * vx, box.cy - a * uy + b * vy),
         (box.cx - a * ux - b * vx, box.cy - a * uy - b * vy),
         (box.cx + a * ux - b * vx, box.cy + a * uy - b * vy),
-    ))
+    )
+    return QuadPolygon._trusted(pts, _checked_area(pts))
 
 
 def from_corners(quad: QuadPolygon) -> OrientedBox:
@@ -178,18 +220,17 @@ def from_corners(quad: QuadPolygon) -> OrientedBox:
     calipers for four points); for exact rectangle inputs this round-trips
     to_corners within 1e-6 px.
     """
-    pts = quad.vertices
+    p0, p1, p2, p3 = quad.vertices
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = p0, p1, p2, p3
     best = None
-    for i in range(4):
-        px, py = pts[i]
-        qx, qy = pts[(i + 1) % 4]
+    for (px, py), (qx, qy) in ((p0, p1), (p1, p2), (p2, p3), (p3, p0)):
         ex, ey = qx - px, qy - py
         norm = math.hypot(ex, ey)
         if norm < 1e-12:
             continue
         ux, uy = ex / norm, ey / norm
-        su = [x * ux + y * uy for x, y in pts]
-        sv = [y * ux - x * uy for x, y in pts]
+        su = (x0 * ux + y0 * uy, x1 * ux + y1 * uy, x2 * ux + y2 * uy, x3 * ux + y3 * uy)
+        sv = (y0 * ux - x0 * uy, y1 * ux - x1 * uy, y2 * ux - x2 * uy, y3 * ux - x3 * uy)
         lo_u, hi_u = min(su), max(su)
         lo_v, hi_v = min(sv), max(sv)
         area = (hi_u - lo_u) * (hi_v - lo_v)
@@ -208,14 +249,13 @@ def from_corners(quad: QuadPolygon) -> OrientedBox:
 
 
 def _clip_by_edge(subject: list[Point], ax: float, ay: float, bx: float, by: float) -> list[Point]:
-    # Keeps the part of the subject on the left of the directed edge a->b.
+    # Keeps the part of the non-empty subject on the left of the directed
+    # edge a->b. Each vertex's side test is made once and carried to the next.
     ex, ey = bx - ax, by - ay
     out: list[Point] = []
-    n = len(subject)
-    for i in range(n):
-        sx, sy = subject[i - 1]
-        px, py = subject[i]
-        s_in = ex * (sy - ay) - ey * (sx - ax) >= 0.0
+    sx, sy = subject[-1]
+    s_in = ex * (sy - ay) - ey * (sx - ax) >= 0.0
+    for px, py in subject:
         p_in = ex * (py - ay) - ey * (px - ax) >= 0.0
         if p_in != s_in:
             dx, dy = px - sx, py - sy
@@ -225,18 +265,17 @@ def _clip_by_edge(subject: list[Point], ax: float, ay: float, bx: float, by: flo
                 out.append((sx + t * dx, sy + t * dy))
         if p_in:
             out.append((px, py))
+        sx, sy, s_in = px, py, p_in
     return out
 
 
 def convex_intersection_area(a: QuadPolygon, b: QuadPolygon) -> float:
     """Intersection area of two convex quads (Sutherland-Hodgman clipping)."""
     poly = list(a.vertices)
-    clip = b.vertices
-    for i in range(4):
+    c0, c1, c2, c3 = b.vertices
+    for (ax, ay), (bx, by) in ((c0, c1), (c1, c2), (c2, c3), (c3, c0)):
         if not poly:
             return 0.0
-        ax, ay = clip[i]
-        bx, by = clip[(i + 1) % 4]
         poly = _clip_by_edge(poly, ax, ay, bx, by)
     if len(poly) < 3:
         return 0.0
@@ -251,9 +290,9 @@ def convex_intersection_area(a: QuadPolygon, b: QuadPolygon) -> float:
 def _prepare(box: OrientedBox) -> tuple:
     # Everything the pair kernel reads of one box: corners, area, AABB.
     quad = to_corners(box)
-    xs = [p[0] for p in quad.vertices]
-    ys = [p[1] for p in quad.vertices]
-    return quad, quad.area, min(xs), max(xs), min(ys), max(ys)
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = quad.vertices
+    return (quad, quad.area, min(x0, x1, x2, x3), max(x0, x1, x2, x3),
+            min(y0, y1, y2, y3), max(y0, y1, y2, y3))
 
 
 def _pair_iou(a: tuple, b: tuple) -> float:

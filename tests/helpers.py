@@ -6,6 +6,7 @@ routes stay independent.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -76,6 +77,31 @@ def mc_intersection_fraction(quad_a, quad_b, n_samples, rng):
     frac = np.count_nonzero(both) / n_samples
     bbox_area = (hi_x - lo_x) * (hi_y - lo_y)
     return frac, bbox_area
+
+
+def exact_intersection_area(subject, clip):
+    """Area of two convex CCW polygons' intersection in exact rational arithmetic.
+
+    Float vertices convert to Fractions exactly, so every side test and
+    crossing point is exact: no edge is ever "parallel but straddling".
+    """
+    poly = [(Fraction(x), Fraction(y)) for x, y in subject]
+    edges = [(Fraction(x), Fraction(y)) for x, y in clip]
+    for (ax, ay), (bx, by) in zip(edges, edges[1:] + edges[:1]):
+        side = [(bx - ax) * (y - ay) - (by - ay) * (x - ax) for x, y in poly]
+        kept = []
+        for j in range(len(poly)):
+            if (side[j - 1] >= 0) != (side[j] >= 0):
+                t = side[j - 1] / (side[j - 1] - side[j])
+                (sx, sy), (px, py) = poly[j - 1], poly[j]
+                kept.append((sx + t * (px - sx), sy + t * (py - sy)))
+            if side[j] >= 0:
+                kept.append(poly[j])
+        poly = kept
+        if not poly:
+            return 0.0
+    twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(poly, poly[1:] + poly[:1]))
+    return float(abs(twice) / 2)
 
 
 def brute_force_min_rect_area(points, step_deg=0.01):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from anglekit import (AxisAlignedBox, DegenerateQuadError, InvalidInputError, OrientedBox,
                       QuadPolygon, aabb_giou, convex_intersection_area, from_corners,
                       iou_matrix, longside, rotated_iou, rotated_nms, to_corners)
-from helpers import (brute_force_min_rect_area, count_calls, mc_intersection_fraction,
-                     random_longside_box, reference_nms)
+from anglekit.obb import _signed_area
+from helpers import (brute_force_min_rect_area, count_calls, exact_intersection_area,
+                     mc_intersection_fraction, random_longside_box, reference_nms)
 
 
 def sorted_corners(quad):
@@ -136,6 +138,128 @@ class TestFromCorners:
         assert ccw.area == cw.area == zigzag.area == pytest.approx(2.0)
 
 
+NAN, INF = math.nan, math.inf
+CCW_MESSAGE = "quad must be counter-clockwise with positive area"
+NOT_CONVEX = "points do not form a convex quad"
+DART = ((0, 0), (4, 0), (1, 1), (0, 4))  # counter-clockwise, reflex at (1, 1)
+SLIVER = ((0, 0), (1, 0), (1, 1e-13), (0, 1e-13))  # counter-clockwise, 1e-13 px^2
+
+
+def rejection(call, *args):
+    with pytest.raises(InvalidInputError) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+class TestQuadValidation:
+    """Which check rejects a quad, with which type and message, in which order."""
+
+    @pytest.mark.parametrize("points, error, message", [
+        pytest.param([(0, 0), (1, 0), (1, 1)], DegenerateQuadError,
+                     "expected exactly 4 points", id="three"),
+        pytest.param([(0, 0), (1, 0), (1, 1), (0, 1), (2, 2)], DegenerateQuadError,
+                     "expected exactly 4 points", id="five"),
+        pytest.param([(0, 0), (1, 0), (1, 1), (NAN, 1)], InvalidInputError,
+                     "non-finite quad vertices", id="nan"),
+        pytest.param([(0, 0), (1, 0), (1, 1), (INF, 1)], InvalidInputError,
+                     "non-finite quad vertices", id="inf"),
+        pytest.param([(0, 0), (1, 0), (1, -INF), (0, 1)], InvalidInputError,
+                     "non-finite quad vertices", id="-inf"),
+        pytest.param([(INF, 0), (INF, 0), (1, 0), (1, 1)], InvalidInputError,
+                     "non-finite quad vertices", id="non-finite-before-duplicate"),
+        pytest.param([(0, 0), (1, 0), (0, 0), (1, 1)], DegenerateQuadError,
+                     "duplicate point (0.0, 0.0)", id="duplicate"),
+        pytest.param([(0, 0), (1, 1), (1, 1), (3, 3)], DegenerateQuadError,
+                     "duplicate point (1.0, 1.0)", id="duplicate-before-collinear"),
+        pytest.param([(0, 0), (1, 1), (2, 2), (3, 3)], DegenerateQuadError, NOT_CONVEX,
+                     id="collinear"),
+        pytest.param(list(SLIVER), DegenerateQuadError, NOT_CONVEX, id="sliver"),
+        pytest.param(list(SLIVER[::-1]), DegenerateQuadError, NOT_CONVEX, id="clockwise-sliver"),
+        pytest.param(list(DART), DegenerateQuadError, NOT_CONVEX, id="non-convex"),
+        pytest.param(list(DART[::-1]), DegenerateQuadError, NOT_CONVEX,
+                     id="clockwise-non-convex"),
+    ])
+    def test_from_points_rejections(self, points, error, message):
+        assert rejection(QuadPolygon.from_points, points) == (error, message)
+
+    @pytest.mark.parametrize("vertices, error, message", [
+        pytest.param(((0, 0), (1, 0), (1, 1)), InvalidInputError,
+                     "quad requires exactly 4 vertices", id="three"),
+        pytest.param(((0, 0), (1, 0), (1, 1), (0, NAN)), InvalidInputError,
+                     "non-finite quad vertices", id="nan"),
+        pytest.param(((0, 0), (1, 0), (INF, 1), (0, 1)), InvalidInputError,
+                     "non-finite quad vertices", id="inf"),
+        pytest.param(((0, 0), (0, 1), (1, 1), (-INF, 0)), InvalidInputError,
+                     "non-finite quad vertices", id="-inf-before-clockwise"),
+        pytest.param(((0, 0), (0, 0), (0, 0), (1, 1)), DegenerateQuadError, CCW_MESSAGE,
+                     id="duplicate"),
+        pytest.param(((0, 0), (1, 1), (2, 2), (3, 3)), DegenerateQuadError, CCW_MESSAGE,
+                     id="collinear"),
+        pytest.param(((0, 0), (0, 1), (1, 1), (1, 0)), DegenerateQuadError, CCW_MESSAGE,
+                     id="clockwise"),
+        pytest.param(DART[::-1], DegenerateQuadError, CCW_MESSAGE,
+                     id="clockwise-before-non-convex"),
+        pytest.param(DART, DegenerateQuadError, "quad must be convex", id="non-convex"),
+    ])
+    def test_constructor_rejections(self, vertices, error, message):
+        assert rejection(QuadPolygon, vertices) == (error, message)
+
+    def test_constructor_keeps_slivers_that_from_points_rejects(self):
+        assert QuadPolygon(SLIVER).area == pytest.approx(1e-13)
+
+    @pytest.mark.parametrize("box, error, message", [
+        pytest.param(OrientedBox(1.7e308, 0.0, 1.7e308, 1.0, 0.0), InvalidInputError,
+                     "non-finite quad vertices", id="overflow"),
+        pytest.param(OrientedBox(1e9, 1e9, 1e-7, 5e-8, 30.0), DegenerateQuadError,
+                     CCW_MESSAGE, id="collapse"),
+    ])
+    def test_to_corners_rejections(self, box, error, message):
+        assert rejection(to_corners, box) == (error, message)
+
+    @given(st.floats(-2e4, 2e4), st.floats(-2e4, 2e4), st.floats(1e-3, 1e3),
+           st.floats(0.05, 1.0), st.floats(0, 180), st.integers(0, 3))
+    @settings(max_examples=200)
+    def test_stored_area_is_the_shoelace_of_the_vertices(self, cx, cy, w, hfrac, theta, roll):
+        quad = to_corners(OrientedBox(cx, cy, w, w * hfrac, theta))
+        assert quad.area == _signed_area(quad.vertices)
+        rolled = quad.vertices[roll:] + quad.vertices[:roll]
+        assert QuadPolygon(rolled).area == _signed_area(rolled)
+        # A clockwise input is reversed and a zig-zag one re-sorted: the stored
+        # area is that of the vertex order kept, not the negated input area.
+        zigzag = (rolled[0], rolled[2], rolled[1], rolled[3])
+        for points in (rolled[::-1], zigzag):
+            fixed = QuadPolygon.from_points(points)
+            assert fixed.area == _signed_area(fixed.vertices)
+
+
+def near_parallel_pair(rng):
+    """Quads a, b where a's edge s->p runs along b's first edge c0->c1 (denom
+    == 0) yet rounding puts s and p on opposite sides of it, so the first
+    clip of convex_intersection_area(a, b) drops that crossing."""
+    for _ in range(1000):
+        ax, ay = rng.uniform(-1, 1), rng.uniform(-1, 1)
+        bx, by = ax + rng.uniform(-1, 1), ay + rng.uniform(-1, 1)
+        ex, ey = bx - ax, by - ay
+        t, k = rng.uniform(-0.5, 0.5), rng.choice((0.5, 1.0))
+        sx, sy = ax + t * ex, ay + t * ey
+        px, py = sx + k * ex, sy + k * ey
+        dx, dy = px - sx, py - sy
+        s_in = ex * (sy - ay) - ey * (sx - ax) >= 0.0
+        p_in = ex * (py - ay) - ey * (px - ax) >= 0.0
+        if ex * dy - ey * dx != 0.0 or s_in == p_in:
+            continue
+        h, g = rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0)
+        try:
+            a = QuadPolygon(((sx, sy), (px, py), (px - dy * g, py + dx * g),
+                             (sx - dy * g, sy + dx * g)))
+            b = QuadPolygon(((ax, ay), (bx, by), (bx - ey * h, by + ex * h),
+                             (ax - ey * h, ay + ex * h)))
+        except DegenerateQuadError:
+            continue
+        return a, b
+    raise AssertionError("no near-parallel pair found")
+
+
 class TestConvexIntersectionArea:
     UNIT = QuadPolygon(((0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5)))
 
@@ -176,6 +300,15 @@ class TestConvexIntersectionArea:
             frac_exact = convex_intersection_area(a, b) / bbox_area
             worst = max(worst, abs(frac_exact - frac_mc))
         assert worst < 2e-3
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=50)
+    def test_near_parallel_edges_match_exact_arithmetic(self, seed):
+        a, b = near_parallel_pair(random.Random(seed))
+        smaller = min(a.area, b.area)
+        # float64 rounding over a few dozen operations, with ~50x headroom.
+        assert convex_intersection_area(a, b) == pytest.approx(
+            exact_intersection_area(a.vertices, b.vertices), rel=0, abs=1e-12 * smaller)
 
     def test_symmetry_and_bound(self):
         rng = np.random.default_rng(3)
