@@ -177,13 +177,16 @@ class QuadPolygon:
         if found is None:
             raise DegenerateQuadError("points do not form a convex quad")
         vertices, area = found
+        # Only a re-measured reversed order can fall to <= 0 here, through
+        # cancellation at large coordinates; QuadPolygon rejects it so.
         if area <= 0.0:
             raise DegenerateQuadError("quad must be counter-clockwise with positive area")
         return cls._trusted(tuple(vertices), area)
 
     @property
     def area(self) -> float:
-        """Area of the quad (positive), stored when its vertices were checked."""
+        """Shoelace area of the vertices: a stored value, computed once when
+        the vertices were checked, never recomputed."""
         return self._area
 
 
