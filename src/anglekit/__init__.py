@@ -3,9 +3,8 @@
 __version__ = "0.1.0"
 
 from .errors import AngleKitError, DegenerateQuadError, InvalidInputError, ParseError
-from .obb import (AxisAlignedBox, OrientedBox, QuadPolygon, aabb_giou,
-                  convex_intersection_area, from_corners, iou_matrix, longside, rotated_iou,
-                  rotated_nms, to_corners)
+from .obb import (AxisAlignedBox, OrientedBox, QuadPolygon, convex_intersection_area,
+                  from_corners, iou_matrix, longside, rotated_iou, rotated_nms, to_corners)
 from .codecs import (AnglePrediction, AngleTarget, CodecConfig, FitFunction, Method,
                      analytic_errors, decode, empirical_errors, encode, head_thickness,
                      ideal_prediction, omega)
@@ -22,8 +21,8 @@ from .io_formats import (parse_annotation_dir, parse_annotation_file, parse_dete
 
 __all__ = [
     "AngleKitError", "DegenerateQuadError", "InvalidInputError", "ParseError",
-    "AxisAlignedBox", "OrientedBox", "QuadPolygon", "aabb_giou", "convex_intersection_area",
-    "from_corners", "iou_matrix", "longside", "rotated_iou", "rotated_nms", "to_corners",
+    "AxisAlignedBox", "OrientedBox", "QuadPolygon", "convex_intersection_area", "from_corners",
+    "iou_matrix", "longside", "rotated_iou", "rotated_nms", "to_corners",
     "AnglePrediction", "AngleTarget", "CodecConfig", "FitFunction", "Method",
     "analytic_errors", "decode", "empirical_errors", "encode", "head_thickness",
     "ideal_prediction", "omega",

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from .codecs import AnglePrediction, CodecConfig, Method, _finite_floats, decode, encode
 from .errors import InvalidInputError
-from .obb import AxisAlignedBox, OrientedBox, aabb_giou, longside, rotated_iou
+from .obb import AxisAlignedBox, OrientedBox, longside, rotated_iou
 
 FOCAL_ALPHA = 0.25
 FOCAL_GAMMA = 2.0
@@ -230,13 +230,6 @@ def cross_entropy_grad(logits: Sequence[float], target_index: int) -> list[float
     return grad
 
 
-def giou_location_loss(pred: Sequence[float], target: Sequence[float]) -> float:
-    """1 - GIoU between two (cx, cy, w, h) boxes."""
-    px, py, pw, ph = pred
-    tx, ty, tw, th = target
-    return 1.0 - aabb_giou(AxisAlignedBox(px, py, pw, ph), AxisAlignedBox(tx, ty, tw, th))
-
-
 def _axis_spans(pc: float, ps: float, tc: float, ts: float):
     # (overlap, d_overlap, enclosing, d_enclosing) of the predicted interval
     # (centre pc, size ps) and the target's on one axis, each derivative taken in
@@ -255,15 +248,32 @@ def _axis_spans(pc: float, ps: float, tc: float, ts: float):
     return overlap, d_overlap, enclosing, (r_out - l_out, 0.5 * (r_out + l_out))
 
 
+def _giou_terms(pred: Sequence[float], target: Sequence[float]):
+    # ((pw, ph), x spans, y spans, inter, union, enclosing) of two (cx, cy, w, h)
+    # boxes: the _axis_spans of each axis and the areas GIoU is built from, which
+    # the loss and its gradient both read. Each box is checked as an
+    # AxisAlignedBox, with its errors.
+    px, py, pw, ph = pred
+    tx, ty, tw, th = target
+    AxisAlignedBox(px, py, pw, ph)
+    AxisAlignedBox(tx, ty, tw, th)
+    px, py, pw, ph, tx, ty, tw, th = map(float, (px, py, pw, ph, tx, ty, tw, th))
+    x, y = _axis_spans(px, pw, tx, tw), _axis_spans(py, ph, ty, th)
+    inter = x[0] * y[0]
+    return (pw, ph), x, y, inter, pw * ph + tw * th - inter, x[2] * y[2]
+
+
+def giou_location_loss(pred: Sequence[float], target: Sequence[float]) -> float:
+    """1 - GIoU between two (cx, cy, w, h) boxes."""
+    _, _, _, inter, union, enclosing = _giou_terms(pred, target)
+    return 1.0 - (inter / union - (enclosing - union) / enclosing)
+
+
 def giou_location_loss_grad(pred: Sequence[float], target: Sequence[float]) -> list[float]:
     """Gradient of 1 - GIoU with respect to the predicted (cx, cy, w, h)."""
-    px, py, pw, ph = (float(v) for v in pred)
-    tx, ty, tw, th = (float(v) for v in target)
-    iw, (diw_c, diw_s), cw, (dcw_c, dcw_s) = _axis_spans(px, pw, tx, tw)
-    ih, (dih_c, dih_s), ch, (dch_c, dch_s) = _axis_spans(py, ph, ty, th)
-    inter = iw * ih
-    union = pw * ph + tw * th - inter
-    enclosing = cw * ch
+    (pw, ph), x, y, inter, union, enclosing = _giou_terms(pred, target)
+    iw, (diw_c, diw_s), cw, (dcw_c, dcw_s) = x
+    ih, (dih_c, dih_s), ch, (dch_c, dch_s) = y
     # Derivatives in (cx, cy, w, h).
     d_inter = (ih * diw_c, iw * dih_c, ih * diw_s, iw * dih_s)
     d_union = (-d_inter[0], -d_inter[1], ph - d_inter[2], pw - d_inter[3])

@@ -2,8 +2,8 @@
 
 Long-side boxes (w is the longest side, theta in [0, 180) degrees), corner
 conversions, minimum-area rectangle fitting, convex polygon intersection,
-rotated IoU (one pair or a whole matrix), axis-aligned GIoU, and greedy
-rotated NMS. All functions are pure and operate on immutable values.
+rotated IoU (one pair or a whole matrix), and greedy rotated NMS. All
+functions are pure and operate on immutable values.
 """
 
 from __future__ import annotations
@@ -110,6 +110,8 @@ def _checked_area(pts) -> float:
         raise DegenerateQuadError("quad must be counter-clockwise with positive area")
     if not _quad_convex(pts):
         raise DegenerateQuadError("quad must be convex")
+    if not math.isfinite(area):
+        raise InvalidInputError("quad area is not finite")
     return area
 
 
@@ -157,8 +159,9 @@ class QuadPolygon:
         """Build a quad from 4 points in any winding, normalizing to CCW.
 
         Points given in an order that zig-zags are re-sorted around their
-        centroid. Non-finite points raise InvalidInputError; duplicate or
-        collinear point sets raise DegenerateQuadError.
+        centroid. Non-finite points, or an area that overflows, raise
+        InvalidInputError; duplicate or collinear point sets raise
+        DegenerateQuadError.
         """
         if len(points) != 4:
             raise DegenerateQuadError("expected exactly 4 points")
@@ -181,6 +184,8 @@ class QuadPolygon:
         # cancellation at large coordinates; QuadPolygon rejects it so.
         if area <= 0.0:
             raise DegenerateQuadError("quad must be counter-clockwise with positive area")
+        if not math.isfinite(area):
+            raise InvalidInputError("quad area is not finite")
         return cls._trusted(tuple(vertices), area)
 
     @property
@@ -323,23 +328,6 @@ def iou_matrix(rows: Sequence[OrientedBox], cols: Sequence[OrientedBox]) -> list
     """
     prepared_cols = [_prepare(b) for b in cols]
     return [[_pair_iou(a, b) for b in prepared_cols] for a in map(_prepare, rows)]
-
-
-def aabb_giou(a: AxisAlignedBox, b: AxisAlignedBox) -> float:
-    """Generalized IoU of two axis-aligned boxes, in (-1, 1]."""
-    ar, al = a.cx + 0.5 * a.w, a.cx - 0.5 * a.w
-    at, ab = a.cy + 0.5 * a.h, a.cy - 0.5 * a.h
-    br, bl = b.cx + 0.5 * b.w, b.cx - 0.5 * b.w
-    bt, bb = b.cy + 0.5 * b.h, b.cy - 0.5 * b.h
-    iw = max(0.0, min(ar, br) - max(al, bl))
-    ih = max(0.0, min(at, bt) - max(ab, bb))
-    inter = iw * ih
-    union = a.w * a.h + b.w * b.h - inter
-    iou = inter / union
-    cw = max(ar, br) - min(al, bl)
-    ch = max(at, bt) - min(ab, bb)
-    enclosing = cw * ch
-    return iou - (enclosing - union) / enclosing
 
 
 def check_nms_threshold(iou_threshold: float) -> None:

@@ -140,6 +140,22 @@ def reference_nms(items, iou_threshold, class_agnostic=False):
     return kept
 
 
+def reference_giou_loss(pred, target):
+    """1 - GIoU of two (cx, cy, w, h) boxes, worked in corner (x1, y1, x2, y2)
+    coordinates."""
+    ax1, ay1, ax2, ay2 = (pred[0] - pred[2] / 2, pred[1] - pred[3] / 2,
+                          pred[0] + pred[2] / 2, pred[1] + pred[3] / 2)
+    bx1, by1, bx2, by2 = (target[0] - target[2] / 2, target[1] - target[3] / 2,
+                          target[0] + target[2] / 2, target[1] + target[3] / 2)
+    iw = max(0.0, min(ax2, bx2) - max(ax1, bx1))
+    ih = max(0.0, min(ay2, by2) - max(ay1, by1))
+    inter = iw * ih
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    cw = max(ax2, bx2) - min(ax1, bx1)
+    ch = max(ay2, by2) - min(ay1, by1)
+    return 1.0 - (inter / union - (cw * ch - union) / (cw * ch))
+
+
 def reference_match(dets, gts, iou_threshold):
     """From-scratch single-category matcher following the VOC-style protocol.
 

@@ -87,12 +87,14 @@ class TestGeometryCommands:
          "regression output"),
         (["decode", "--method", "regression", "--treg", "1e200"], "regression output"),
         (["encode", "--method", "csl", "--window", "inf", "--angle", "10"], "window_size"),
+        (["iou", "--box-a", "0,0,1e200,1e200,0", "--box-b", "0,0,1e200,1e200,0"],
+         "quad area is not finite"),
     ], ids=["short-box", "box-token", "logit-token", "threshold-token", "threshold-range",
             "threshold-rounds-to-0", "method-token", "grid-step-500", "grid-step-inf",
             "grid-step-1e-320", "grid-step-5e-324", "grid-step-1e-300", "nms-threshold",
             "gradcheck-points-0", "gradcheck-points-negative", "gradcheck-seed-negative",
             "decode-exp-overflow", "decode-sigmoid-overflow", "decode-square-overflow",
-            "csl-window-inf"])
+            "csl-window-inf", "iou-area-overflow"])
     def test_iou_bad_box_exits_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -262,7 +264,7 @@ class TestEval:
         assert code == 0
         path = gt_dir / "im1.txt"
         first, second = path.read_text().splitlines(keepends=True)
-        overflow = "-1e308 -1e308 1e308 -1e308 1e308 1e308 -1e308 1e308 ship 0\n"
+        overflow = "-1e308 -0.1 1e308 -0.1 1e308 0.1 -1e308 0.1 ship 0\n"  # fit overflows
         path.write_text(first + overflow + second)
         code, out, _ = run_cli(capsys, "eval", "--gt", str(gt_dir), "--det", str(det_path))
         assert (code, out) == (0, clean)

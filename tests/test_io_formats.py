@@ -47,7 +47,7 @@ FIXTURE_MANIFEST = [
 
 
 # Every coordinate is finite and the quad is valid, but its fitted box overflows to NaN.
-OVERFLOW_QUAD = "-1e308 -1e308 1e308 -1e308 1e308 1e308 -1e308 1e308"
+OVERFLOW_QUAD = "-1e308 -0.1 1e308 -0.1 1e308 0.1 -1e308 0.1"  # area 4e307
 
 
 @pytest.fixture
@@ -139,6 +139,15 @@ class TestParseAnnotations:
             ("P1", "ship", False), ("P1", "plane", True), ("P2", "ship", False)]
         assert "P1.txt:2: non-finite box parameters" in caplog.text
 
+    def test_quad_with_overflowing_area_is_located(self, tmp_path, caplog):
+        path = tmp_path / "P1.txt"
+        path.write_text("0 0 2 0 2 1 0 1 ship 0\n0 0 1e200 0 1e200 1e200 0 1e200 plane 0\n")
+        with pytest.raises(ParseError) as info:
+            parse_annotation_file(path)
+        assert str(info.value).endswith("P1.txt:2: quad area is not finite")
+        assert [r.category for r in parse_annotation_file(path, strict=False)] == ["ship"]
+        assert "P1.txt:2: quad area is not finite (skipped)" in caplog.text
+
     def test_not_a_directory(self, tmp_path):
         with pytest.raises(InvalidInputError):
             parse_annotation_dir(tmp_path / "missing")
@@ -178,6 +187,17 @@ class TestParseDetections:
         with pytest.raises(ParseError):
             parse_detections(path)
         assert parse_detections(path, strict=False) == []
+
+    def test_json_record_with_overflowing_area_is_skipped(self, tmp_path, caplog):
+        record = {"image_id": "a", "category": "ship", "score": 0.5,
+                  "cx": 0, "cy": 0, "w": 2, "h": 1, "theta": 0}
+        path = tmp_path / "dets.json"
+        path.write_text(json.dumps([record, {**record, "w": 1e200, "h": 1e200}]))
+        with pytest.raises(ParseError) as info:
+            parse_detections(path)
+        assert str(info.value).endswith("dets.json:2: record 2: quad area is not finite")
+        assert [r.box.w for r in parse_detections(path, strict=False)] == [2.0]
+        assert "record 2: quad area is not finite (skipped)" in caplog.text
 
     def test_score_out_of_range_rejected(self, tmp_path):
         root = tmp_path / "dets"

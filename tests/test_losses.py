@@ -7,11 +7,12 @@ import pytest
 import anglekit.losses
 from anglekit import (AnchorBox, AnglePrediction, AssignedSample, AxisAlignedBox, BoxDeltas,
                       CodecConfig, FitFunction, InvalidInputError, LossWeights, Method,
-                      OrientedBox, aabb_giou, cross_entropy, cross_entropy_grad,
+                      OrientedBox, cross_entropy, cross_entropy_grad,
                       decode_box_deltas, encode, encode_box_deltas, finite_diff_grad_check,
                       focal_loss, focal_loss_grad, giou_location_loss, giou_location_loss_grad,
                       ifl, ifl_grad, longside, mse, mse_grad, multitask_loss, rotated_iou,
                       run_gradient_checks, smooth_l1, smooth_l1_grad)
+from helpers import reference_giou_loss
 
 
 class TestBoxDeltas:
@@ -176,7 +177,42 @@ class TestCrossEntropy:
                 fn(logits, 0)
 
 
+class TestGiouLocationLoss:
+    def test_identical(self):
+        assert giou_location_loss([1, 2, 3, 4], [1, 2, 3, 4]) == 0.0
+
+    def test_disjoint_analytic(self):
+        got = giou_location_loss([0, 0, 2, 2], [10, 0, 2, 2])
+        assert got == pytest.approx(1 + 2 / 3, abs=1e-12)
+
+    def test_dual_formula_oracle(self):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            pred = [*rng.uniform(-2, 2, size=2), *rng.uniform(0.5, 3, size=2)]
+            target = [*rng.uniform(-2, 2, size=2), *rng.uniform(0.5, 3, size=2)]
+            got = giou_location_loss(pred, target)
+            assert got == pytest.approx(reference_giou_loss(pred, target), abs=1e-12)
+            assert 0.0 <= got < 2.0
+
+
 class TestGiouGradient:
+    @pytest.mark.parametrize("side", ["pred", "target"])
+    @pytest.mark.parametrize("index, value, message", [
+        pytest.param(0, math.nan, "non-finite box parameters", id="nan"),
+        pytest.param(3, math.inf, "non-finite box parameters", id="inf"),
+        pytest.param(2, 0.0, "box sides must be positive, got w=0.0, h=1.5", id="zero-side"),
+        pytest.param(3, -1.5, "box sides must be positive, got w=1.5, h=-1.5",
+                     id="negative-side"),
+    ])
+    def test_rejects_what_the_loss_rejects(self, side, index, value, message):
+        boxes = {"pred": [0.2, -0.1, 1.5, 1.5], "target": [0.0, 0.0, 1.5, 1.5]}
+        boxes[side][index] = value
+        for fn in (giou_location_loss, giou_location_loss_grad):
+            with pytest.raises(InvalidInputError) as info:
+                fn(boxes["pred"], boxes["target"])
+            assert (type(info.value), str(info.value)) == (InvalidInputError, message)
+
+
     @pytest.mark.parametrize("pred, target, expected", [
         ([0, 0, 2, 2], [0, 0, 2, 2], [-1.0, -1.0, 0.0, 0.0]),
         ([0.5, 0, 2, 2], [0, 0, 1, 2], [0.0, -0.625, 0.25, -0.0625]),
@@ -275,8 +311,8 @@ class TestMultitaskLoss:
             if not s.objectness:
                 continue
             pred_box = decode_box_deltas(s.pred_deltas, s.anchor)
-            loc += 1.0 - aabb_giou(
-                pred_box, AxisAlignedBox(s.gt_box.cx, s.gt_box.cy, s.gt_box.w, s.gt_box.h))
+            loc += reference_giou_loss((pred_box.cx, pred_box.cy, pred_box.w, pred_box.h),
+                                       (s.gt_box.cx, s.gt_box.cy, s.gt_box.w, s.gt_box.h))
             cat += cross_entropy(s.pred_category_logits, s.gt_category)
             target = encode(s.gt_box.theta, CODEC)
             ang_c += cross_entropy(s.pred_angle.class_logits, target.class_index)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anglekit import (AxisAlignedBox, DegenerateQuadError, InvalidInputError, OrientedBox,
-                      QuadPolygon, aabb_giou, convex_intersection_area, from_corners,
-                      iou_matrix, longside, rotated_iou, rotated_nms, to_corners)
+from anglekit import (DegenerateQuadError, InvalidInputError, OrientedBox, QuadPolygon,
+                      convex_intersection_area, from_corners, iou_matrix, longside, rotated_iou,
+                      rotated_nms, to_corners)
 from anglekit.obb import _signed_area
 from helpers import (brute_force_min_rect_area, count_calls, exact_intersection_area,
                      mc_intersection_fraction, random_longside_box, reference_nms)
@@ -143,6 +143,11 @@ CCW_MESSAGE = "quad must be counter-clockwise with positive area"
 NOT_CONVEX = "points do not form a convex quad"
 DART = ((0, 0), (4, 0), (1, 1), (0, 4))  # counter-clockwise, reflex at (1, 1)
 SLIVER = ((0, 0), (1, 0), (1, 1e-13), (0, 1e-13))  # counter-clockwise, 1e-13 px^2
+NOT_FINITE = "quad area is not finite"
+HUGE = ((0, 0), (1e200, 0), (1e200, 1e200), (0, 1e200))  # counter-clockwise, area inf
+# Counter-clockwise; its shoelace subtracts inf from inf, so the area is nan.
+DIAMOND = ((2e200, 1e200), (1e200, 2e200), (0, 1e200), (1e200, 0))
+HUGE_DART = tuple((5e153 * x, 5e153 * y) for x, y in DART)  # area inf, a turn -inf
 
 
 def rejection(call, *args):
@@ -178,6 +183,11 @@ class TestQuadValidation:
         pytest.param(list(DART), DegenerateQuadError, NOT_CONVEX, id="non-convex"),
         pytest.param(list(DART[::-1]), DegenerateQuadError, NOT_CONVEX,
                      id="clockwise-non-convex"),
+        pytest.param(list(HUGE), InvalidInputError, NOT_FINITE, id="inf-area"),
+        pytest.param(list(HUGE[::-1]), InvalidInputError, NOT_FINITE, id="clockwise-inf-area"),
+        pytest.param(list(DIAMOND), InvalidInputError, NOT_FINITE, id="nan-area"),
+        pytest.param(list(HUGE_DART), DegenerateQuadError, NOT_CONVEX,
+                     id="non-convex-before-inf-area"),
     ])
     def test_from_points_rejections(self, points, error, message):
         assert rejection(QuadPolygon.from_points, points) == (error, message)
@@ -200,6 +210,12 @@ class TestQuadValidation:
         pytest.param(DART[::-1], DegenerateQuadError, CCW_MESSAGE,
                      id="clockwise-before-non-convex"),
         pytest.param(DART, DegenerateQuadError, "quad must be convex", id="non-convex"),
+        pytest.param(HUGE, InvalidInputError, NOT_FINITE, id="inf-area"),
+        pytest.param(DIAMOND, InvalidInputError, NOT_FINITE, id="nan-area"),
+        pytest.param(HUGE[::-1], DegenerateQuadError, CCW_MESSAGE,
+                     id="clockwise-before-inf-area"),
+        pytest.param(HUGE_DART, DegenerateQuadError, "quad must be convex",
+                     id="non-convex-before-inf-area"),
     ])
     def test_constructor_rejections(self, vertices, error, message):
         assert rejection(QuadPolygon, vertices) == (error, message)
@@ -212,6 +228,10 @@ class TestQuadValidation:
                      "non-finite quad vertices", id="overflow"),
         pytest.param(OrientedBox(1e9, 1e9, 1e-7, 5e-8, 30.0), DegenerateQuadError,
                      CCW_MESSAGE, id="collapse"),
+        pytest.param(OrientedBox(0.0, 0.0, 1e200, 1e200, 0.0), InvalidInputError,
+                     NOT_FINITE, id="inf-area"),
+        pytest.param(OrientedBox(0.0, 0.0, 1e200, 1e100, 30.0), InvalidInputError,
+                     NOT_FINITE, id="nan-area"),
     ])
     def test_to_corners_rejections(self, box, error, message):
         assert rejection(to_corners, box) == (error, message)
@@ -413,39 +433,6 @@ class TestIouMatrix:
         corners = count_calls(monkeypatch, "to_corners")
         iou_matrix(rows, cols)
         assert corners[0] == len(rows) + len(cols)
-
-
-class TestAabbGiou:
-    def test_identical(self):
-        box = AxisAlignedBox(1, 2, 3, 4)
-        assert aabb_giou(box, box) == 1.0
-
-    def test_disjoint_analytic(self):
-        got = aabb_giou(AxisAlignedBox(0, 0, 2, 2), AxisAlignedBox(10, 0, 2, 2))
-        assert got == pytest.approx(-2 / 3, abs=1e-12)
-
-    def test_dual_formula_oracle(self):
-        # Second implementation in corner (x1, y1, x2, y2) coordinates.
-        def oracle(a, b):
-            ax1, ay1, ax2, ay2 = a.cx - a.w / 2, a.cy - a.h / 2, a.cx + a.w / 2, a.cy + a.h / 2
-            bx1, by1, bx2, by2 = b.cx - b.w / 2, b.cy - b.h / 2, b.cx + b.w / 2, b.cy + b.h / 2
-            iw = max(0.0, min(ax2, bx2) - max(ax1, bx1))
-            ih = max(0.0, min(ay2, by2) - max(ay1, by1))
-            inter = iw * ih
-            union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-            cw = max(ax2, bx2) - min(ax1, bx1)
-            ch = max(ay2, by2) - min(ay1, by1)
-            return inter / union - (cw * ch - union) / (cw * ch)
-
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            a = AxisAlignedBox(*rng.uniform(-2, 2, size=2), *rng.uniform(0.5, 3, size=2))
-            b = AxisAlignedBox(*rng.uniform(-2, 2, size=2), *rng.uniform(0.5, 3, size=2))
-            got = aabb_giou(a, b)
-            assert got == pytest.approx(oracle(a, b), abs=1e-12)
-            assert -1.0 < got <= 1.0
-            iou_only = max(got, 0.0)
-            assert got <= iou_only + 1e-12
 
 
 class TestRotatedNms:
