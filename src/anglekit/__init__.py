@@ -17,7 +17,7 @@ from .evaluation import (COCO_THRESHOLDS, VOC07, VOC12, CategoryThresholdResult,
                          DetectionRecord, EvalReport, GroundTruthRecord, MatchResult,
                          average_precision, evaluate, match_detections)
 from .io_formats import (parse_annotation_dir, parse_annotation_file, parse_detections,
-                         report_to_dict, write_detections, write_report)
+                         write_detections, write_report)
 
 __all__ = [
     "AngleKitError", "DegenerateQuadError", "InvalidInputError", "ParseError",
@@ -34,6 +34,6 @@ __all__ = [
     "COCO_THRESHOLDS", "VOC07", "VOC12", "CategoryThresholdResult", "DetectionRecord",
     "EvalReport", "GroundTruthRecord", "MatchResult", "average_precision", "evaluate",
     "match_detections",
-    "parse_annotation_dir", "parse_annotation_file", "parse_detections", "report_to_dict",
-    "write_detections", "write_report",
+    "parse_annotation_dir", "parse_annotation_file", "parse_detections", "write_detections",
+    "write_report",
 ]

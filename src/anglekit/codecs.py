@@ -329,9 +329,11 @@ def empirical_errors(config: CodecConfig, grid_step: float) -> tuple[float, floa
     """Swept (max, mean) of |decode(encode(theta)) - theta| over [0, 180).
 
     Runs the codec kernel that encode and decode wrap on the loss-free
-    prediction at every grid point: its logits are the class vector (for
-    DCL, the 0/1 code bits, which the sigmoid rule maps to themselves) and
-    its regression output is the exact residual target.
+    prediction: its logits are the class vector (for DCL, the 0/1 code bits,
+    which the sigmoid rule maps to themselves) and its regression output is
+    the exact residual target. The decoded class depends on the bin alone,
+    so the class step runs once per bin met, not once per grid point; a
+    codec without a regression part keeps each bin's decoded angle too.
     """
     if not grid_step > 0:
         raise InvalidInputError(f"grid_step must be positive, got {grid_step}")
@@ -342,6 +344,8 @@ def empirical_errors(config: CodecConfig, grid_step: float) -> tuple[float, floa
         raise InvalidInputError(
             f"grid_step {grid_step} leaves no angle to sweep in [0, {ANGLE_RANGE})")
     width = omega(config)
+    regression = config.has_regression
+    per_bin = {}  # bin -> its decoded class, or its decoded angle without regression
     worst = 0.0
     total = 0.0
     n = 0
@@ -350,8 +354,14 @@ def empirical_errors(config: CodecConfig, grid_step: float) -> tuple[float, floa
         if theta >= ANGLE_RANGE:
             continue
         k, residual = _bin_of(theta, width, config.c_theta)
-        decoded = _angle(_bin_from_scores(_class_vector(k, config), config),
-                         _residual_target(residual, config), config)
+        cached = per_bin.get(k)
+        if cached is None:
+            cached = _bin_from_scores(_class_vector(k, config), config)
+            if not regression:
+                cached = _angle(cached, None, config)
+            per_bin[k] = cached
+        decoded = (_angle(cached, _residual_target(residual, config), config) if regression
+                   else cached)
         err = abs(decoded - theta)
         if err > worst:
             worst = err

@@ -160,8 +160,8 @@ def _threshold_key(threshold: float) -> str:
     return f"{threshold:.2f}"
 
 
-def report_to_dict(report: EvalReport) -> dict:
-    """JSON-ready view of a report; floats keep full precision."""
+def _report_dict(report: EvalReport) -> dict:
+    # JSON-ready view of a report; floats keep full precision.
     return {
         "mode": report.mode,
         "thresholds": [float(t) for t in report.thresholds],
@@ -197,7 +197,7 @@ def write_report(report: EvalReport, path) -> None:
     Output is byte-identical across runs for identical reports."""
     if not str(path).endswith(".csv"):
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report_to_dict(report), fh, sort_keys=True, indent=2)
+            json.dump(_report_dict(report), fh, sort_keys=True, indent=2)
             fh.write("\n")
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -260,7 +260,12 @@ def _giou_terms(pred: Sequence[float], target: Sequence[float]):
     px, py, pw, ph, tx, ty, tw, th = map(float, (px, py, pw, ph, tx, ty, tw, th))
     x, y = _axis_spans(px, pw, tx, tw), _axis_spans(py, ph, ty, th)
     inter = x[0] * y[0]
-    return (pw, ph), x, y, inter, pw * ph + tw * th - inter, x[2] * y[2]
+    union, enclosing = pw * ph + tw * th - inter, x[2] * y[2]
+    # Valid boxes whose union or enclosing area rounds to 0 or overflows have no GIoU.
+    if not (0.0 < union < math.inf and 0.0 < enclosing < math.inf):
+        raise InvalidInputError(f"boxes have no finite GIoU: union={union!r}, "
+                                f"enclosing={enclosing!r}")
+    return (pw, ph), x, y, inter, union, enclosing
 
 
 def giou_location_loss(pred: Sequence[float], target: Sequence[float]) -> float:
@@ -274,6 +279,10 @@ def giou_location_loss_grad(pred: Sequence[float], target: Sequence[float]) -> l
     (pw, ph), x, y, inter, union, enclosing = _giou_terms(pred, target)
     iw, (diw_c, diw_s), cw, (dcw_c, dcw_s) = x
     ih, (dih_c, dih_s), ch, (dch_c, dch_s) = y
+    # The quotient rule squares both areas, and one below ~1e-162 squares to 0.
+    if not (union * union > 0.0 and enclosing * enclosing > 0.0):
+        raise InvalidInputError(f"GIoU gradient underflows: union={union!r}, "
+                                f"enclosing={enclosing!r}")
     # Derivatives in (cx, cy, w, h).
     d_inter = (ih * diw_c, iw * dih_c, ih * diw_s, iw * dih_s)
     d_union = (-d_inter[0], -d_inter[1], ph - d_inter[2], pw - d_inter[3])

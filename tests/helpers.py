@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 import anglekit.obb
-from anglekit import OrientedBox, rotated_iou, to_corners
+from anglekit import OrientedBox, decode, encode, ideal_prediction, rotated_iou, to_corners
 
 
 def random_longside_box(rng, span=3.0):
@@ -237,14 +237,31 @@ def reference_evaluate(gts, dets, iou_threshold, mode):
     return aps
 
 
-def count_calls(monkeypatch, name):
-    """Count calls to anglekit.obb.<name> while still running it."""
+def reference_empirical_errors(config, grid_step):
+    """(max, mean) of |decode(ideal_prediction(encode(theta))) - theta| over the
+    grid theta = i * grid_step below 180, one public round trip per angle; the
+    errors are summed in grid order."""
+    worst = total = 0.0
+    n = 0
+    for i in range(round(180.0 / grid_step)):
+        theta = i * grid_step
+        if theta < 180.0:
+            target = encode(theta, config)
+            err = abs(decode(ideal_prediction(target, config), config) - theta)
+            worst = max(worst, err)
+            total += err
+            n += 1
+    return worst, total / n
+
+
+def count_calls(monkeypatch, name, module=anglekit.obb):
+    """Count calls to <module>.<name> while still running it."""
     calls = [0]
-    original = getattr(anglekit.obb, name)
+    original = getattr(module, name)
 
     def counted(*args):
         calls[0] += 1
         return original(*args)
 
-    monkeypatch.setattr(anglekit.obb, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anglekit.codecs
 from anglekit import (AnglePrediction, CodecConfig, FitFunction, InvalidInputError, Method,
                       analytic_errors, decode, empirical_errors, encode, head_thickness,
                       ideal_prediction, omega)
+from anglekit.codecs import C_THETA_CHOICES
+from helpers import count_calls, reference_empirical_errors
 
 # Logits at which the DCL bit rule 1/(1+exp(-x)) > 0.5 is decided by rounding.
 DCL_KNIFE_EDGE = (0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-17, -1e-17, 1.56e-16, -1.56e-16,
@@ -325,6 +328,34 @@ class TestEmpiricalErrors:
         for step in (0.0, 500.0, math.inf, 1.7e-5, 1e-300, 1e-320, 5e-324):
             with pytest.raises(InvalidInputError):
                 empirical_errors(mgar(3), step)
+
+    @pytest.mark.parametrize("step", [0.1, 0.37, 7.0, 0.013])
+    @pytest.mark.parametrize("method, c_theta", [
+        pytest.param(method, c_theta, id=f"{method.value}-{c_theta}")
+        for method, choices in C_THETA_CHOICES.items() for c_theta in choices])
+    def test_matches_public_round_trip(self, method, c_theta, step):
+        config = CodecConfig(method, c_theta)
+        assert empirical_errors(config, step) == reference_empirical_errors(config, step)
+
+    @pytest.mark.parametrize("fit", list(FitFunction), ids=lambda fit: fit.value)
+    @pytest.mark.parametrize("method, c_theta", [(Method.MGAR, 3), (Method.MGAR, 5),
+                                                 (Method.REGRESSION, 1)],
+                             ids=["mgar-3", "mgar-5", "regression"])
+    def test_fit_functions_match_public_round_trip(self, method, c_theta, fit):
+        config = CodecConfig(method, c_theta, fit_function=fit)
+        assert empirical_errors(config, 0.1) == reference_empirical_errors(config, 0.1)
+
+    @pytest.mark.parametrize("window", [0.5, 20.0])
+    def test_csl_windows_match_public_round_trip(self, window):
+        config = CodecConfig(Method.CSL, 180, window_size=window)
+        assert empirical_errors(config, 0.1) == reference_empirical_errors(config, 0.1)
+
+    @pytest.mark.parametrize("method, c_theta", [(Method.CSL, 180), (Method.DCL_BINARY, 256)])
+    def test_class_step_runs_once_per_bin(self, monkeypatch, method, c_theta):
+        # 18,000 grid points, but the decoded class depends on the bin alone.
+        calls = count_calls(monkeypatch, "_class_vector", anglekit.codecs)
+        empirical_errors(CodecConfig(method, c_theta), 0.01)
+        assert 0 < calls[0] <= c_theta
 
 
 class TestHeadThickness:

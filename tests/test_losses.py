@@ -213,6 +213,24 @@ class TestGiouGradient:
             assert (type(info.value), str(info.value)) == (InvalidInputError, message)
 
 
+    @pytest.mark.parametrize("box, message", [
+        pytest.param((0, 0, 1e-200, 1e-200), "union=0.0, enclosing=0.0", id="union-underflows"),
+        pytest.param((1e10, 0, 1e-10, 1), "union=2e-10, enclosing=0.0",
+                     id="enclosing-width-rounds-to-0"),
+        pytest.param((0, 0, 1e160, 1e160), "union=nan, enclosing=inf", id="areas-overflow"),
+    ])
+    def test_area_without_finite_giou_is_an_input_error(self, box, message):
+        for fn in (giou_location_loss, giou_location_loss_grad):
+            with pytest.raises(InvalidInputError) as info:
+                fn(box, box)
+            assert str(info.value) == f"boxes have no finite GIoU: {message}"
+
+    def test_gradient_rejects_an_area_whose_square_underflows(self):
+        box = (0, 0, 1e-85, 1e-85)
+        assert giou_location_loss(box, box) == 0.0
+        with pytest.raises(InvalidInputError, match="GIoU gradient underflows: union=1e-170"):
+            giou_location_loss_grad(box, box)
+
     @pytest.mark.parametrize("pred, target, expected", [
         ([0, 0, 2, 2], [0, 0, 2, 2], [-1.0, -1.0, 0.0, 0.0]),
         ([0.5, 0, 2, 2], [0, 0, 1, 2], [0.0, -0.625, 0.25, -0.0625]),
