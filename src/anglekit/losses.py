@@ -279,10 +279,11 @@ def giou_location_loss_grad(pred: Sequence[float], target: Sequence[float]) -> l
     (pw, ph), x, y, inter, union, enclosing = _giou_terms(pred, target)
     iw, (diw_c, diw_s), cw, (dcw_c, dcw_s) = x
     ih, (dih_c, dih_s), ch, (dch_c, dch_s) = y
-    # The quotient rule squares both areas, and one below ~1e-162 squares to 0.
-    if not (union * union > 0.0 and enclosing * enclosing > 0.0):
-        raise InvalidInputError(f"GIoU gradient underflows: union={union!r}, "
-                                f"enclosing={enclosing!r}")
+    # The quotient rule squares both areas: one below ~1e-162 squares to 0, and
+    # one above ~1e154 to inf.
+    if not (0.0 < union * union < math.inf and 0.0 < enclosing * enclosing < math.inf):
+        raise InvalidInputError(f"GIoU gradient squares an area out of range: "
+                                f"union={union!r}, enclosing={enclosing!r}")
     # Derivatives in (cx, cy, w, h).
     d_inter = (ih * diw_c, iw * dih_c, ih * diw_s, iw * dih_s)
     d_union = (-d_inter[0], -d_inter[1], ph - d_inter[2], pw - d_inter[3])

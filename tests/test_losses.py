@@ -225,11 +225,13 @@ class TestGiouGradient:
                 fn(box, box)
             assert str(info.value) == f"boxes have no finite GIoU: {message}"
 
-    def test_gradient_rejects_an_area_whose_square_underflows(self):
-        box = (0, 0, 1e-85, 1e-85)
-        assert giou_location_loss(box, box) == 0.0
-        with pytest.raises(InvalidInputError, match="GIoU gradient underflows: union=1e-170"):
-            giou_location_loss_grad(box, box)
+    @pytest.mark.parametrize("side", [1e-85, 1e100], ids=["square-underflows", "square-overflows"])
+    def test_gradient_rejects_an_area_whose_square_is_out_of_range(self, side):
+        # The loss is defined; the gradient's quotient rule would divide by 0 or inf.
+        pred, target = (0, 0, side, side), (0.1 * side, 0, side, 1.2 * side)
+        assert giou_location_loss(pred, target) == pytest.approx(0.3228438228438228)
+        with pytest.raises(InvalidInputError, match="GIoU gradient squares an area out of range"):
+            giou_location_loss_grad(pred, target)
 
     @pytest.mark.parametrize("pred, target, expected", [
         ([0, 0, 2, 2], [0, 0, 2, 2], [-1.0, -1.0, 0.0, 0.0]),
