@@ -17,7 +17,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .codecs import AnglePrediction, CodecConfig, Method, _finite_floats, decode, encode
+from .codecs import (ANGLE_RANGE, AnglePrediction, CodecConfig, Method, _angle, _bin_from_scores,
+                     _bin_of, _finite_floats, _residual_target, omega)
 from .errors import InvalidInputError
 from .obb import AxisAlignedBox, OrientedBox, longside, rotated_iou
 
@@ -86,6 +87,10 @@ class AssignedSample:
                            _finite_floats(self.pred_category_logits, "category logits"))
         if self.objectness == 1 and (self.gt_box is None or self.gt_category is None):
             raise InvalidInputError("foreground samples need gt_box and gt_category")
+        # The loss trusts what these types checked when they were built.
+        if not (isinstance(self.pred_angle, AnglePrediction)
+                and isinstance(self.gt_box, (OrientedBox, type(None)))):
+            raise InvalidInputError("pred_angle must be an AnglePrediction, gt_box an OrientedBox")
 
 
 @dataclass(frozen=True)
@@ -116,13 +121,13 @@ def encode_box_deltas(box, anchor: AnchorBox) -> BoxDeltas:
 
 
 def decode_box_deltas(deltas: BoxDeltas, anchor: AnchorBox) -> AxisAlignedBox:
-    """Exact inverse of encode_box_deltas."""
-    return AxisAlignedBox(
-        cx=deltas.dx * anchor.w + anchor.cx,
-        cy=deltas.dy * anchor.h + anchor.cy,
-        w=anchor.w * math.exp(deltas.dw),
-        h=anchor.h * math.exp(deltas.dh),
-    )
+    """Exact inverse of encode_box_deltas; log-scales that overflow are an input error."""
+    try:
+        w, h = anchor.w * math.exp(deltas.dw), anchor.h * math.exp(deltas.dh)
+    except OverflowError:
+        raise InvalidInputError(f"box deltas overflow: dw={deltas.dw}, dh={deltas.dh}") from None
+    return AxisAlignedBox(cx=deltas.dx * anchor.w + anchor.cx,
+                          cy=deltas.dy * anchor.h + anchor.cy, w=w, h=h)
 
 
 def smooth_l1(pred: float, target: float) -> float:
@@ -183,12 +188,13 @@ def _sigmoid(x: float) -> float:
 
 
 def _focal_terms(logit: float, label: int) -> tuple[float, float, float]:
-    # (z, alpha_t, sign) with pt = sigmoid(z) and dz/dlogit = sign.
-    if label not in (0, 1):
-        raise InvalidInputError(f"label must be 0 or 1, got {label}")
+    # (z, alpha_t, sign) with pt = sigmoid(z) and dz/dlogit = sign. The label
+    # check is the branch that picks the terms, so it costs nothing to keep.
     if label == 1:
         return logit, FOCAL_ALPHA, 1.0
-    return -logit, 1.0 - FOCAL_ALPHA, -1.0
+    if label == 0:
+        return -logit, 1.0 - FOCAL_ALPHA, -1.0
+    raise InvalidInputError(f"label must be 0 or 1, got {label}")
 
 
 def focal_loss(logit: float, label: int) -> float:
@@ -206,25 +212,28 @@ def focal_loss_grad(logit: float, label: int) -> float:
         one_minus_pt - FOCAL_GAMMA * _sigmoid(z) * _log_sigmoid(z))
 
 
-def _softmax_terms(logits: Sequence[float], target_index: int):
-    # (z, max z, exp(z - max z), the fsum of those), the max-shifted log-sum-exp
-    # behind the cross-entropy and its gradient.
-    z = _finite_floats(logits, "logits")
+def _softmax_terms(z: tuple[float, ...], target_index: int):
+    # (max z, exp(z - max z), the fsum of those) of finite float logits: the
+    # max-shifted log-sum-exp behind the cross-entropy and its gradient.
     if not 0 <= target_index < len(z):
         raise InvalidInputError(f"target index {target_index} out of range for {len(z)} logits")
     m = max(z)
     exps = [math.exp(v - m) for v in z]
-    return z, m, exps, math.fsum(exps)
+    return m, exps, math.fsum(exps)
+
+
+def _cross_entropy(z: tuple[float, ...], target_index: int) -> float:
+    m, _, total = _softmax_terms(z, target_index)
+    return m + math.log(total) - z[target_index]
 
 
 def cross_entropy(logits: Sequence[float], target_index: int) -> float:
     """Softmax cross-entropy against a hard class index."""
-    z, m, _, total = _softmax_terms(logits, target_index)
-    return m + math.log(total) - z[target_index]
+    return _cross_entropy(_finite_floats(logits, "logits"), target_index)
 
 
 def cross_entropy_grad(logits: Sequence[float], target_index: int) -> list[float]:
-    _, _, exps, total = _softmax_terms(logits, target_index)
+    _, exps, total = _softmax_terms(_finite_floats(logits, "logits"), target_index)
     grad = [e / total for e in exps]
     grad[target_index] -= 1.0
     return grad
@@ -249,15 +258,20 @@ def _axis_spans(pc: float, ps: float, tc: float, ts: float):
 
 
 def _giou_terms(pred: Sequence[float], target: Sequence[float]):
-    # ((pw, ph), x spans, y spans, inter, union, enclosing) of two (cx, cy, w, h)
-    # boxes: the _axis_spans of each axis and the areas GIoU is built from, which
-    # the loss and its gradient both read. Each box is checked as an
+    # The _giou_areas of two (cx, cy, w, h) boxes, each checked first as an
     # AxisAlignedBox, with its errors.
     px, py, pw, ph = pred
     tx, ty, tw, th = target
     AxisAlignedBox(px, py, pw, ph)
     AxisAlignedBox(tx, ty, tw, th)
-    px, py, pw, ph, tx, ty, tw, th = map(float, (px, py, pw, ph, tx, ty, tw, th))
+    return _giou_areas(px, py, pw, ph, tx, ty, tw, th)
+
+
+def _giou_areas(*boxes: float):
+    # ((pw, ph), x spans, y spans, inter, union, enclosing) of a predicted and a
+    # target box, 8 numbers of valid boxes: the _axis_spans of each axis and the
+    # areas GIoU is built from, which the loss and its gradient both read.
+    px, py, pw, ph, tx, ty, tw, th = map(float, boxes)
     x, y = _axis_spans(px, pw, tx, tw), _axis_spans(py, ph, ty, th)
     inter = x[0] * y[0]
     union, enclosing = pw * ph + tw * th - inter, x[2] * y[2]
@@ -268,10 +282,14 @@ def _giou_terms(pred: Sequence[float], target: Sequence[float]):
     return (pw, ph), x, y, inter, union, enclosing
 
 
+def _giou_loss(terms) -> float:
+    _, _, _, inter, union, enclosing = terms
+    return 1.0 - (inter / union - (enclosing - union) / enclosing)
+
+
 def giou_location_loss(pred: Sequence[float], target: Sequence[float]) -> float:
     """1 - GIoU between two (cx, cy, w, h) boxes."""
-    _, _, _, inter, union, enclosing = _giou_terms(pred, target)
-    return 1.0 - (inter / union - (enclosing - union) / enclosing)
+    return _giou_loss(_giou_terms(pred, target))
 
 
 def giou_location_loss_grad(pred: Sequence[float], target: Sequence[float]) -> list[float]:
@@ -304,33 +322,41 @@ def multitask_loss(samples: Sequence[AssignedSample], weights: LossWeights,
     fields are unweighted means over the sample count; the total applies
     the weights. The IoU feeding the residual term is the rotated IoU of
     the fully decoded prediction against the ground truth.
+
+    Inputs are checked once, when a sample is built. Its terms then go
+    through the same kernels as the public losses, encode and decode, with
+    only the checks a built sample can still fail, raising the same errors.
     """
     if not samples:
         raise InvalidInputError("sample list is empty")
     if codec.method in (Method.DCL_BINARY, Method.DCL_GRAY):
         raise InvalidInputError("multitask loss needs per-bin class logits; dcl codes unsupported")
 
+    width = omega(codec)
     loc, conf, cat, ang_c, ang_r = [], [], [], [], []
     for s in samples:
         conf.append(focal_loss(s.pred_confidence, s.objectness))
         if not s.objectness:
             continue
-        if len(s.pred_angle.class_logits) != codec.code_length:
+        angle, gt = s.pred_angle, s.gt_box
+        if len(angle.class_logits) != codec.code_length:
             raise InvalidInputError(f"{codec.method.value} expects {codec.code_length} angle "
-                                    f"logits, got {len(s.pred_angle.class_logits)}")
+                                    f"logits, got {len(angle.class_logits)}")
         pred_box = decode_box_deltas(s.pred_deltas, s.anchor)
-        loc.append(giou_location_loss(
-            (pred_box.cx, pred_box.cy, pred_box.w, pred_box.h),
-            (s.gt_box.cx, s.gt_box.cy, s.gt_box.w, s.gt_box.h)))
-        cat.append(cross_entropy(s.pred_category_logits, s.gt_category))
-        target = encode(s.gt_box.theta, codec)
+        loc.append(_giou_loss(_giou_areas(pred_box.cx, pred_box.cy, pred_box.w, pred_box.h,
+                                          gt.cx, gt.cy, gt.w, gt.h)))
+        cat.append(_cross_entropy(s.pred_category_logits, s.gt_category))
+        if not 0.0 <= gt.theta < ANGLE_RANGE:
+            raise InvalidInputError(f"angle must lie in [0, {ANGLE_RANGE}), got {gt.theta}")
+        k, residual = _bin_of(gt.theta, width, codec.c_theta)
         if codec.has_classification:
-            ang_c.append(cross_entropy(s.pred_angle.class_logits, target.class_index))
+            ang_c.append(_cross_entropy(angle.class_logits, k))
         if codec.has_regression:
-            theta_pred = decode(s.pred_angle, codec)
+            theta_pred = _angle(_bin_from_scores(angle.class_logits, codec),
+                                angle.regression_output, codec)
             pred_obb = longside(pred_box.cx, pred_box.cy, pred_box.w, pred_box.h, theta_pred)
-            iou = min(max(rotated_iou(pred_obb, s.gt_box), _IOU_FLOOR), 1.0)
-            ang_r.append(ifl(s.pred_angle.regression_output, target.residual_target, iou))
+            iou = min(max(rotated_iou(pred_obb, gt), _IOU_FLOOR), 1.0)
+            ang_r.append(ifl(angle.regression_output, _residual_target(residual, codec), iou))
 
     n = len(samples)
     terms = tuple(math.fsum(values) / n for values in (loc, conf, cat, ang_c, ang_r))

@@ -27,7 +27,8 @@ class OrientedBox:
 
     theta is the angle (degrees) between the long side and the x axis,
     reduced modulo 180 on construction. Exact squares are reduced modulo 90,
-    since both representatives describe the same corner set.
+    since both representatives describe the same corner set. A tiny negative
+    angle whose reduction rounds up to the period is stored as 0.0.
     """
 
     cx: float
@@ -45,7 +46,8 @@ class OrientedBox:
         if self.w < self.h:
             raise InvalidInputError(f"long-side box requires w >= h, got w={self.w}, h={self.h}")
         period = 90.0 if self.w == self.h else 180.0
-        object.__setattr__(self, "theta", self.theta % period)
+        theta = self.theta % period
+        object.__setattr__(self, "theta", theta if theta < period else 0.0)
 
     @property
     def area(self) -> float:

@@ -11,7 +11,9 @@ from fractions import Fraction
 import numpy as np
 
 import anglekit.obb
-from anglekit import OrientedBox, decode, encode, ideal_prediction, rotated_iou, to_corners
+from anglekit import (InvalidInputError, LossBreakdown, OrientedBox, cross_entropy, decode,
+                      decode_box_deltas, encode, focal_loss, giou_location_loss, ideal_prediction,
+                      ifl, longside, rotated_iou, to_corners)
 
 
 def random_longside_box(rng, span=3.0):
@@ -252,6 +254,38 @@ def reference_empirical_errors(config, grid_step):
             total += err
             n += 1
     return worst, total / n
+
+
+def reference_multitask_loss(samples, weights, codec):
+    """The five-term loss assembled from the public losses, encode and decode,
+    one sample at a time, every input checked again by the public call that
+    takes it. The per-term means and the weighted total are fsums in sample
+    order, as the library's."""
+    if not samples:
+        raise InvalidInputError("sample list is empty")
+    loc, conf, cat, ang_c, ang_r = [], [], [], [], []
+    for s in samples:
+        conf.append(focal_loss(s.pred_confidence, s.objectness))
+        if not s.objectness:
+            continue
+        logits = s.pred_angle.class_logits
+        if len(logits) != codec.code_length:
+            raise InvalidInputError(f"{codec.method.value} expects {codec.code_length} angle "
+                                    f"logits, got {len(logits)}")
+        box, gt = decode_box_deltas(s.pred_deltas, s.anchor), s.gt_box
+        loc.append(giou_location_loss((box.cx, box.cy, box.w, box.h), (gt.cx, gt.cy, gt.w, gt.h)))
+        cat.append(cross_entropy(s.pred_category_logits, s.gt_category))
+        target = encode(gt.theta, codec)
+        if codec.method.value != "regression":
+            ang_c.append(cross_entropy(logits, target.class_index))
+        if target.residual_target is not None:
+            pred_obb = longside(box.cx, box.cy, box.w, box.h, decode(s.pred_angle, codec))
+            iou = min(max(rotated_iou(pred_obb, gt), 1e-6), 1.0)
+            ang_r.append(ifl(s.pred_angle.regression_output, target.residual_target, iou))
+    terms = [math.fsum(values) / len(samples) for values in (loc, conf, cat, ang_c, ang_r)]
+    lambdas = (weights.location, weights.confidence, weights.category, weights.angle_class,
+               weights.angle_reg)
+    return LossBreakdown(*terms, total=math.fsum(lam * t for lam, t in zip(lambdas, terms)))
 
 
 def count_calls(monkeypatch, name, module=anglekit.obb):

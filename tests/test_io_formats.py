@@ -179,6 +179,14 @@ class TestParseDetections:
         write_detections(second, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == out.read_bytes()
 
+    def test_json_roundtrip_of_a_tiny_negative_angle(self, tmp_path):
+        first = [DetectionRecord("P0001", OrientedBox(0, 0, 2, 1, -1e-20), "ship", 0.5),
+                 DetectionRecord("P0001", OrientedBox(5, 5, 1, 1, -1e-20), "ship", 0.4)]
+        assert [r.box.theta for r in first] == [0.0, 0.0]
+        out = tmp_path / "dets.json"
+        write_detections(first, out)
+        assert parse_detections(out) == first
+
     def test_json_schema_validation(self, tmp_path):
         path = tmp_path / "dets.json"
         path.write_text(json.dumps([{"image_id": "a", "category": "ship", "score": 0.5,

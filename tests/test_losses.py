@@ -12,7 +12,7 @@ from anglekit import (AnchorBox, AnglePrediction, AssignedSample, AxisAlignedBox
                       focal_loss, focal_loss_grad, giou_location_loss, giou_location_loss_grad,
                       ifl, ifl_grad, longside, mse, mse_grad, multitask_loss, rotated_iou,
                       run_gradient_checks, smooth_l1, smooth_l1_grad)
-from helpers import reference_giou_loss
+from helpers import count_calls, reference_giou_loss, reference_multitask_loss
 
 
 class TestBoxDeltas:
@@ -45,6 +45,12 @@ class TestBoxDeltas:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInputError):
             BoxDeltas(0.0, 0.0, math.inf, 0.0)
+
+    @pytest.mark.parametrize("deltas", [BoxDeltas(0, 0, 710, 0), BoxDeltas(0, 0, 0, 710)],
+                             ids=["dw", "dh"])
+    def test_overflowing_log_scale_is_an_input_error(self, deltas):
+        with pytest.raises(InvalidInputError, match="box deltas overflow"):
+            decode_box_deltas(deltas, AnchorBox(0, 0, 4, 2))
 
     def test_anchor_is_the_axis_aligned_box(self):
         assert AnchorBox is AxisAlignedBox
@@ -292,6 +298,87 @@ def noisy_positive_sample(rng):
     )
 
 
+def random_sample(rng, codec):
+    """A background or foreground sample with random predictions under any codec
+    the multi-task loss takes."""
+    target = gt = None
+    if rng.random() < 0.5:
+        w, h = sorted(rng.uniform(0.5, 8.0, size=2), reverse=True)
+        gt = OrientedBox(*rng.uniform(-5, 5, size=2), w, h, float(rng.uniform(0, 180)))
+        target = encode(gt.theta, codec)
+    residual = None
+    if codec.has_regression:
+        residual = (target.residual_target if target else 0.0) + float(rng.normal(0, 0.5))
+    return AssignedSample(
+        objectness=int(gt is not None),
+        anchor=AnchorBox(*rng.uniform(-5, 5, size=2), *rng.uniform(1, 6, size=2)),
+        pred_deltas=BoxDeltas(*rng.normal(0, 0.3, size=4)),
+        pred_confidence=float(rng.normal(0, 3)),
+        pred_category_logits=rng.normal(0, 1, size=5),
+        pred_angle=AnglePrediction(rng.normal(0, 2, size=codec.code_length), residual),
+        gt_box=gt,
+        gt_category=int(rng.integers(0, 5)) if gt else None,
+    )
+
+
+ORACLE_CODECS = ([CodecConfig(Method.MGAR, c, fit_function=f) for c in (3, 4, 5)
+                  for f in FitFunction]
+                 + [CodecConfig(Method.REGRESSION, fit_function=f) for f in FitFunction]
+                 + [CodecConfig(Method.CSL, 180)])
+
+
+class TestMultitaskLossOracle:
+    """multitask_loss against the same loss assembled from the public calls."""
+
+    WEIGHTS = LossWeights(1.5, 0.5, 3.0, 2.5, 0.25)
+
+    @pytest.mark.parametrize("codec", ORACLE_CODECS, ids=lambda c: (
+        f"{c.method.value}-{c.c_theta}-{c.fit_function.value}"))
+    def test_equals_the_public_calls_bit_for_bit(self, codec):
+        rng = np.random.default_rng(ORACLE_CODECS.index(codec))
+        for _ in range(8):
+            samples = [random_sample(rng, codec) for _ in range(int(rng.integers(1, 24)))]
+            assert multitask_loss(samples, self.WEIGHTS, codec) == \
+                reference_multitask_loss(samples, self.WEIGHTS, codec)
+
+    @pytest.mark.parametrize("codec, change", [
+        (CODEC, {"gt_category": 2}),
+        (CODEC, {"gt_category": -1}),
+        (CODEC, {"pred_angle": AnglePrediction([0.0, 1.0, 0.0, 0.0], 1.0)}),
+        (CodecConfig(Method.MGAR, 3, fit_function=FitFunction.EXP),
+         {"pred_angle": AnglePrediction(np.zeros(3), 1000.0)}),
+        (CODEC, {"pred_deltas": BoxDeltas(0, 0, 710, 0)}),
+        (CODEC, {"pred_deltas": BoxDeltas(0, 0, 0, 710)}),
+    ], ids=["category-too-large", "category-negative", "angle-logit-count",
+            "residual-fit-overflow", "dw-overflow", "dh-overflow"])
+    def test_raises_what_the_public_calls_raise(self, codec, change):
+        samples = [background_sample(), dataclasses.replace(perfect_positive_sample(), **change)]
+        with pytest.raises(InvalidInputError) as expected:
+            reference_multitask_loss(samples, self.WEIGHTS, codec)
+        with pytest.raises(InvalidInputError) as got:
+            multitask_loss(samples, self.WEIGHTS, codec)
+        assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+
+    def test_runs_every_iou_and_no_logit_recheck(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        samples = [noisy_positive_sample(rng) for _ in range(5)] + \
+                  [background_sample(float(rng.normal())) for _ in range(4)]
+        corners = count_calls(monkeypatch, "to_corners")
+        rechecks = count_calls(monkeypatch, "_finite_floats", anglekit.losses)
+        for calls in (1, 2):
+            multitask_loss(samples, self.WEIGHTS, CODEC)
+            # Two boxes per foreground IoU, on every call: nothing is cached.
+            assert (corners[0], rechecks[0]) == (2 * 5 * calls, 0)
+
+    def test_ground_truth_at_a_tiny_negative_angle(self):
+        sample = perfect_positive_sample(theta=-1e-20)
+        assert sample.gt_box.theta == 0.0
+        breakdown = multitask_loss([sample], self.WEIGHTS, CODEC)
+        assert breakdown == reference_multitask_loss([sample], self.WEIGHTS, CODEC)
+        assert breakdown == multitask_loss([perfect_positive_sample(theta=0.0)], self.WEIGHTS,
+                                           CODEC)
+
+
 class TestMultitaskLoss:
     WEIGHTS = LossWeights()
 
@@ -410,6 +497,14 @@ class TestMultitaskLoss:
         sample = dataclasses.replace(background_sample(), pred_category_logits=np.array([1.0, 2.0]))
         assert sample.pred_category_logits == (1.0, 2.0)
         assert type(sample.pred_category_logits) is tuple
+
+    @pytest.mark.parametrize("change", [
+        {"pred_angle": ((0.0, 0.0, 0.0), 1.0)},
+        {"gt_box": AxisAlignedBox(10.0, 20.0, 6.0, 2.0)},
+    ], ids=["angle-tuple", "axis-aligned-gt"])
+    def test_rejects_untyped_angle_or_ground_truth(self, change):
+        with pytest.raises(InvalidInputError, match="pred_angle must be an AnglePrediction"):
+            dataclasses.replace(perfect_positive_sample(), **change)
 
     def test_foreground_requires_targets(self):
         with pytest.raises(InvalidInputError):

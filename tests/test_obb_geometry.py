@@ -32,6 +32,22 @@ class TestOrientedBox:
     def test_square_canonicalized_modulo_90(self):
         assert OrientedBox(0, 0, 2, 2, 137.0).theta == pytest.approx(47.0)
 
+    @pytest.mark.parametrize("w, h, period", [(2, 1, 180.0), (1, 1, 90.0)],
+                             ids=["rectangle", "square"])
+    @pytest.mark.parametrize("theta", [-1e-20, -1e-300, -5e-324, -5e-15])
+    def test_tiny_negative_angle_stays_below_the_period(self, w, h, period, theta):
+        # theta % period rounds up to the period itself for these angles.
+        assert theta % period == period
+        assert OrientedBox(0, 0, w, h, theta).theta == 0.0
+
+    @pytest.mark.parametrize("w, h, period", [(2, 1, 180.0), (1, 1, 90.0)],
+                             ids=["rectangle", "square"])
+    def test_theta_always_lies_in_zero_to_period(self, w, h, period):
+        rng = random.Random(3)
+        for _ in range(2000):
+            theta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-320, 4)
+            assert 0.0 <= OrientedBox(0, 0, w, h, theta).theta < period
+
     def test_rejects_bad_sides(self):
         with pytest.raises(InvalidInputError):
             OrientedBox(0, 0, 0.0, 1, 0)
