@@ -276,9 +276,9 @@ def reference_multitask_loss(samples, weights, codec):
         loc.append(giou_location_loss((box.cx, box.cy, box.w, box.h), (gt.cx, gt.cy, gt.w, gt.h)))
         cat.append(cross_entropy(s.pred_category_logits, s.gt_category))
         target = encode(gt.theta, codec)
-        if codec.method.value != "regression":
+        if codec.has_classification:
             ang_c.append(cross_entropy(logits, target.class_index))
-        if target.residual_target is not None:
+        if codec.has_regression:
             pred_obb = longside(box.cx, box.cy, box.w, box.h, decode(s.pred_angle, codec))
             iou = min(max(rotated_iou(pred_obb, gt), 1e-6), 1.0)
             ang_r.append(ifl(s.pred_angle.regression_output, target.residual_target, iou))
