@@ -9,6 +9,7 @@ output. Exit codes: 0 success, 1 check failure, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -16,7 +17,8 @@ from . import __version__
 from .codecs import (C_THETA_CHOICES, AnglePrediction, CodecConfig, FitFunction, Method,
                      analytic_errors, decode, empirical_errors, encode, head_thickness, omega)
 from .errors import AngleKitError
-from .evaluation import COCO_THRESHOLDS, VOC07, VOC12, canonical_thresholds, evaluate
+from .evaluation import (COCO_THRESHOLDS, MODES, VOC12, canonical_thresholds, evaluate,
+                         threshold_label)
 from .io_formats import parse_annotation_dir, parse_detections, write_report
 from .losses import run_gradient_checks
 from .obb import OrientedBox, check_nms_threshold, rotated_iou, rotated_nms
@@ -47,12 +49,8 @@ def _parse_box(text: str) -> OrientedBox:
 
 
 def _codec_from_args(args) -> CodecConfig:
-    return CodecConfig(
-        method=Method(args.method),
-        c_theta=args.ctheta or 0,
-        window_size=args.window,
-        fit_function=FitFunction(args.fit),
-    )
+    return CodecConfig(method=args.method, c_theta=args.ctheta, window_size=args.window,
+                       fit_function=args.fit)
 
 
 def cmd_encode(args) -> int:
@@ -101,7 +99,7 @@ def cmd_nms(args) -> int:
 
 
 def cmd_thickness(args) -> int:
-    _emit({"thickness": head_thickness(Method(args.method), args.ctheta, args.anchors)})
+    _emit({"thickness": head_thickness(args.method, args.ctheta, args.anchors)})
     return 0
 
 
@@ -126,12 +124,10 @@ def cmd_codec_report(args) -> int:
     if args.out == "json":
         _emit(rows)
         return 0
-    columns = ["method", "c_theta", "omega", "analytic_max_error", "analytic_mean_error",
-               "empirical_max_error", "empirical_mean_error", "thickness_a9"]
-    print(",".join(columns))
-    for row in rows:
-        print(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                       for c in columns))
+    # csv writes a float as its repr, and anything else as its str.
+    writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     return 0
 
 
@@ -151,7 +147,8 @@ def cmd_eval(args) -> int:
     report = evaluate(gts, dets, thresholds, mode=args.mode)
     if args.out:
         write_report(report, args.out)
-    parts = [f"mAP@{t:.2f}={report.map_by_threshold[t]:.6f}" for t in report.thresholds]
+    parts = [f"mAP@{threshold_label(t)}={report.map_by_threshold[t]:.6f}"
+             for t in report.thresholds]
     if report.map_50_95 is not None:
         parts.append(f"mAP@0.50:0.95={report.map_50_95:.6f}")
     print(", ".join(parts))
@@ -177,7 +174,7 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _add_codec_flags(parser, require_angle=False):
+def _add_codec_flags(parser):
     parser.add_argument("--method", required=True, choices=[m.value for m in Method])
     parser.add_argument("--ctheta", type=int, default=CodecConfig.c_theta,
                         help="angle bin count (0 = per-method default)")
@@ -186,9 +183,6 @@ def _add_codec_flags(parser, require_angle=False):
     parser.add_argument("--fit", default=CodecConfig.fit_function.value,
                         choices=[f.value for f in FitFunction],
                         help="residual fitting function")
-    if require_angle:
-        parser.add_argument("--angle", type=float, required=True,
-                            help="ground-truth angle in degrees, [0, 180)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,7 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("encode", help="encode an angle into a codec target")
-    _add_codec_flags(p, require_angle=True)
+    _add_codec_flags(p)
+    p.add_argument("--angle", type=float, required=True,
+                   help="ground-truth angle in degrees, [0, 180)")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="decode logits and residual into an angle")
@@ -235,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate detections against ground truth")
     p.add_argument("--gt", required=True, help="annotation directory")
     p.add_argument("--det", required=True, help="detections JSON file or Task1 directory")
-    p.add_argument("--mode", default=VOC12, choices=[VOC07, VOC12])
+    p.add_argument("--mode", default=VOC12, choices=MODES)
     p.add_argument("--thresholds", default="", help="comma-separated IoU thresholds")
     p.add_argument("--nms", type=float, default=None,
                    help="apply per-image rotated NMS at this threshold first")
@@ -254,10 +250,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except AngleKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (AngleKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,7 @@ from .obb import OrientedBox, iou_matrix
 
 VOC07 = "voc07"
 VOC12 = "voc12"
+MODES = (VOC07, VOC12)
 
 # The ten thresholds averaged into mAP@0.50:0.95.
 COCO_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
@@ -60,7 +61,7 @@ class MatchResult:
 
 
 def _check_mode(mode: str) -> None:
-    if mode not in (VOC07, VOC12):
+    if mode not in MODES:
         raise InvalidInputError(f"mode must be {VOC07!r} or {VOC12!r}, got {mode!r}")
 
 
@@ -78,6 +79,11 @@ def canonical_thresholds(iou_thresholds: Sequence[float]) -> tuple[float, ...]:
     if not canonical:
         raise InvalidInputError("at least one IoU threshold is required")
     return tuple(sorted(canonical))
+
+
+def threshold_label(threshold: float) -> str:
+    """The two-decimal label a canonical threshold is reported under."""
+    return f"{threshold:.2f}"
 
 
 def _det_order(dets: Sequence[DetectionRecord]) -> list[int]:
@@ -149,7 +155,7 @@ def _match(gts: Sequence[GroundTruthRecord], order: Sequence[int],
 
 
 def average_precision(recall: Sequence[float], precision: Sequence[float], mode: str) -> float:
-    """Average precision of a PR curve.
+    """Average precision of a PR curve with every value in [0, 1].
 
     VOC07 averages the best precision at recall levels 0, 0.1, ..., 1.0;
     VOC12 integrates the monotone envelope of the full curve.
@@ -161,6 +167,8 @@ def average_precision(recall: Sequence[float], precision: Sequence[float], mode:
         raise InvalidInputError("recall and precision must be equal-length vectors") from None
     if len(rec) != len(prec):
         raise InvalidInputError("recall and precision must be equal-length vectors")
+    if not all(0.0 <= v <= 1.0 for v in (*rec, *prec)):
+        raise InvalidInputError("recall and precision must lie in [0, 1]")
     if any(b < a for a, b in zip(rec, rec[1:])):
         raise InvalidInputError("recall must be non-decreasing")
     _check_mode(mode)

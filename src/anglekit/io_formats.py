@@ -14,7 +14,7 @@ import logging
 from pathlib import Path
 
 from .errors import InvalidInputError, ParseError
-from .evaluation import DetectionRecord, EvalReport, GroundTruthRecord
+from .evaluation import DetectionRecord, EvalReport, GroundTruthRecord, threshold_label
 from .obb import OrientedBox, QuadPolygon, from_corners, to_corners
 
 log = logging.getLogger("anglekit")
@@ -156,10 +156,6 @@ def write_detections(records, path) -> None:
         fh.write("\n")
 
 
-def _threshold_key(threshold: float) -> str:
-    return f"{threshold:.2f}"
-
-
 def _report_dict(report: EvalReport) -> dict:
     # JSON-ready view of a report; floats keep full precision.
     return {
@@ -168,10 +164,10 @@ def _report_dict(report: EvalReport) -> dict:
         "categories": {
             name: {
                 "ap_by_threshold": {
-                    _threshold_key(t): cell.ap for t, cell in cells.items()
+                    threshold_label(t): cell.ap for t, cell in cells.items()
                 },
                 "pr_curve": {
-                    _threshold_key(t): {
+                    threshold_label(t): {
                         "recall": list(cell.recall),
                         "precision": list(cell.precision),
                         "tp": cell.tp,
@@ -184,7 +180,7 @@ def _report_dict(report: EvalReport) -> dict:
             for name, cells in report.categories.items()
         },
         "map_by_threshold": {
-            _threshold_key(t): v for t, v in report.map_by_threshold.items()
+            threshold_label(t): v for t, v in report.map_by_threshold.items()
         },
         "map_50_95": report.map_50_95,
     }
@@ -206,10 +202,10 @@ def write_report(report: EvalReport, path) -> None:
         for name in sorted(report.categories):
             for t in report.thresholds:
                 cell = report.categories[name][t]
-                writer.writerow([name, _threshold_key(t), f"{cell.ap:.6f}",
+                writer.writerow([name, threshold_label(t), f"{cell.ap:.6f}",
                                  cell.tp, cell.fp, cell.num_gt])
         for t in report.thresholds:
-            writer.writerow(["mAP", _threshold_key(t),
+            writer.writerow(["mAP", threshold_label(t),
                              f"{report.map_by_threshold[t]:.6f}", "", "", ""])
         if report.map_50_95 is not None:
             writer.writerow(["mAP@0.50:0.95", "", f"{report.map_50_95:.6f}", "", "", ""])

@@ -17,8 +17,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .codecs import (ANGLE_RANGE, AnglePrediction, CodecConfig, Method, _angle, _bin_from_scores,
-                     _bin_of, _finite_floats, _residual_target, omega)
+from .codecs import (_DCL_METHODS, AnglePrediction, CodecConfig, _angle, _bin_from_scores,
+                     _bin_of, _finite_floats, _integer, _residual_target, omega)
 from .errors import InvalidInputError
 from .obb import AxisAlignedBox, OrientedBox, longside, rotated_iou
 
@@ -87,6 +87,8 @@ class AssignedSample:
                            _finite_floats(self.pred_category_logits, "category logits"))
         if self.objectness == 1 and (self.gt_box is None or self.gt_category is None):
             raise InvalidInputError("foreground samples need gt_box and gt_category")
+        if self.gt_category is not None:
+            object.__setattr__(self, "gt_category", _integer(self.gt_category, "gt_category"))
         # The loss trusts what these types checked when they were built.
         if not (isinstance(self.pred_angle, AnglePrediction)
                 and isinstance(self.gt_box, (OrientedBox, type(None)))):
@@ -229,11 +231,12 @@ def _cross_entropy(z: tuple[float, ...], target_index: int) -> float:
 
 def cross_entropy(logits: Sequence[float], target_index: int) -> float:
     """Softmax cross-entropy against a hard class index."""
-    return _cross_entropy(_finite_floats(logits, "logits"), target_index)
+    return _cross_entropy(_finite_floats(logits, "logits"), _integer(target_index, "target index"))
 
 
 def cross_entropy_grad(logits: Sequence[float], target_index: int) -> list[float]:
-    _, exps, total = _softmax_terms(_finite_floats(logits, "logits"), target_index)
+    z, target_index = _finite_floats(logits, "logits"), _integer(target_index, "target index")
+    _, exps, total = _softmax_terms(z, target_index)
     grad = [e / total for e in exps]
     grad[target_index] -= 1.0
     return grad
@@ -329,7 +332,7 @@ def multitask_loss(samples: Sequence[AssignedSample], weights: LossWeights,
     """
     if not samples:
         raise InvalidInputError("sample list is empty")
-    if codec.method in (Method.DCL_BINARY, Method.DCL_GRAY):
+    if codec.method in _DCL_METHODS:
         raise InvalidInputError("multitask loss needs per-bin class logits; dcl codes unsupported")
 
     width = omega(codec)
@@ -346,8 +349,6 @@ def multitask_loss(samples: Sequence[AssignedSample], weights: LossWeights,
         loc.append(_giou_loss(_giou_areas(pred_box.cx, pred_box.cy, pred_box.w, pred_box.h,
                                           gt.cx, gt.cy, gt.w, gt.h)))
         cat.append(_cross_entropy(s.pred_category_logits, s.gt_category))
-        if not 0.0 <= gt.theta < ANGLE_RANGE:
-            raise InvalidInputError(f"angle must lie in [0, {ANGLE_RANGE}), got {gt.theta}")
         k, residual = _bin_of(gt.theta, width, codec.c_theta)
         if codec.has_classification:
             ang_c.append(_cross_entropy(angle.class_logits, k))

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import anglekit
 import anglekit.losses
-from anglekit import DetectionRecord, OrientedBox, to_corners, write_detections
+from anglekit import VOC07, VOC12, DetectionRecord, OrientedBox, to_corners, write_detections
 from anglekit.cli import main
 
 
@@ -172,6 +173,21 @@ class TestCodecReport:
         assert out_a == out_b
         assert out_a.splitlines()[0].startswith("method,c_theta,omega")
 
+    def test_csv_holds_the_json_rows(self, capsys):
+        argv = ["codec-report", "--grid-step", "0.5"]
+        _, out_json, _ = run_cli(capsys, *argv, "--out", "json")
+        code, out_csv, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rows = json.loads(out_json)
+        header, *lines = csv.reader(out_csv.splitlines())
+        assert header == ["method", "c_theta", "omega", "analytic_max_error",
+                          "analytic_mean_error", "empirical_max_error", "empirical_mean_error",
+                          "thickness_a9"]
+        # JSON output sorts its keys; the CSV keeps the rows' own order.
+        assert all(list(row) == sorted(header) for row in rows)
+        assert lines == [[repr(row[k]) if isinstance(row[k], float) else str(row[k])
+                          for k in header] for row in rows]
+
 
 @pytest.fixture
 def eval_fixture(tmp_path):
@@ -226,6 +242,30 @@ class TestEval:
         assert code == 0
         payload = json.loads(report_path.read_text())
         assert payload["map_by_threshold"]["0.50"] == pytest.approx(5 / 6)
+
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    def test_stdout_labels_are_the_report_labels(self, capsys, eval_fixture, tmp_path, suffix):
+        gt_dir, det_path = eval_fixture
+        report_path = tmp_path / f"r{suffix}"
+        code, out, _ = run_cli(capsys, "eval", "--gt", str(gt_dir), "--det", str(det_path),
+                               "--thresholds", "0.5,0.549,0.95", "--out", str(report_path))
+        assert code == 0
+        parts = out.strip().split(", ")
+        assert [p.split("=")[0] for p in parts] == ["mAP@0.50", "mAP@0.55", "mAP@0.95"]
+        if suffix == ".json":
+            by_label = json.loads(report_path.read_text())["map_by_threshold"]
+        else:
+            rows = csv.reader(report_path.read_text().splitlines())
+            by_label = {row[1]: float(row[2]) for row in rows if row[0] == "mAP"}
+        assert parts == [f"mAP@{label}={v:.6f}" for label, v in by_label.items()]
+
+    def test_unknown_mode_names_both_modes(self, capsys, eval_fixture):
+        gt_dir, det_path = eval_fixture
+        with pytest.raises(SystemExit) as info:
+            main(["eval", "--gt", str(gt_dir), "--det", str(det_path), "--mode", "bogus"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "'bogus'" in err and repr(VOC07) in err and repr(VOC12) in err
 
     def test_missing_gt_flag_usage_error(self, capsys, eval_fixture):
         _, det_path = eval_fixture

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,19 @@ class TestAveragePrecision:
             average_precision([0.5, 0.4], [1.0, 1.0], VOC12)
         with pytest.raises(InvalidInputError):
             average_precision([0.5], [1.0], "voc2012")
+
+    @pytest.mark.parametrize("mode", [VOC07, VOC12])
+    @pytest.mark.parametrize("rec, prec", [
+        ([1.5], [2.0]), ([-0.5], [0.5]), ([math.nan], [0.5]), ([0.5], [math.nan]),
+        ([0.5, 1.0], [1.0, math.inf]),
+    ], ids=["above-1", "negative", "nan-recall", "nan-precision", "inf-precision"])
+    def test_rejects_values_outside_the_unit_interval(self, rec, prec, mode):
+        with pytest.raises(InvalidInputError, match=r"must lie in \[0, 1\]"):
+            average_precision(rec, prec, mode)
+
+    def test_unit_interval_ends_are_accepted(self):
+        assert average_precision([0.0, 1.0], [1.0, 0.0], VOC12) == 0.0
+        assert average_precision([0.0, 1.0], [1.0, 0.0], VOC07) == pytest.approx(1 / 11)
 
 
 def three_category_fixture(seed=51, n_images=4):

@@ -169,6 +169,22 @@ class TestCrossEntropy:
         with pytest.raises(InvalidInputError):
             cross_entropy([0.0, 1.0], 2)
 
+    def test_integral_float_index_is_that_class(self):
+        logits = [0.3, -1.2, 2.0]
+        assert cross_entropy(logits, 1.0) == cross_entropy(logits, 1)
+        assert cross_entropy_grad(logits, 1.0) == cross_entropy_grad(logits, 1)
+
+    @pytest.mark.parametrize("index, message", [
+        (1.5, "target index must be an integer, got 1.5"),
+        (3.0, "target index 3 out of range for 3 logits"),
+        (-1, "target index -1 out of range for 3 logits"),
+    ], ids=["fractional", "float-too-large", "negative"])
+    def test_rejects_fractional_or_out_of_range_index(self, index, message):
+        for fn in (cross_entropy, cross_entropy_grad):
+            with pytest.raises(InvalidInputError) as info:
+                fn([0.3, -1.2, 2.0], index)
+            assert str(info.value) == message
+
     def test_gradient_is_a_list_summing_to_zero(self):
         grad = cross_entropy_grad(np.array([0.2, -1.0, 0.7]), 1)
         assert type(grad) is list
@@ -369,6 +385,22 @@ class TestMultitaskLossOracle:
             multitask_loss(samples, self.WEIGHTS, CODEC)
             # Two boxes per foreground IoU, on every call: nothing is cached.
             assert (corners[0], rechecks[0]) == (2 * 5 * calls, 0)
+
+    def test_category_index_is_an_integer_from_build_on(self):
+        positive = perfect_positive_sample()
+        as_float = dataclasses.replace(positive, gt_category=1.0)
+        assert type(as_float.gt_category) is int
+        assert multitask_loss([as_float], self.WEIGHTS, CODEC) == \
+            multitask_loss([dataclasses.replace(positive, gt_category=1)], self.WEIGHTS, CODEC)
+        assert dataclasses.replace(positive, gt_category=True).gt_category == 1
+        for sample in (positive, background_sample()):
+            with pytest.raises(InvalidInputError, match="gt_category must be an integer, got 1.5"):
+                dataclasses.replace(sample, gt_category=1.5)
+        # The range is checked by the loss, with the message the public call gives.
+        too_large = dataclasses.replace(positive, gt_category=2.0)
+        with pytest.raises(InvalidInputError) as info:
+            multitask_loss([too_large], self.WEIGHTS, CODEC)
+        assert str(info.value) == "target index 2 out of range for 2 logits"
 
     def test_ground_truth_at_a_tiny_negative_angle(self):
         sample = perfect_positive_sample(theta=-1e-20)
