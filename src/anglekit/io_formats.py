@@ -187,11 +187,11 @@ def _report_dict(report: EvalReport) -> dict:
 
 
 def write_report(report: EvalReport, path) -> None:
-    """Serialize a report to CSV (6 decimals) when path ends in .csv, else to
-    JSON (full precision).
+    """Serialize a report to CSV (6 decimals) when path ends in .csv, in any
+    case, else to JSON (full precision).
 
     Output is byte-identical across runs for identical reports."""
-    if not str(path).endswith(".csv"):
+    if Path(path).suffix.lower() != ".csv":
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(_report_dict(report), fh, sort_keys=True, indent=2)
             fh.write("\n")

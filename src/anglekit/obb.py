@@ -9,6 +9,7 @@ functions are pure and operate on immutable values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -19,6 +20,8 @@ Point = tuple[float, float]
 # Quads below this area (px^2), and intersections below this fraction of the
 # smaller quad's area, are numerical noise.
 _SLIVER_AREA = 1e-12
+_INF = math.inf
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -298,35 +301,99 @@ def convex_intersection_area(a: QuadPolygon, b: QuadPolygon) -> float:
 
 
 def _prepare(box: OrientedBox) -> tuple:
-    # Everything the pair kernel reads of one box: corners, area, AABB.
-    quad = to_corners(box)
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = quad.vertices
-    return (quad, quad.area, min(x0, x1, x2, x3), max(x0, x1, x2, x3),
-            min(y0, y1, y2, y3), max(y0, y1, y2, y3))
+    # Everything the pair kernel reads of one box: centre, half sides, angle
+    # in radians with its cosine and sine, area, and the AABB, taken from the
+    # half extents rather than from corners. A box is rejected with the
+    # messages its corner quad would give.
+    rad = math.radians(box.theta)
+    c, s = math.cos(rad), math.sin(rad)
+    hw, hh = 0.5 * box.w, 0.5 * box.h
+    ex, ey = hw * abs(c) + hh * abs(s), hw * abs(s) + hh * abs(c)
+    x0, x1, y0, y1 = box.cx - ex, box.cx + ex, box.cy - ey, box.cy + ey
+    if not (-_INF < x0 and x1 < _INF and -_INF < y0 and y1 < _INF):
+        raise InvalidInputError("non-finite quad vertices")
+    area = box.w * box.h
+    if area < _FLOAT_MIN:
+        raise DegenerateQuadError("quad must be counter-clockwise with positive area")
+    if area == _INF:
+        raise InvalidInputError("quad area is not finite")
+    return box.cx, box.cy, hw, hh, rad, c, s, area, x0, x1, y0, y1
+
+
+def _clip_step(poly: list, bound: float) -> list:
+    # Keeps the part of the non-empty polygon with x <= bound, then gives the
+    # plane a quarter turn, (x, y) -> (y, -x). Four steps with the bounds
+    # w/2, h/2, w/2, h/2 clip to the centred rectangle |x| <= w/2, |y| <= h/2
+    # and leave the plane as it was.
+    out = []
+    sx, sy = poly[-1]
+    s_in = sx <= bound
+    for px, py in poly:
+        p_in = px <= bound
+        if p_in != s_in:
+            # One end lies on each side of the bound, so px != sx.
+            out.append((sy + (bound - sx) / (px - sx) * (py - sy), -bound))
+        if p_in:
+            out.append((py, -px))
+        sx, sy, s_in = px, py, p_in
+    return out
 
 
 def _pair_iou(a: tuple, b: tuple) -> float:
-    qa, area_a, ax0, ax1, ay0, ay1 = a
-    qb, area_b, bx0, bx1, by0, by1 = b
+    acx, acy, ahw, ahh, arad, _, _, area_a, ax0, ax1, ay0, ay1 = a
+    bcx, bcy, bhw, bhh, brad, bc, bs, area_b, bx0, bx1, by0, by1 = b
     # Cheap axis-aligned reject before clipping.
     if ax1 < bx0 or bx1 < ax0 or ay1 < by0 or by1 < ay0:
         return 0.0
-    inter = convex_intersection_area(qa, qb)
-    union = area_a + area_b - inter
-    if union <= 0.0:
+    # Clip in b's own frame, where b is the rectangle |x| <= w/2, |y| <= h/2:
+    # a's centre offset turned by -theta_b, a's sides at theta_a - theta_b.
+    # Nothing is measured in absolute coordinates, and a box clipped against
+    # itself lands exactly on the rectangle.
+    dx, dy = acx - bcx, acy - bcy
+    rx, ry = dx * bc + dy * bs, dy * bc - dx * bs
+    rad = arad - brad
+    c, s = math.cos(rad), math.sin(rad)
+    ux, uy, vx, vy = ahw * c, ahw * s, -ahh * s, ahh * c
+    poly = [(rx + ux + vx, ry + uy + vy), (rx - ux + vx, ry - uy + vy),
+            (rx - ux - vx, ry - uy - vy), (rx + ux - vx, ry + uy - vy)]
+    for bound in (bhw, bhh, bhw, bhh):
+        poly = _clip_step(poly, bound)
+        if not poly:
+            return 0.0
+    # One or two vertices left sum to exactly 0, which the cutoff below drops.
+    total = 0.0
+    sx, sy = poly[-1]
+    for px, py in poly:
+        total += sx * py - px * sy
+        sx, sy = px, py
+    inter = abs(0.5 * total)
+    smaller = min(area_a, area_b)
+    # Relative, so the cutoff scales with the boxes instead of erasing tiny ones.
+    if inter < _SLIVER_AREA * smaller:
         return 0.0
-    return min(max(inter / union, 0.0), 1.0)
+    inter = min(inter, smaller)
+    union = area_a + area_b - inter
+    # A NaN intersection fails here too, so no IoU is ever NaN.
+    if not math.isfinite(union):
+        raise InvalidInputError("union area is not finite")
+    # inter <= smaller and area_a + area_b >= 2 * smaller, so union >= inter
+    # and union > 0: the ratio lies in [0, 1] without a clamp.
+    return inter / union
 
 
 def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
-    """Intersection over union of two oriented boxes, in [0, 1]."""
+    """Intersection over union of two oriented boxes, in [0, 1].
+
+    The pair is clipped in b's own frame, never in absolute coordinates, so
+    boxes far from the origin keep the precision they have near it.
+    """
     return _pair_iou(_prepare(a), _prepare(b))
 
 
 def iou_matrix(rows: Sequence[OrientedBox], cols: Sequence[OrientedBox]) -> list[list[float]]:
     """Rotated IoU of every (row, col) pair; entry [i][j] equals rotated_iou(rows[i], cols[j]).
 
-    Each box's corners are built once, however many pairs it is in.
+    Each box is prepared once, however many pairs it is in.
     """
     prepared_cols = [_prepare(b) for b in cols]
     return [[_pair_iou(a, b) for b in prepared_cols] for a in map(_prepare, rows)]

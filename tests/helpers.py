@@ -299,3 +299,22 @@ def count_calls(monkeypatch, name, module=anglekit.obb):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_clipped_pairs(monkeypatch):
+    """Count the pairs that reach obb's clip, however many clip steps each takes.
+
+    A pair's first step gets a fresh polygon; every later step gets the
+    polygon the step before it returned."""
+    pairs = [0]
+    original = anglekit.obb._clip_step
+    last = [None]
+
+    def counted(poly, bound):
+        if poly is not last[0]:
+            pairs[0] += 1
+        last[0] = original(poly, bound)
+        return last[0]
+
+    monkeypatch.setattr(anglekit.obb, "_clip_step", counted)
+    return pairs

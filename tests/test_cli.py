@@ -130,6 +130,21 @@ class TestGeometryCommands:
         code, out, _ = run_cli(capsys, "nms", "--detections", str(path), "--threshold", "0.5")
         assert (code, json.loads(out)) == (0, {"kept": [1, 2, 3], "total": 4})
 
+    def test_nms_keeps_a_task1_box_whose_corners_collapse(self, capsys, tmp_path):
+        # A 6.2e-5 x 3.1e-5 px box at 2.08e7 px, rotated 148 degrees: its absolute
+        # corners collapse, but IoU never builds them.
+        line = ("im1 {} 20807893.59863405 20807893.598596573 20807893.598581277 "
+                "20807893.598628946 20807893.598565087 20807893.598602563 "
+                "20807893.59861786 20807893.59857019\n")
+        path = tmp_path / "Task1_ship.txt"
+        argv = ["nms", "--detections", str(tmp_path), "--threshold", "0.5"]
+        path.write_text(line.format(0.9))
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, json.loads(out)) == (0, {"kept": [0], "total": 1})
+        path.write_text(line.format(0.9) + line.format(0.8))
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, json.loads(out)) == (0, {"kept": [0], "total": 2})
+
     def test_nms_class_agnostic_suppresses_across_categories(self, capsys, tmp_path):
         box = OrientedBox(10, 10, 4, 2, 30)
         path = tmp_path / "dets.json"
@@ -243,7 +258,7 @@ class TestEval:
         payload = json.loads(report_path.read_text())
         assert payload["map_by_threshold"]["0.50"] == pytest.approx(5 / 6)
 
-    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    @pytest.mark.parametrize("suffix", [".json", ".csv", ".CSV"])
     def test_stdout_labels_are_the_report_labels(self, capsys, eval_fixture, tmp_path, suffix):
         gt_dir, det_path = eval_fixture
         report_path = tmp_path / f"r{suffix}"
@@ -255,6 +270,7 @@ class TestEval:
         if suffix == ".json":
             by_label = json.loads(report_path.read_text())["map_by_threshold"]
         else:
+            assert report_path.read_text().startswith("category,iou_threshold,")
             rows = csv.reader(report_path.read_text().splitlines())
             by_label = {row[1]: float(row[2]) for row in rows if row[0] == "mAP"}
         assert parts == [f"mAP@{label}={v:.6f}" for label, v in by_label.items()]

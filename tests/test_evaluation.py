@@ -6,7 +6,8 @@ import pytest
 from anglekit import (COCO_THRESHOLDS, VOC07, VOC12, DetectionRecord, GroundTruthRecord,
                       InvalidInputError, OrientedBox, average_precision, evaluate, longside,
                       match_detections)
-from helpers import count_calls, random_longside_box, reference_evaluate, reference_match
+from helpers import (count_calls, count_clipped_pairs, random_longside_box, reference_evaluate,
+                     reference_match)
 
 
 def gt(image_id, box, category="ship", difficult=False):
@@ -207,14 +208,14 @@ class TestEvaluate:
 
     def test_each_iou_computed_once_for_all_thresholds(self, monkeypatch):
         gts, dets = three_category_fixture(seed=57)
-        clipped = count_calls(monkeypatch, "convex_intersection_area")
-        corners = count_calls(monkeypatch, "to_corners")
+        clipped = count_clipped_pairs(monkeypatch)
+        prepared = count_calls(monkeypatch, "_prepare")
         evaluate(gts, dets, [0.5], mode=VOC12)
         one = clipped[0]
-        clipped[0] = corners[0] = 0
+        clipped[0] = prepared[0] = 0
         evaluate(gts, dets, COCO_THRESHOLDS, mode=VOC12)
         assert clipped[0] == one > 0
-        assert corners[0] <= len(gts) + len(dets)
+        assert prepared[0] <= len(gts) + len(dets)
 
     def test_nested_thresholds_monotone(self):
         gts, dets = three_category_fixture(seed=54)

@@ -379,12 +379,12 @@ class TestMultitaskLossOracle:
         rng = np.random.default_rng(31)
         samples = [noisy_positive_sample(rng) for _ in range(5)] + \
                   [background_sample(float(rng.normal())) for _ in range(4)]
-        corners = count_calls(monkeypatch, "to_corners")
+        prepared = count_calls(monkeypatch, "_prepare")
         rechecks = count_calls(monkeypatch, "_finite_floats", anglekit.losses)
         for calls in (1, 2):
             multitask_loss(samples, self.WEIGHTS, CODEC)
             # Two boxes per foreground IoU, on every call: nothing is cached.
-            assert (corners[0], rechecks[0]) == (2 * 5 * calls, 0)
+            assert (prepared[0], rechecks[0]) == (2 * 5 * calls, 0)
 
     def test_category_index_is_an_integer_from_build_on(self):
         positive = perfect_positive_sample()

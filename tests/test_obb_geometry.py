@@ -10,8 +10,9 @@ from anglekit import (DegenerateQuadError, InvalidInputError, OrientedBox, QuadP
                       convex_intersection_area, from_corners, iou_matrix, longside, rotated_iou,
                       rotated_nms, to_corners)
 from anglekit.obb import _signed_area
-from helpers import (brute_force_min_rect_area, count_calls, exact_intersection_area,
-                     mc_intersection_fraction, random_longside_box, reference_nms)
+from helpers import (brute_force_min_rect_area, count_calls, count_clipped_pairs,
+                     exact_intersection_area, mc_intersection_fraction, random_longside_box,
+                     reference_nms)
 
 
 def sorted_corners(quad):
@@ -358,6 +359,11 @@ class TestConvexIntersectionArea:
             assert ab >= 0.0
 
 
+# Two 1-20 px boxes whose centres lie within 10 px of each other, so most overlap.
+PAIR = st.tuples(*(st.builds(longside, st.floats(-5, 5), st.floats(-5, 5), st.floats(1, 20),
+                             st.floats(1, 20), st.floats(0, 180)) for _ in range(2)))
+
+
 class TestRotatedIoU:
     def test_identity(self):
         box = OrientedBox(0, 0, 2, 1, 45)
@@ -371,21 +377,57 @@ class TestRotatedIoU:
         assert rotated_iou(OrientedBox(0, 0, 2, 1, 0),
                            OrientedBox(0, 0, 2, 1, 90)) == pytest.approx(1 / 3, abs=1e-9)
 
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=80)
-    def test_symmetric_and_bounded(self, seed):
+    @given(st.integers(0, 10_000), st.sampled_from([0.0, 2e4, 1e6]))
+    @settings(max_examples=150)
+    def test_symmetric_and_bounded(self, seed, offset):
         rng = np.random.default_rng(seed)
-        a = random_longside_box(rng, span=1.0)
-        b = random_longside_box(rng, span=1.0)
-        ab = rotated_iou(a, b)
-        assert 0.0 <= ab <= 1.0
-        assert ab == pytest.approx(rotated_iou(b, a), abs=1e-12)
-        assert rotated_iou(a, a) == pytest.approx(1.0, abs=1e-12)
+        a, b = (OrientedBox(box.cx + offset, box.cy - offset, box.w, box.h, box.theta)
+                for box in (random_longside_box(rng, span=1.0) for _ in range(2)))
+        ab, ba = rotated_iou(a, b), rotated_iou(b, a)
+        assert 0.0 <= ab <= 1.0  # and so not NaN
+        assert ab == pytest.approx(ba, abs=1e-12)
+        table = iou_matrix([a, b], [a, b])
+        assert table == [[rotated_iou(a, a), ab], [ba, rotated_iou(b, b)]]
+        assert table[0][0] == table[1][1] == 1.0
 
     def test_tiny_box_identity(self):
         # the sliver cutoff is relative to the boxes, so tiny boxes keep their overlap
         box = OrientedBox(0.3, 0.2, 2e-7, 1e-7, 30)
         assert rotated_iou(box, box) == 1.0
+
+    def test_tiny_box_far_from_the_origin_identity(self):
+        # its corners collapse in absolute coordinates, not in its own frame
+        box = OrientedBox(1e10, 0, 1e-10, 1e-10, 0)
+        assert rotated_iou(box, box) == 1.0
+
+    @pytest.mark.parametrize("a, b, error, message", [
+        pytest.param((0, 0, 1e200, 1e200, 0), (0, 0, 1e200, 1e200, 0), InvalidInputError,
+                     NOT_FINITE, id="area-overflows"),
+        pytest.param((1e308, 0, 1e308, 1, 0), (1e308, 0, 1e308, 1, 0), InvalidInputError,
+                     "union area is not finite", id="union-overflows"),
+        pytest.param((0, 0, 1e-200, 1e-200, 0), (0, 0, 1e-200, 1e-200, 0),
+                     DegenerateQuadError, CCW_MESSAGE, id="area-underflows"),
+        pytest.param((0, 0, 1e-170, 1e-170, 30), (0, 0, 1e-170, 1e-170, 10),
+                     DegenerateQuadError, CCW_MESSAGE, id="area-subnormal"),
+        pytest.param((0, 0, 1e-154, 1e-154, 0), (0, 0, 1, 1, 0), DegenerateQuadError,
+                     CCW_MESSAGE, id="area-below-float-min"),
+        pytest.param((1.7e308, 0, 1.7e308, 1, 0), (0, 0, 1, 1, 0), InvalidInputError,
+                     "non-finite quad vertices", id="extent-overflows"),
+    ])
+    def test_rejections(self, a, b, error, message):
+        a, b = OrientedBox(*a), OrientedBox(*b)
+        assert rejection(rotated_iou, a, b) == rejection(rotated_iou, b, a) == (error, message)
+        assert rejection(iou_matrix, [a], [b]) == (error, message)
+
+    @pytest.mark.parametrize("offset", [2e4, 1e6])
+    @given(st.floats(-1, 1), st.floats(-1, 1), PAIR)
+    @settings(max_examples=150)
+    def test_translation_invariant_at_tile_scale(self, offset, ux, uy, pair):
+        # The moved-back pair has the same float offset between the boxes.
+        ox, oy = offset * ux, offset * uy
+        far = [OrientedBox(box.cx + ox, box.cy + oy, box.w, box.h, box.theta) for box in pair]
+        near = [OrientedBox(box.cx - ox, box.cy - oy, box.w, box.h, box.theta) for box in far]
+        assert abs(rotated_iou(*far) - rotated_iou(*near)) <= 1e-12
 
     def test_invariances(self):
         rng = np.random.default_rng(7)
@@ -423,7 +465,7 @@ class TestIouMatrix:
         # thin parallel boxes: their AABBs overlap but the boxes do not
         rows.append(OrientedBox(0, 0, 10, 1, 45))
         cols.append(OrientedBox(2, -2, 10, 1, 45))
-        clipped = count_calls(monkeypatch, "convex_intersection_area")
+        clipped = count_clipped_pairs(monkeypatch)
         table = iou_matrix(rows, cols)
         assert clipped[0] < len(rows) * len(cols)  # some pairs were AABB-rejected
         values = [v for row in table for v in row]
@@ -446,9 +488,9 @@ class TestIouMatrix:
         rng = np.random.default_rng(5)
         rows = [random_longside_box(rng) for _ in range(6)]
         cols = [random_longside_box(rng) for _ in range(4)]
-        corners = count_calls(monkeypatch, "to_corners")
+        prepared = count_calls(monkeypatch, "_prepare")
         iou_matrix(rows, cols)
-        assert corners[0] == len(rows) + len(cols)
+        assert prepared[0] == len(rows) + len(cols)
 
 
 class TestRotatedNms:
@@ -496,9 +538,9 @@ class TestRotatedNms:
         rng = np.random.default_rng(17)
         items = [(random_longside_box(rng, span=2.0), float(rng.uniform(0, 1)), "a")
                  for _ in range(30)]
-        corners = count_calls(monkeypatch, "to_corners")
+        prepared = count_calls(monkeypatch, "_prepare")
         rotated_nms(items, 0.3)
-        assert corners[0] == len(items)
+        assert prepared[0] == len(items)
 
     def test_rejects_bad_inputs(self):
         box = OrientedBox(0, 0, 2, 1, 0)
