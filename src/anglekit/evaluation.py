@@ -98,14 +98,13 @@ def match_detections(dets: Sequence[DetectionRecord], gts: Sequence[GroundTruthR
     best-IoU candidate among the same image's unmatched ground truths
     (difficult ground truths stay claimable and absorb without flags).
     A claim below the threshold, or no candidate at all, is a false
-    positive.
+    positive. The threshold is rounded by canonical_thresholds, as in evaluate.
     """
-    if not (0.0 < iou_threshold <= 1.0):
-        raise InvalidInputError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
+    (threshold,) = canonical_thresholds((iou_threshold,))
     categories = {r.category for r in dets} | {r.category for r in gts}
     if len(categories) > 1:
         raise InvalidInputError(f"records span multiple categories: {sorted(categories)}")
-    return _match(gts, _det_order(dets), _candidates(dets, gts), iou_threshold)
+    return _match(gts, _det_order(dets), _candidates(dets, gts), threshold)
 
 
 def _candidates(dets: Sequence[DetectionRecord],

@@ -15,12 +15,15 @@ from pathlib import Path
 
 from .errors import InvalidInputError, ParseError
 from .evaluation import DetectionRecord, EvalReport, GroundTruthRecord, threshold_label
-from .obb import OrientedBox, QuadPolygon, from_corners, to_corners
+from .obb import OrientedBox, QuadPolygon, _prepare, from_corners
 
 log = logging.getLogger("anglekit")
 
 _HEADER_PREFIXES = ("imagesource:", "gsd:")
-_DETECTION_KEYS = {"image_id", "category", "score", "cx", "cy", "w", "h", "theta"}
+# The JSON type write_detections gives each field; a bool is not a number.
+_JSON_TYPES = {"str": (str,), "number": (int, float)}
+_DETECTION_FIELDS = {"image_id": "str", "category": "str",
+                     **dict.fromkeys(("score", "cx", "cy", "w", "h", "theta"), "number")}
 
 
 def _fail_or_skip(strict: bool, path, line_no: int, message: str) -> None:
@@ -50,8 +53,9 @@ def _read_dota(path: Path, strict: bool, build, headers: bool = False) -> list:
 
     Blank lines are skipped, and so are imagesource:/gsd: lines when
     `headers` is set (annotation files). A line without 10 fields, or one
-    whose numbers, quad, fit or record are invalid, raises ParseError at
-    path:line when strict, and is logged and skipped otherwise.
+    whose numbers, quad, fit or record are invalid or whose box the IoU
+    kernel rejects, raises ParseError at path:line when strict, and is
+    logged and skipped otherwise.
     """
     records, stem = [], path.stem
     with open(path, encoding="utf-8") as fh:
@@ -63,7 +67,9 @@ def _read_dota(path: Path, strict: bool, build, headers: bool = False) -> list:
             try:
                 if len(tokens) != 10:
                     raise InvalidInputError(f"expected 10 fields, got {len(tokens)}")
-                records.append(build(stem, tokens))
+                record = build(stem, tokens)
+                _prepare(record.box)  # the IoU kernel's box rule, as for JSON records
+                records.append(record)
             except ValueError as exc:
                 _fail_or_skip(strict, path, line_no, str(exc))
     return records
@@ -102,18 +108,18 @@ def _parse_detection_json(path: Path, strict: bool) -> list[DetectionRecord]:
         try:
             if not isinstance(entry, dict):
                 raise InvalidInputError("record must be an object")
-            extra = set(entry) - _DETECTION_KEYS
-            missing = _DETECTION_KEYS - set(entry)
+            extra, missing = entry.keys() - _DETECTION_FIELDS, _DETECTION_FIELDS - entry.keys()
             if extra or missing:
                 raise InvalidInputError(
                     f"bad record keys (extra={sorted(extra)}, missing={sorted(missing)})")
-            box = OrientedBox(float(entry["cx"]), float(entry["cy"]),
-                              float(entry["w"]), float(entry["h"]), float(entry["theta"]))
-            to_corners(box)  # a box whose corners collapse fails here, at its record
-            records.append(DetectionRecord(image_id=str(entry["image_id"]), box=box,
-                                           category=str(entry["category"]),
-                                           score=float(entry["score"])))
-        except (ValueError, TypeError, InvalidInputError) as exc:
+            for key, kind in _DETECTION_FIELDS.items():
+                if type(entry[key]) not in _JSON_TYPES[kind]:
+                    raise InvalidInputError(f"{key} must be a JSON {kind}, got {entry[key]!r}")
+            box = OrientedBox(*(float(entry[k]) for k in ("cx", "cy", "w", "h", "theta")))
+            _prepare(box)  # the IoU kernel's box rule: a box it cannot score fails here
+            records.append(DetectionRecord(entry["image_id"], box, entry["category"],
+                                           float(entry["score"])))
+        except (ValueError, OverflowError) as exc:
             _fail_or_skip(strict, path, idx, f"record {idx}: {exc}")
     return records
 
@@ -123,7 +129,9 @@ def parse_detections(path, strict: bool = True) -> list[DetectionRecord]:
 
     Text lines read "image_id score x1 y1 ... y4"; quads are fitted to
     long-side boxes. The JSON format is the canonical normalized form
-    written by write_detections.
+    written by write_detections: image_id and category must be JSON
+    strings and the other six fields JSON numbers. In either format a box
+    the IoU kernel would reject fails at its line or record.
     """
     path = Path(path)
     if path.is_dir():
@@ -137,20 +145,11 @@ def parse_detections(path, strict: bool = True) -> list[DetectionRecord]:
 
 
 def write_detections(records, path) -> None:
-    """Write detections as normalized JSON; parsing it back is a fixed point."""
-    payload = [
-        {
-            "image_id": r.image_id,
-            "category": r.category,
-            "score": r.score,
-            "cx": r.box.cx,
-            "cy": r.box.cy,
-            "w": r.box.w,
-            "h": r.box.h,
-            "theta": r.box.theta,
-        }
-        for r in records
-    ]
+    """Write detections as normalized JSON; parsing it back is a fixed point
+    for every record the parsers return."""
+    payload = [{"image_id": r.image_id, "category": r.category, "score": r.score,
+                "cx": r.box.cx, "cy": r.box.cy, "w": r.box.w, "h": r.box.h, "theta": r.box.theta}
+               for r in records]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -170,7 +170,7 @@ def ifl_grad(pred_residual: float, target_residual: float, iou: float) -> float:
 
 
 def _ifl_weight(iou: float) -> float:
-    if not (0.0 < iou <= 1.0) or not math.isfinite(iou):
+    if not (0.0 < iou <= 1.0):
         raise InvalidInputError(f"iou must lie in (0, 1], got {iou}")
     return abs(-math.log(iou)) + 1.0
 
@@ -356,7 +356,7 @@ def multitask_loss(samples: Sequence[AssignedSample], weights: LossWeights,
             theta_pred = _angle(_bin_from_scores(angle.class_logits, codec),
                                 angle.regression_output, codec)
             pred_obb = longside(pred_box.cx, pred_box.cy, pred_box.w, pred_box.h, theta_pred)
-            iou = min(max(rotated_iou(pred_obb, gt), _IOU_FLOOR), 1.0)
+            iou = max(rotated_iou(pred_obb, gt), _IOU_FLOOR)
             ang_r.append(ifl(angle.regression_output, _residual_target(residual, codec), iou))
 
     n = len(samples)

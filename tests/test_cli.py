@@ -11,7 +11,8 @@ import pytest
 
 import anglekit
 import anglekit.losses
-from anglekit import VOC07, VOC12, DetectionRecord, OrientedBox, to_corners, write_detections
+from anglekit import (VOC07, VOC12, DetectionRecord, OrientedBox, ParseError, parse_detections,
+                      to_corners, write_detections)
 from anglekit.cli import main
 
 
@@ -326,8 +327,7 @@ class TestEval:
         assert (code, out) == (0, clean)
         assert "im1.txt:2: non-finite box parameters" in caplog.text
 
-    @pytest.mark.parametrize("box", [{"cx": 10.0, "cy": 10.0, "w": 1e-200, "h": 1e-200},
-                                     {"cx": 1e8, "cy": 1e8, "w": 1e-9, "h": 1e-9}])
+    @pytest.mark.parametrize("box", [{"cx": 10.0, "cy": 10.0, "w": 1e-200, "h": 1e-200}])
     def test_collapsed_json_detection_is_skipped(self, capsys, caplog, eval_fixture, box):
         gt_dir, det_path = eval_fixture
         argv = ["eval", "--gt", str(gt_dir), "--det", str(det_path), "--nms", "0.5"]
@@ -339,6 +339,52 @@ class TestEval:
         code, out, _ = run_cli(capsys, *argv)
         assert (code, out) == (0, clean)
         assert "dets.json:2: record 2: quad must be counter-clockwise" in caplog.text
+
+    def test_tiny_json_detection_far_from_the_origin_is_scored(self, capsys, caplog,
+                                                               eval_fixture):
+        # A 1e-9 px box at 1e8 px: its absolute corners collapse, but the IoU
+        # kernel scores it, so the parser keeps it and it counts as a false
+        # positive. No Task1 line can carry it: its area is below the quad fit's
+        # 1e-12 px^2 sliver bound.
+        gt_dir, det_path = eval_fixture
+        records = json.loads(det_path.read_text())
+        records.insert(1, {**records[0], "cx": 1e8, "cy": 1e8, "w": 1e-9, "h": 1e-9})
+        det_path.write_text(json.dumps(records))
+        tiny = DetectionRecord("im1", OrientedBox(1e8, 1e8, 1e-9, 1e-9, 30), "ship", 0.9)
+        parsed = parse_detections(det_path)
+        assert parsed[1] == tiny
+        write_detections(parsed, det_path.with_name("again.json"))
+        assert parse_detections(det_path.with_name("again.json")) == parsed
+        code, out, _ = run_cli(capsys, "nms", "--detections", str(det_path), "--threshold", "0.5")
+        assert (code, json.loads(out)) == (0, {"kept": [0, 1, 2, 3], "total": 4})
+        code, out, _ = run_cli(capsys, "eval", "--gt", str(gt_dir), "--det", str(det_path),
+                               "--nms", "0.5", "--thresholds", "0.5")
+        # TP, FP, FP, TP by score: VOC12 AP = 0.5 * 1 + 0.5 * 2 / 4, where it was
+        # 0.5 * 1 + 0.5 * 2 / 3 without the tiny box
+        assert (code, out.splitlines()[0]) == (0, "mAP@0.50=0.750000")
+        assert "skipped" not in caplog.text
+
+    def test_json_record_of_the_wrong_type_is_skipped(self, capsys, caplog, eval_fixture,
+                                                      tmp_path):
+        # One GT, one exact detection, and a copy whose image_id is null and
+        # score a bool: str() and float() would make it a second image's FP.
+        gt_dir, _ = eval_fixture
+        box = OrientedBox(10, 10, 4, 2, 30)
+        (gt_dir / "im1.txt").write_text(
+            " ".join(f"{x!r} {y!r}" for x, y in to_corners(box).vertices) + " ship 0\n")
+        det_path = tmp_path / "typed.json"
+        write_detections([DetectionRecord("im1", box, "ship", 0.9)], det_path)
+        records = json.loads(det_path.read_text())
+        det_path.write_text(json.dumps([*records, {**records[0], "image_id": None,
+                                                    "score": True}]))
+        with pytest.raises(ParseError, match=r"typed\.json:2: record 2: image_id must be a "
+                                             r"JSON str, got None$"):
+            parse_detections(det_path)
+        code, out, _ = run_cli(capsys, "eval", "--gt", str(gt_dir), "--det", str(det_path),
+                               "--thresholds", "0.5")
+        assert (code, out.splitlines()[0]) == (0, "mAP@0.50=1.000000")
+        assert "typed.json:2: record 2: image_id must be a JSON str, got None (skipped)" \
+            in caplog.text
 
     def test_bad_nms_threshold_exits_2_before_reading(self, capsys, eval_fixture, tmp_path):
         gt_dir, _ = eval_fixture

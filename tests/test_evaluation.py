@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from anglekit import (COCO_THRESHOLDS, VOC07, VOC12, DetectionRecord, GroundTruthRecord,
                       InvalidInputError, OrientedBox, average_precision, evaluate, longside,
-                      match_detections)
+                      match_detections, rotated_iou)
 from helpers import (count_calls, count_clipped_pairs, random_longside_box, reference_evaluate,
                      reference_match)
 
@@ -72,6 +74,42 @@ class TestMatchDetections:
                 assert list(got.tp) == ref_tp
                 assert list(got.fp) == ref_fp
                 assert list(got.gt_matched) == ref_matched
+
+
+# One 10 x 1 px GT per image and a detection slid along its long side by dx,
+# so the IoUs (10 - dx) / (10 + dx) run from 0.0025 to 1 in steps of 0.005:
+# whatever a threshold rounds to, some IoU lies between the two.
+LADDER_GTS = [gt(f"im{i}", OrientedBox(0, 0, 10, 1, 0)) for i in range(201)]
+LADDER_DETS = [det(f"im{i}", OrientedBox(10 * (1 - q) / (1 + q), 0, 10, 1, 0), 0.2 + i / 400)
+               for i, q in enumerate([0.0025 + 0.005 * i for i in range(200)] + [1.0])]
+
+
+class TestMatchThresholdRule:
+    @given(st.integers(51, 10049).map(lambda k: k / 10000))
+    def test_match_detections_counts_the_evaluate_cell(self, threshold):
+        cell = evaluate(LADDER_GTS, LADDER_DETS, [threshold]).categories["ship"]
+        (counts,) = [(c.tp, c.fp) for c in cell.values()]
+        result = match_detections(LADDER_DETS, LADDER_GTS, threshold)
+        assert (sum(result.tp), sum(result.fp)) == counts
+
+    def test_threshold_rounds_before_matching(self):
+        gts = [gt("im1", OrientedBox(0, 0, 10, 1, 0))]
+        dets = [det("im1", OrientedBox(2.9074, 0, 10, 1, 0), 0.9)]
+        assert 0.549 < rotated_iou(gts[0].box, dets[0].box) < 0.55
+        assert match_detections(dets, gts, 0.549).tp == (False,)
+        assert evaluate(gts, dets, [0.549]).map_by_threshold == {0.55: 0.0}
+        assert match_detections(dets, gts, 0.544).tp == (True,)
+
+    def test_threshold_range_is_the_evaluate_range(self):
+        exact = ([det("im1", BOX_A, 0.9)], [gt("im1", BOX_A)])
+        with pytest.raises(InvalidInputError, match=r"^iou threshold must lie in \(0, 1\], "
+                                                    r"got 0\.004$"):
+            match_detections(*exact, 0.004)
+        with pytest.raises(InvalidInputError, match=r"^iou threshold must lie in \(0, 1\], "
+                                                    r"got 0\.004$"):
+            evaluate(exact[1], exact[0], [0.004])
+        assert match_detections(*exact, 1.004) == match_detections(*exact, 1.0)
+        assert match_detections(*exact, 1.004).tp == (True,)
 
 
 class TestAveragePrecision:

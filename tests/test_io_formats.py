@@ -1,10 +1,16 @@
 import json
+import logging
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from anglekit import (DetectionRecord, GroundTruthRecord, InvalidInputError, OrientedBox,
                       ParseError, evaluate, parse_annotation_dir, parse_annotation_file,
-                      parse_detections, to_corners, write_detections, write_report)
+                      parse_detections, rotated_iou, to_corners, write_detections, write_report)
 
 
 def corner_line(box, category, difficulty):
@@ -207,6 +213,17 @@ class TestParseDetections:
         assert [r.box.w for r in parse_detections(path, strict=False)] == [2.0]
         assert "record 2: quad area is not finite (skipped)" in caplog.text
 
+    def test_json_integer_beyond_float_range_is_skipped(self, tmp_path, caplog):
+        record = {"image_id": "a", "category": "ship", "score": 0.5,
+                  "cx": 0, "cy": 0, "w": 2, "h": 1, "theta": 0}
+        path = tmp_path / "dets.json"
+        path.write_text(json.dumps([record, {**record, "cx": 10**400}]))
+        with pytest.raises(ParseError) as info:
+            parse_detections(path)
+        assert str(info.value).endswith("dets.json:2: record 2: int too large to convert to float")
+        assert [r.box.cx for r in parse_detections(path, strict=False)] == [0.0]
+        assert "record 2: int too large to convert to float (skipped)" in caplog.text
+
     def test_score_out_of_range_rejected(self, tmp_path):
         root = tmp_path / "dets"
         root.mkdir()
@@ -235,6 +252,138 @@ class TestParseDetections:
         path.write_text("")
         with pytest.raises(InvalidInputError):
             parse_detections(path)
+
+
+# A 4.33e-5 x 3.13e-5 px box at (1.48e7, 2.09e7) px: its absolute corners
+# collapse, so a corner-quad check on the JSON record used to reject it.
+COLLAPSED_CORNERS_LINE = (
+    "im1 0.9 14759292.541815056 20884584.505933 14759292.541831715 20884584.505893037 "
+    "14759292.541860597 20884584.505905077 14759292.541843938 20884584.50594504")
+
+# A quad that passes the quad checks (its turn tests overflow to NaN, which
+# counts as convex) and fits to a 1.78e308 x 1.4e5 px box whose area w * h
+# is not finite.
+UNSCORABLE_FIT_QUAD = ("4.1930196666077115e+305 79.67450953717805 "
+                       "5.1933288445615775e+305 0.0015744377802287457 "
+                       "1.7829450721276764e+308 -59.99893846182978 "
+                       "8.970535673488653e+305 -0.011500965308609779")
+
+JSON_FIELDS = ("image_id", "category", "score", "cx", "cy", "w", "h", "theta")
+STRING_FIELDS = ("image_id", "category")
+
+
+@st.composite
+def task1_lines(draw):
+    # A rectangle of 1e-4 to 1e3 px anywhere within 2e7 px of the origin, each
+    # corner moved by up to a tenth of its short side.
+    cx, cy = draw(st.floats(-2e7, 2e7)), draw(st.floats(-2e7, 2e7))
+    w = 10 ** draw(st.floats(-4, 3))
+    h = w * draw(st.floats(0.05, 1))
+    rad = math.radians(draw(st.floats(0, 180)))
+    ux, uy = math.cos(rad), math.sin(rad)
+    noise = 0.1 * h
+    coords = []
+    for a, b in ((1, 1), (-1, 1), (-1, -1), (1, -1)):
+        coords.append(cx + a * w / 2 * ux - b * h / 2 * uy + noise * draw(st.floats(-1, 1)))
+        coords.append(cy + a * w / 2 * uy + b * h / 2 * ux + noise * draw(st.floats(-1, 1)))
+    image_id = draw(st.sampled_from(["im1", "im2", "P0003"]))
+    return f"{image_id} {draw(st.floats(0, 1))!r} " + " ".join(map(repr, coords))
+
+
+@st.composite
+def json_records(draw):
+    # Records as any writer might emit them: ints or floats, tiny or large
+    # sides, unreduced angles.
+    number = st.one_of(st.floats(-2e7, 2e7), st.integers(-10**6, 10**6))
+    w = draw(st.one_of(st.floats(1e-150, 1e4), st.integers(1, 10**4)))
+    return {"image_id": draw(st.text(max_size=4)), "category": draw(st.text(max_size=4)),
+            "score": draw(st.one_of(st.floats(0, 1), st.integers(0, 1))),
+            "cx": draw(number), "cy": draw(number), "w": w, "h": w * draw(st.floats(0.01, 1)),
+            "theta": draw(st.one_of(st.floats(-1e3, 1e3), st.integers(-720, 720)))}
+
+
+def assert_scorable_fixed_point(records, root):
+    """Every record scores, and write -> parse -> write reproduces records and bytes."""
+    for r in records:
+        assert 0.0 < rotated_iou(r.box, r.box) <= 1.0
+    first, second = root / "first.json", root / "second.json"
+    write_detections(records, first)
+    again = parse_detections(first)
+    assert again == records
+    write_detections(again, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+class TestOneRulePerRecord:
+    @settings(max_examples=60)
+    @given(st.lists(task1_lines(), min_size=1, max_size=4))
+    @example([COLLAPSED_CORNERS_LINE])
+    def test_task1_detections_round_trip(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "Task1_ship.txt").write_text("\n".join(lines) + "\n")
+            (root / "gt").mkdir()
+            (root / "gt" / "im1.txt").write_text(
+                "".join(line.split(None, 2)[2] + " ship 0\n" for line in lines))
+            for r in parse_annotation_dir(root / "gt", strict=False):
+                assert 0.0 < rotated_iou(r.box, r.box) <= 1.0
+            assert_scorable_fixed_point(parse_detections(root, strict=False), root)
+
+    def test_collapsed_corners_line_survives_json(self, tmp_path):
+        (tmp_path / "Task1_ship.txt").write_text(COLLAPSED_CORNERS_LINE + "\n")
+        (record,) = parse_detections(tmp_path)
+        assert record.box.w < 1e-4 and record.box.cx > 1e7
+        assert_scorable_fixed_point([record], tmp_path)
+
+    @settings(max_examples=60)
+    @given(st.lists(json_records(), min_size=1, max_size=4))
+    def test_json_detections_round_trip(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "raw.json").write_text(json.dumps(records))
+            assert_scorable_fixed_point(parse_detections(root / "raw.json", strict=False), root)
+
+    @pytest.mark.parametrize("name, build", [
+        ("Task1_ship.txt", lambda quad: f"im1 0.9 {quad}\nim1 0.8 0 0 2 0 2 1 0 1\n"),
+        ("im1.txt", lambda quad: f"{quad} ship 0\n0 0 2 0 2 1 0 1 ship 0\n"),
+    ], ids=["task1", "annotation"])
+    def test_unscorable_fit_fails_at_its_line(self, tmp_path, caplog, name, build):
+        (tmp_path / name).write_text(build(UNSCORABLE_FIT_QUAD))
+        parse = parse_detections if name.startswith("Task1_") else parse_annotation_dir
+        with pytest.raises(ParseError) as info:
+            parse(tmp_path)
+        assert str(info.value).endswith(f"{name}:1: quad area is not finite")
+        assert [r.box.w for r in parse(tmp_path, strict=False)] == [2.0]
+        assert f"{name}:1: quad area is not finite (skipped)" in caplog.text
+
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 3), st.sampled_from(JSON_FIELDS), st.data())
+    def test_malformed_json_record_fails_at_its_number(self, caplog, index, key, data):
+        valid = [{"image_id": f"im{i}", "category": "ship", "score": 0.5, "cx": 10.0 * i,
+                  "cy": 0, "w": 4, "h": 2.5, "theta": 30} for i in range(4)]
+        wrong_type = st.one_of(st.none(), st.booleans(), st.lists(st.integers(), max_size=2),
+                               st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+                               st.integers() | st.floats() if key in STRING_FIELDS else st.text())
+        bad = dict(valid[index])
+        mutation = data.draw(st.sampled_from(["replace", "drop", "add"]))
+        if mutation == "replace":
+            bad[key] = data.draw(wrong_type)
+        elif mutation == "drop":
+            del bad[key]
+        else:
+            bad[data.draw(st.text(min_size=1).filter(lambda k: k not in JSON_FIELDS))] = 0
+        caplog.clear()
+        with tempfile.TemporaryDirectory() as tmp:
+            clean, path = Path(tmp) / "clean.json", Path(tmp) / "bad.json"
+            clean.write_text(json.dumps(valid[:index] + valid[index + 1:]))
+            path.write_text(json.dumps(valid[:index] + [bad] + valid[index + 1:]))
+            with pytest.raises(ParseError) as info:
+                parse_detections(path)
+            assert f"bad.json:{index + 1}: record {index + 1}: " in str(info.value)
+            with caplog.at_level(logging.WARNING, logger="anglekit"):
+                assert parse_detections(path, strict=False) == parse_detections(clean)
+            assert f"bad.json:{index + 1}: record {index + 1}: " in caplog.text
+            assert caplog.text.rstrip().endswith("(skipped)")
 
 
 def small_report():
