@@ -22,6 +22,7 @@ Point = tuple[float, float]
 _SLIVER_AREA = 1e-12
 _INF = math.inf
 _FLOAT_MIN = sys.float_info.min  # the smallest normal float
+_MAX_AREA = 0.5 * sys.float_info.max  # two such areas still have a finite union
 
 
 @dataclass(frozen=True)
@@ -74,22 +75,37 @@ class AxisAlignedBox:
 
 
 def _signed_area(vertices: Sequence[Point]) -> float:
+    # Shoelace sum from the closing edge on; one or two vertices give exactly 0.
     total = 0.0
-    n = len(vertices)
-    for i in range(n):
-        x0, y0 = vertices[i]
-        x1, y1 = vertices[(i + 1) % n]
-        total += x0 * y1 - x1 * y0
+    sx, sy = vertices[-1]
+    for px, py in vertices:
+        total += sx * py - px * sy
+        sx, sy = px, py
     return 0.5 * total
 
 
-# Quad helpers: _signed_area and the per-vertex turn test unrolled for four
-# vertices, term by term in the same order, so the results are the same bits.
+def _corners(cx: float, cy: float, ux: float, uy: float, vx: float, vy: float) -> tuple:
+    # Rectangle about (cx, cy) with half sides u and v, CCW if v is u turned left.
+    return ((cx + ux + vx, cy + uy + vy), (cx - ux + vx, cy - uy + vy),
+            (cx - ux - vx, cy - uy - vy), (cx + ux - vx, cy + uy - vy))
+
+
+def _overlap(inter: float, area_a: float, area_b: float) -> float:
+    # Intersection credited to two shapes: 0 below a sliver's share of the
+    # smaller area (relative, so tiny shapes keep theirs), at most that area.
+    smaller = min(area_a, area_b)
+    if inter < _SLIVER_AREA * smaller:
+        return 0.0
+    return min(inter, smaller)
+
+
+# Quad helpers, unrolled for four vertices (a loop costs ~3% of a text parse);
+# _quad_area sums _signed_area's terms in its order, so both give the same bits.
 
 def _quad_area(pts) -> float:
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
-    return 0.5 * (0.0 + (x0 * y1 - x1 * y0) + (x1 * y2 - x2 * y1)
-                  + (x2 * y3 - x3 * y2) + (x3 * y0 - x0 * y3))
+    return 0.5 * (0.0 + (x3 * y0 - x0 * y3) + (x0 * y1 - x1 * y0)
+                  + (x1 * y2 - x2 * y1) + (x2 * y3 - x3 * y2))
 
 
 def _quad_convex(pts) -> bool:
@@ -104,20 +120,6 @@ def _quad_convex(pts) -> bool:
 def _quad_finite(pts) -> bool:
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
     return all(map(math.isfinite, (x0, y0, x1, y1, x2, y2, x3, y3)))
-
-
-def _checked_area(pts) -> float:
-    # Area of four float vertices, after the checks every QuadPolygon passes.
-    if not _quad_finite(pts):
-        raise InvalidInputError("non-finite quad vertices")
-    area = _quad_area(pts)
-    if area <= 0.0:
-        raise DegenerateQuadError("quad must be counter-clockwise with positive area")
-    if not _quad_convex(pts):
-        raise DegenerateQuadError("quad must be convex")
-    if not math.isfinite(area):
-        raise InvalidInputError("quad area is not finite")
-    return area
 
 
 def _ordered_ccw(candidate: list[Point]):
@@ -139,7 +141,7 @@ def _ordered_ccw(candidate: list[Point]):
 class QuadPolygon:
     """Convex quadrilateral with vertices in counter-clockwise order.
 
-    Construction checks the vertices once and stores their area.
+    Construction checks the vertices once.
     """
 
     vertices: tuple[Point, Point, Point, Point]
@@ -149,14 +151,21 @@ class QuadPolygon:
             raise InvalidInputError("quad requires exactly 4 vertices")
         pts = tuple((float(x), float(y)) for x, y in self.vertices)
         object.__setattr__(self, "vertices", pts)
-        object.__setattr__(self, "_area", _checked_area(pts))
+        if not _quad_finite(pts):
+            raise InvalidInputError("non-finite quad vertices")
+        area = _quad_area(pts)
+        if area <= 0.0:
+            raise DegenerateQuadError("quad must be counter-clockwise with positive area")
+        if not _quad_convex(pts):
+            raise DegenerateQuadError("quad must be convex")
+        if not math.isfinite(area):
+            raise InvalidInputError("quad area is not finite")
 
     @classmethod
-    def _trusted(cls, vertices: tuple, area: float) -> "QuadPolygon":
-        # A quad whose float vertices already passed the checks, with their area.
+    def _trusted(cls, vertices: tuple) -> "QuadPolygon":
+        # A quad whose float vertices already passed the checks.
         quad = object.__new__(cls)
         object.__setattr__(quad, "vertices", vertices)
-        object.__setattr__(quad, "_area", area)
         return quad
 
     @classmethod
@@ -191,13 +200,12 @@ class QuadPolygon:
             raise DegenerateQuadError("quad must be counter-clockwise with positive area")
         if not math.isfinite(area):
             raise InvalidInputError("quad area is not finite")
-        return cls._trusted(tuple(vertices), area)
+        return cls._trusted(tuple(vertices))
 
     @property
     def area(self) -> float:
-        """Shoelace area of the vertices: a stored value, computed once when
-        the vertices were checked, never recomputed."""
-        return self._area
+        """Shoelace area of the vertices, the one the checks measured."""
+        return _quad_area(self.vertices)
 
 
 def longside(cx: float, cy: float, w: float, h: float, theta: float) -> OrientedBox:
@@ -217,13 +225,7 @@ def to_corners(box: OrientedBox) -> QuadPolygon:
     ux, uy = math.cos(rad), math.sin(rad)
     vx, vy = -uy, ux
     a, b = 0.5 * box.w, 0.5 * box.h
-    pts = (
-        (box.cx + a * ux + b * vx, box.cy + a * uy + b * vy),
-        (box.cx - a * ux + b * vx, box.cy - a * uy + b * vy),
-        (box.cx - a * ux - b * vx, box.cy - a * uy - b * vy),
-        (box.cx + a * ux - b * vx, box.cy + a * uy - b * vy),
-    )
-    return QuadPolygon._trusted(pts, _checked_area(pts))
+    return QuadPolygon(_corners(box.cx, box.cy, a * ux, a * uy, b * vx, b * vy))
 
 
 def from_corners(quad: QuadPolygon) -> OrientedBox:
@@ -287,17 +289,10 @@ def convex_intersection_area(a: QuadPolygon, b: QuadPolygon) -> float:
     poly = list(a.vertices)
     c0, c1, c2, c3 = b.vertices
     for (ax, ay), (bx, by) in ((c0, c1), (c1, c2), (c2, c3), (c3, c0)):
+        poly = _clip_by_edge(poly, ax, ay, bx, by)
         if not poly:
             return 0.0
-        poly = _clip_by_edge(poly, ax, ay, bx, by)
-    if len(poly) < 3:
-        return 0.0
-    area = abs(_signed_area(poly))
-    smaller = min(a.area, b.area)
-    # Relative, so the cutoff scales with the boxes instead of erasing tiny ones.
-    if area < _SLIVER_AREA * smaller:
-        return 0.0
-    return min(area, smaller)
+    return _overlap(abs(_signed_area(poly)), a.area, b.area)
 
 
 def _prepare(box: OrientedBox) -> tuple:
@@ -317,6 +312,8 @@ def _prepare(box: OrientedBox) -> tuple:
         raise DegenerateQuadError("quad must be counter-clockwise with positive area")
     if area == _INF:
         raise InvalidInputError("quad area is not finite")
+    if area > _MAX_AREA:
+        raise InvalidInputError("box area exceeds half the float maximum")
     return box.cx, box.cy, hw, hh, rad, c, s, area, x0, x1, y0, y1
 
 
@@ -353,25 +350,14 @@ def _pair_iou(a: tuple, b: tuple) -> float:
     rx, ry = dx * bc + dy * bs, dy * bc - dx * bs
     rad = arad - brad
     c, s = math.cos(rad), math.sin(rad)
-    ux, uy, vx, vy = ahw * c, ahw * s, -ahh * s, ahh * c
-    poly = [(rx + ux + vx, ry + uy + vy), (rx - ux + vx, ry - uy + vy),
-            (rx - ux - vx, ry - uy - vy), (rx + ux - vx, ry + uy - vy)]
+    poly = _corners(rx, ry, ahw * c, ahw * s, -ahh * s, ahh * c)
     for bound in (bhw, bhh, bhw, bhh):
         poly = _clip_step(poly, bound)
         if not poly:
             return 0.0
-    # One or two vertices left sum to exactly 0, which the cutoff below drops.
-    total = 0.0
-    sx, sy = poly[-1]
-    for px, py in poly:
-        total += sx * py - px * sy
-        sx, sy = px, py
-    inter = abs(0.5 * total)
-    smaller = min(area_a, area_b)
-    # Relative, so the cutoff scales with the boxes instead of erasing tiny ones.
-    if inter < _SLIVER_AREA * smaller:
+    inter = _overlap(abs(_signed_area(poly)), area_a, area_b)
+    if inter == 0.0:
         return 0.0
-    inter = min(inter, smaller)
     union = area_a + area_b - inter
     # A NaN intersection fails here too, so no IoU is ever NaN.
     if not math.isfinite(union):

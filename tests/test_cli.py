@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import types
@@ -11,8 +13,8 @@ import pytest
 
 import anglekit
 import anglekit.losses
-from anglekit import (VOC07, VOC12, DetectionRecord, OrientedBox, ParseError, parse_detections,
-                      to_corners, write_detections)
+from anglekit import (COCO_THRESHOLDS, VOC07, VOC12, DetectionRecord, OrientedBox, ParseError,
+                      parse_detections, rotated_iou, to_corners, write_detections)
 from anglekit.cli import main
 
 
@@ -340,6 +342,20 @@ class TestEval:
         assert (code, out) == (0, clean)
         assert "dets.json:2: record 2: quad must be counter-clockwise" in caplog.text
 
+    def test_json_detections_whose_union_overflows_are_skipped(self, capsys, caplog,
+                                                               tmp_path):
+        # Each area, 1.44e308, is finite, but two of them sum past the float
+        # maximum: the box rule skips both records, so no pair aborts the run.
+        det_path = tmp_path / "d.json"
+        write_detections([DetectionRecord("im1", OrientedBox(0, 0, 1.2e154, 1.2e154, 0),
+                                          "ship", score) for score in (0.9, 0.8)], det_path)
+        code, out, err = run_cli(capsys, "nms", "--detections", str(det_path),
+                                 "--threshold", "0.5")
+        assert (code, json.loads(out), err) == (0, {"kept": [], "total": 0}, "")
+        for i in (1, 2):
+            assert f"d.json:{i}: record {i}: box area exceeds half the float maximum " \
+                   "(skipped)" in caplog.text
+
     def test_tiny_json_detection_far_from_the_origin_is_scored(self, capsys, caplog,
                                                                eval_fixture):
         # A 1e-9 px box at 1e8 px: its absolute corners collapse, but the IoU
@@ -398,6 +414,93 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "--gt", str(tmp_path / "nowhere"),
                                "--det", str(tmp_path / "none.json"), "--nms", "7")
         assert code == 2 and "iou_threshold" in err
+
+
+# IoUs a detection is given with its ground truth: each lies at least 0.02
+# from every COCO threshold, 0.5 (the NMS threshold) included.
+PINNED_IOUS = (0.3, 0.525, 0.575, 0.625, 0.675, 0.725, 0.775, 0.825, 0.875, 0.925, 0.975, 1.0)
+
+
+def unambiguous(a, b):
+    return all(abs(rotated_iou(a, b) - t) >= 0.02 for t in COCO_THRESHOLDS)
+
+
+def pinned_fixture(root):
+    """Seeded images of rotated, overlapping ground truths, written as exact
+    DOTA rectangle quads, and detections of them as Task1 files and as JSON.
+
+    Each detection is its ground truth moved f * w along the long side, so
+    their IoU is (1 - f) / (1 + f), one of PINNED_IOUS. A detection whose IoU
+    with any box of its image and category lies near a threshold is dropped,
+    so TP/FP and NMS do not hang on the last bits of an IoU."""
+    rng = random.Random(22)
+    gt_dir, task1_dir = root / "gt", root / "task1"
+    gt_dir.mkdir()
+    task1_dir.mkdir()
+
+    def quad(box):
+        return " ".join(f"{x!r} {y!r}" for x, y in to_corners(box).vertices)
+
+    dets = []
+    for image in ("P0001", "P0002", "P0003"):
+        gts = []
+        for _ in range(5):
+            w = rng.uniform(20, 60)
+            box = OrientedBox(rng.uniform(60, 140), rng.uniform(60, 140), w,
+                              w * rng.uniform(0.3, 0.9), rng.uniform(0, 180))
+            gts.append((box, rng.choice(("plane", "ship"))))
+        (gt_dir / f"{image}.txt").write_text("imagesource:GoogleEarth\ngsd:0.5\n" + "".join(
+            f"{quad(box)} {category} {int(i == 4)}\n" for i, (box, category) in enumerate(gts)))
+        kept = []
+        for gt, category in gts:
+            for iou in rng.sample(PINNED_IOUS, rng.choice((1, 2))):
+                f = rng.choice((-1, 1)) * (1 - iou) / (1 + iou)
+                rad = math.radians(gt.theta)
+                box = OrientedBox(gt.cx + f * gt.w * math.cos(rad),
+                                  gt.cy + f * gt.w * math.sin(rad), gt.w, gt.h, gt.theta)
+                same = [other for other, c in gts + kept if c == category]
+                if all(unambiguous(box, other) for other in same):
+                    kept.append((box, category))
+        dets += [DetectionRecord(image, box, category, rng.random()) for box, category in kept]
+    det_json = root / "dets.json"
+    write_detections(dets, det_json)
+    for category in ("plane", "ship"):
+        (task1_dir / f"Task1_{category}.txt").write_text("".join(
+            f"{d.image_id} {d.score!r} {quad(d.box)}\n" for d in dets if d.category == category))
+    return gt_dir, det_json, task1_dir
+
+
+class TestPinnedOutput:
+    """CLI output bytes on a seeded fixture, pinned as literals: a change that
+    means to keep every byte is checked against them. The reports hold only
+    ratios of counts, so they do not depend on the host once TP/FP is stable."""
+
+    EVAL_OUT = ("mAP@0.50=0.725000, mAP@0.55=0.590278, mAP@0.60=0.590278, mAP@0.65=0.500000, "
+                "mAP@0.70=0.398611, mAP@0.75=0.398611, mAP@0.80=0.354167, mAP@0.85=0.104167, "
+                "mAP@0.90=0.083333, mAP@0.95=0.000000, mAP@0.50:0.95=0.374444\n")
+    NMS_OUT = {
+        "json": '{"kept": [12, 15, 16, 8, 19, 4, 2, 5, 9, 18, 1, 13, 14, 0, 3, 10, 7, 11, 17], '
+                '"total": 21}\n',
+        "task1": '{"kept": [7, 8, 18, 5, 19, 4, 2, 11, 14, 10, 1, 16, 17, 0, 3, 15, 13, 6, 9], '
+                 '"total": 21}\n',
+    }
+    REPORT_SHA256 = {
+        ".json": "22bea225c389e25f3687dc6b1565973b9b3ddeb60f11e69b4a28d48645c2590d",
+        ".csv": "dd7bb20a5cafe1fb4bc6d3f75cb6c5ebe7f1d4b5b76cd74e8532055a8c7297ae",
+    }
+
+    @pytest.mark.parametrize("source", ["json", "task1"])
+    def test_eval_and_nms_bytes(self, capsys, tmp_path, source):
+        gt_dir, det_json, task1_dir = pinned_fixture(tmp_path)
+        det = str(det_json if source == "json" else task1_dir)
+        for suffix, digest in self.REPORT_SHA256.items():
+            out_path = tmp_path / f"report{suffix}"
+            result = run_cli(capsys, "eval", "--gt", str(gt_dir), "--det", det, "--nms", "0.5",
+                             "--out", str(out_path))
+            assert result == (0, self.EVAL_OUT, "")
+            assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+        result = run_cli(capsys, "nms", "--detections", det, "--threshold", "0.5")
+        assert result == (0, self.NMS_OUT[source], "")
 
 
 class TestGradcheck:

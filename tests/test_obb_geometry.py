@@ -161,6 +161,7 @@ NOT_CONVEX = "points do not form a convex quad"
 DART = ((0, 0), (4, 0), (1, 1), (0, 4))  # counter-clockwise, reflex at (1, 1)
 SLIVER = ((0, 0), (1, 0), (1, 1e-13), (0, 1e-13))  # counter-clockwise, 1e-13 px^2
 NOT_FINITE = "quad area is not finite"
+OVER_HALF_MAX = "box area exceeds half the float maximum"
 HUGE = ((0, 0), (1e200, 0), (1e200, 1e200), (0, 1e200))  # counter-clockwise, area inf
 # Counter-clockwise; its shoelace subtracts inf from inf, so the area is nan.
 DIAMOND = ((2e200, 1e200), (1e200, 2e200), (0, 1e200), (1e200, 0))
@@ -404,7 +405,9 @@ class TestRotatedIoU:
         pytest.param((0, 0, 1e200, 1e200, 0), (0, 0, 1e200, 1e200, 0), InvalidInputError,
                      NOT_FINITE, id="area-overflows"),
         pytest.param((1e308, 0, 1e308, 1, 0), (1e308, 0, 1e308, 1, 0), InvalidInputError,
-                     "union area is not finite", id="union-overflows"),
+                     OVER_HALF_MAX, id="union-overflows"),
+        pytest.param((0, 0, 2.0 ** 512, 2.0 ** 511, 0), (0, 0, 1, 1, 0), InvalidInputError,
+                     OVER_HALF_MAX, id="area-over-half-max"),
         pytest.param((0, 0, 1e-200, 1e-200, 0), (0, 0, 1e-200, 1e-200, 0),
                      DegenerateQuadError, CCW_MESSAGE, id="area-underflows"),
         pytest.param((0, 0, 1e-170, 1e-170, 30), (0, 0, 1e-170, 1e-170, 10),
@@ -418,6 +421,11 @@ class TestRotatedIoU:
         a, b = OrientedBox(*a), OrientedBox(*b)
         assert rejection(rotated_iou, a, b) == rejection(rotated_iou, b, a) == (error, message)
         assert rejection(iou_matrix, [a], [b]) == (error, message)
+
+    def test_areas_up_to_half_the_float_maximum_have_a_finite_union(self):
+        # Twice 2**1022 is still finite; an area of 2**1023 is rejected above.
+        largest = OrientedBox(0, 0, 2.0 ** 511, 2.0 ** 511, 0)
+        assert iou_matrix([largest], [largest, OrientedBox(0, 0, 1, 1, 0)]) == [[1.0, 2.0 ** -1022]]
 
     @pytest.mark.parametrize("offset", [2e4, 1e6])
     @given(st.floats(-1, 1), st.floats(-1, 1), PAIR)
