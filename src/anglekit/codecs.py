@@ -14,7 +14,7 @@ import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InvalidInputError
@@ -57,7 +57,6 @@ C_THETA_CHOICES = {
     Method.MGAR: (3, 4, 5),
 }
 
-_CLASSIFICATION_METHODS = (Method.CSL, Method.DCL_BINARY, Method.DCL_GRAY, Method.MGAR)
 _REGRESSION_METHODS = (Method.REGRESSION, Method.MGAR)
 _DCL_METHODS = (Method.DCL_BINARY, Method.DCL_GRAY)
 
@@ -131,7 +130,7 @@ class CodecConfig:
 
     @property
     def has_classification(self) -> bool:
-        return self.method in _CLASSIFICATION_METHODS
+        return self.code_length > 0
 
     @property
     def has_regression(self) -> bool:
@@ -141,6 +140,31 @@ class CodecConfig:
     def code_length(self) -> int:
         """Length of the class vector this codec emits."""
         return _code_length(self.method, self.c_theta)
+
+    @cached_property
+    def _labels(self) -> tuple[tuple[float, ...], ...]:
+        # Each bin's class vector, built on first use; () for regression.
+        c, method = self.c_theta, self.method
+        if method is Method.MGAR:  # one-hot rows
+            return tuple((0.0,) * k + (1.0,) + (0.0,) * (c - 1 - k) for k in range(c))
+        if method is Method.CSL:
+            # Circular Gaussian window, sigma = window/3, zero outside it, turned
+            # by k places for bin k. The peak is 1.0 also for a window so small
+            # that 2 sigma^2 underflows to 0.
+            sigma, window = self.window_size / 3.0, self.window_size
+            row = tuple(math.exp(-(d * d) / (2.0 * sigma * sigma)) if 0 < abs(d) <= window
+                        else float(d == 0) for d in ((i + c // 2) % c - c // 2 for i in range(c)))
+            return tuple(row[c - k:] + row[:c - k] for k in range(c))
+        if method in _DCL_METHODS:  # code bits, MSB first
+            n = self.code_length
+            codes = (k ^ (k >> 1) if method is Method.DCL_GRAY else k for k in range(c))
+            return tuple(tuple(float(code >> (n - 1 - i) & 1) for i in range(n)) for code in codes)
+        return ((),)
+
+    @cached_property
+    def _bin_of_code(self) -> dict:
+        # DCL decoding: the inverse of the label table.
+        return {label: k for k, label in enumerate(self._labels)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,54 +219,27 @@ def _fit_forward(value: float, fit: FitFunction, width: float) -> float:
     return width / (1.0 + math.exp(-value))
 
 
-@lru_cache(maxsize=1024)
-def _csl_label(k: int, c_theta: int, window_size: float) -> tuple[float, ...]:
-    # Circular Gaussian window, sigma = window/3, zero outside the window. The peak
-    # is 1.0 also for a window so small that 2 sigma^2 underflows to 0.
-    half = c_theta // 2
-    sigma = window_size / 3.0
-    offsets = ((i - k + half) % c_theta - half for i in range(c_theta))
-    return tuple(math.exp(-(d * d) / (2.0 * sigma * sigma)) if 0 < abs(d) <= window_size
-                 else float(d == 0) for d in offsets)
+# The codec kernel: three steps on Python scalars plus the config's label
+# table, shared by encode, decode, empirical_errors and multitask_loss.
 
-
-# The codec kernel: four steps on Python scalars, shared by encode, decode, empirical_errors.
-
-def _bin_of(theta: float, width: float, c_theta: int) -> tuple[int, float]:
-    # floor(theta / omega): an angle on a bin boundary starts that bin.
-    k = min(int(theta // width), c_theta - 1)
-    return k, max(theta - k * width, 0.0)
-
-
-def _class_vector(k: int, config: CodecConfig) -> Sequence[float]:
-    method = config.method
-    if method is Method.MGAR:
-        vector = [0.0] * config.c_theta
-        vector[k] = 1.0
-        return vector
-    if method is Method.CSL:
-        return _csl_label(k, config.c_theta, config.window_size)
-    if method in _DCL_METHODS:
-        code = k ^ (k >> 1) if method is Method.DCL_GRAY else k
-        length = config.code_length
-        return [(code >> (length - 1 - i)) & 1 for i in range(length)]
-    return ()
+def _target(theta: float, config: CodecConfig) -> tuple[int, float | None]:
+    # floor(theta / omega): an angle on a bin boundary starts that bin. The
+    # residual target is None for a codec without a regression part.
+    width = omega(config)
+    k = min(int(theta // width), config.c_theta - 1)
+    if config.has_regression:
+        return k, _fit_inverse(max(theta - k * width, 0.0), config.fit_function, width)
+    return k, None
 
 
 def _bin_from_scores(scores: Sequence[float], config: CodecConfig) -> int:
-    # CSL and MGAR: first argmax. DCL: scores are the on/off code bits, MSB first.
-    method = config.method
-    if method in _DCL_METHODS:
-        gray = method is Method.DCL_GRAY
-        k = bit = 0
-        for on in scores:
-            # A Gray code bit flips the running binary bit.
-            bit = bit ^ on if gray else on
-            k = (k << 1) | bit
-        return min(k, config.c_theta - 1)
-    if method is Method.REGRESSION:
-        return 0
-    return scores.index(max(scores))
+    # DCL: the on/off code bits, MSB first, name the bin whose label they are.
+    # Every code word names one, since each DCL c_theta is a power of two, and
+    # a tuple of bools hashes and compares equal to the same 0.0/1.0 tuple.
+    # Otherwise the first argmax, or bin 0 for regression's empty scores.
+    if config.method in _DCL_METHODS:
+        return config._bin_of_code[tuple(scores)]
+    return scores.index(max(scores)) if scores else 0
 
 
 def _angle(k: int, regression_output: float | None, config: CodecConfig) -> float:
@@ -267,12 +264,6 @@ def _angle(k: int, regression_output: float | None, config: CodecConfig) -> floa
     return (k * width + residual) % ANGLE_RANGE
 
 
-def _residual_target(residual: float, config: CodecConfig) -> float | None:
-    if config.has_regression:
-        return _fit_inverse(residual, config.fit_function, omega(config))
-    return None
-
-
 def encode(theta_gt: float, config: CodecConfig) -> AngleTarget:
     """Encode a ground-truth angle in [0, 180) into the codec's target.
 
@@ -283,9 +274,9 @@ def encode(theta_gt: float, config: CodecConfig) -> AngleTarget:
     """
     if not (0.0 <= theta_gt < ANGLE_RANGE) or not math.isfinite(theta_gt):
         raise InvalidInputError(f"angle must lie in [0, {ANGLE_RANGE}), got {theta_gt}")
-    k, residual = _bin_of(theta_gt, omega(config), config.c_theta)
-    return AngleTarget(class_index=k, class_vector=tuple(map(float, _class_vector(k, config))),
-                       residual_target=_residual_target(residual, config), raw_angle=theta_gt)
+    k, residual_target = _target(theta_gt, config)
+    return AngleTarget(class_index=k, class_vector=config._labels[k],
+                       residual_target=residual_target, raw_angle=theta_gt)
 
 
 def decode(pred: AnglePrediction, config: CodecConfig) -> float:
@@ -332,8 +323,8 @@ def empirical_errors(config: CodecConfig, grid_step: float) -> tuple[float, floa
     prediction: its logits are the class vector (for DCL, the 0/1 code bits,
     which the sigmoid rule maps to themselves) and its regression output is
     the exact residual target. The decoded class depends on the bin alone,
-    so the class step runs once per bin met, not once per grid point; a
-    codec without a regression part keeps each bin's decoded angle too.
+    so the class step runs once per bin, before the sweep; a codec without a
+    regression part keeps each bin's decoded angle instead.
     """
     if not grid_step > 0:
         raise InvalidInputError(f"grid_step must be positive, got {grid_step}")
@@ -343,9 +334,10 @@ def empirical_errors(config: CodecConfig, grid_step: float) -> tuple[float, floa
     if count < 1:
         raise InvalidInputError(
             f"grid_step {grid_step} leaves no angle to sweep in [0, {ANGLE_RANGE})")
-    width = omega(config)
     regression = config.has_regression
-    per_bin = {}  # bin -> its decoded class, or its decoded angle without regression
+    decoded_bins = [_bin_from_scores(label, config) for label in config._labels]
+    if not regression:
+        decoded_bins = [_angle(k, None, config) for k in decoded_bins]
     worst = 0.0
     total = 0.0
     n = 0
@@ -353,15 +345,8 @@ def empirical_errors(config: CodecConfig, grid_step: float) -> tuple[float, floa
         theta = i * grid_step
         if theta >= ANGLE_RANGE:
             continue
-        k, residual = _bin_of(theta, width, config.c_theta)
-        cached = per_bin.get(k)
-        if cached is None:
-            cached = _bin_from_scores(_class_vector(k, config), config)
-            if not regression:
-                cached = _angle(cached, None, config)
-            per_bin[k] = cached
-        decoded = (_angle(cached, _residual_target(residual, config), config) if regression
-                   else cached)
+        k, residual_target = _target(theta, config)
+        decoded = _angle(decoded_bins[k], residual_target, config) if regression else decoded_bins[k]
         err = abs(decoded - theta)
         if err > worst:
             worst = err

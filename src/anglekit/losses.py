@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .codecs import (_DCL_METHODS, AnglePrediction, CodecConfig, _angle, _bin_from_scores,
-                     _bin_of, _finite_floats, _integer, _residual_target, omega)
+                     _finite_floats, _integer, _target)
 from .errors import InvalidInputError
 from .obb import AxisAlignedBox, OrientedBox, longside, rotated_iou
 
@@ -335,7 +335,6 @@ def multitask_loss(samples: Sequence[AssignedSample], weights: LossWeights,
     if codec.method in _DCL_METHODS:
         raise InvalidInputError("multitask loss needs per-bin class logits; dcl codes unsupported")
 
-    width = omega(codec)
     loc, conf, cat, ang_c, ang_r = [], [], [], [], []
     for s in samples:
         conf.append(focal_loss(s.pred_confidence, s.objectness))
@@ -349,7 +348,7 @@ def multitask_loss(samples: Sequence[AssignedSample], weights: LossWeights,
         loc.append(_giou_loss(_giou_areas(pred_box.cx, pred_box.cy, pred_box.w, pred_box.h,
                                           gt.cx, gt.cy, gt.w, gt.h)))
         cat.append(_cross_entropy(s.pred_category_logits, s.gt_category))
-        k, residual = _bin_of(gt.theta, width, codec.c_theta)
+        k, residual_target = _target(gt.theta, codec)
         if codec.has_classification:
             ang_c.append(_cross_entropy(angle.class_logits, k))
         if codec.has_regression:
@@ -357,7 +356,7 @@ def multitask_loss(samples: Sequence[AssignedSample], weights: LossWeights,
                                 angle.regression_output, codec)
             pred_obb = longside(pred_box.cx, pred_box.cy, pred_box.w, pred_box.h, theta_pred)
             iou = max(rotated_iou(pred_obb, gt), _IOU_FLOOR)
-            ang_r.append(ifl(angle.regression_output, _residual_target(residual, codec), iou))
+            ang_r.append(ifl(angle.regression_output, residual_target, iou))
 
     n = len(samples)
     terms = tuple(math.fsum(values) / n for values in (loc, conf, cat, ang_c, ang_r))

@@ -117,6 +117,15 @@ def _quad_convex(pts) -> bool:
                 or (x0 - x3) * (y1 - y3) - (y0 - y3) * (x1 - x3) < 0.0)
 
 
+def _centred(pts) -> list:
+    # The points about their centroid, where the area and turn checks carry no
+    # rounding of coordinates far from the origin; quarters cannot overflow.
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
+    cx = 0.25 * x0 + 0.25 * x1 + 0.25 * x2 + 0.25 * x3
+    cy = 0.25 * y0 + 0.25 * y1 + 0.25 * y2 + 0.25 * y3
+    return [(x0 - cx, y0 - cy), (x1 - cx, y1 - cy), (x2 - cx, y2 - cy), (x3 - cx, y3 - cy)]
+
+
 def _quad_finite(pts) -> bool:
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
     return all(map(math.isfinite, (x0, y0, x1, y1, x2, y2, x3, y3)))
@@ -124,15 +133,17 @@ def _quad_finite(pts) -> bool:
 
 def _ordered_ccw(candidate: list[Point]):
     # (vertices, area) of a convex, non-sliver quad in counter-clockwise
-    # order, reversing a clockwise candidate; None if there is none.
-    area = _quad_area(candidate)
+    # order, reversing a clockwise candidate; None if there is none. The
+    # checks run on the centred points; the vertices returned are absolute.
+    centred = _centred(candidate)
+    area = _quad_area(centred)
     if area < 0.0:
-        candidate = candidate[::-1]
-        if -area < _SLIVER_AREA or not _quad_convex(candidate):
+        candidate, centred = candidate[::-1], centred[::-1]
+        if -area < _SLIVER_AREA or not _quad_convex(centred):
             return None
         # The reversed order sums its terms differently, so measure it again.
-        return candidate, _quad_area(candidate)
-    if area < _SLIVER_AREA or not _quad_convex(candidate):
+        return candidate, _quad_area(centred)
+    if area < _SLIVER_AREA or not _quad_convex(centred):
         return None
     return candidate, area
 
@@ -141,7 +152,8 @@ def _ordered_ccw(candidate: list[Point]):
 class QuadPolygon:
     """Convex quadrilateral with vertices in counter-clockwise order.
 
-    Construction checks the vertices once.
+    Construction checks the vertices once, about their centroid, so a quad
+    far from the origin passes or fails as it would near it.
     """
 
     vertices: tuple[Point, Point, Point, Point]
@@ -153,10 +165,11 @@ class QuadPolygon:
         object.__setattr__(self, "vertices", pts)
         if not _quad_finite(pts):
             raise InvalidInputError("non-finite quad vertices")
-        area = _quad_area(pts)
+        centred = _centred(pts)
+        area = _quad_area(centred)
         if area <= 0.0:
             raise DegenerateQuadError("quad must be counter-clockwise with positive area")
-        if not _quad_convex(pts):
+        if not _quad_convex(centred):
             raise DegenerateQuadError("quad must be convex")
         if not math.isfinite(area):
             raise InvalidInputError("quad area is not finite")
@@ -195,7 +208,7 @@ class QuadPolygon:
             raise DegenerateQuadError("points do not form a convex quad")
         vertices, area = found
         # Only a re-measured reversed order can fall to <= 0 here, through
-        # cancellation at large coordinates; QuadPolygon rejects it so.
+        # cancellation in a thin sliver; QuadPolygon rejects it so.
         if area <= 0.0:
             raise DegenerateQuadError("quad must be counter-clockwise with positive area")
         if not math.isfinite(area):
@@ -204,7 +217,7 @@ class QuadPolygon:
 
     @property
     def area(self) -> float:
-        """Shoelace area of the vertices, the one the checks measured."""
+        """Shoelace area of the stored, absolute vertices (not the centred check's)."""
         return _quad_area(self.vertices)
 
 

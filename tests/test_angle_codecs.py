@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 import warnings
 
 import numpy as np
@@ -10,7 +12,7 @@ import anglekit.codecs
 from anglekit import (AnglePrediction, CodecConfig, FitFunction, InvalidInputError, Method,
                       analytic_errors, decode, empirical_errors, encode, head_thickness,
                       ideal_prediction, omega)
-from anglekit.codecs import C_THETA_CHOICES
+from anglekit.codecs import ANGLE_RANGE, C_THETA_CHOICES
 from helpers import count_calls, reference_empirical_errors
 
 # Logits at which the DCL bit rule 1/(1+exp(-x)) > 0.5 is decided by rounding.
@@ -353,7 +355,7 @@ class TestEmpiricalErrors:
     @pytest.mark.parametrize("method, c_theta", [(Method.CSL, 180), (Method.DCL_BINARY, 256)])
     def test_class_step_runs_once_per_bin(self, monkeypatch, method, c_theta):
         # 18,000 grid points, but the decoded class depends on the bin alone.
-        calls = count_calls(monkeypatch, "_class_vector", anglekit.codecs)
+        calls = count_calls(monkeypatch, "_bin_from_scores", anglekit.codecs)
         empirical_errors(CodecConfig(method, c_theta), 0.01)
         assert 0 < calls[0] <= c_theta
 
@@ -397,3 +399,63 @@ class TestRoundTripProperty:
         config = CodecConfig(method, c_theta)
         decoded = decode(ideal_prediction(encode(theta, config), config), config)
         assert abs(decoded - theta) <= omega(config) / 2 + 1e-9
+
+
+# Every published (method, c_theta), every other fit for MGAR and regression,
+# and CSL windows from below one bin to beyond the whole range.
+PINNED_CONFIGS = (
+    [(method, c_theta, {}) for method, choices in C_THETA_CHOICES.items() for c_theta in choices]
+    + [(method, c_theta, {"fit_function": fit})
+       for method in (Method.MGAR, Method.REGRESSION) for c_theta in C_THETA_CHOICES[method]
+       for fit in FitFunction if fit is not FitFunction.SQUARE]
+    + [(Method.CSL, 180, {"window_size": window}) for window in (0.5, 45.0, 1e9)])
+
+
+def codec_fingerprint() -> str:
+    """sha256 over float.hex of encode fields, ideal and seeded-noisy decodes
+    and swept errors, at every bin edge, the float below it and random angles."""
+    digest = hashlib.sha256()
+
+    def put(*values):
+        for value in values:
+            digest.update((value.hex() if isinstance(value, float) else repr(value)).encode())
+            digest.update(b";")
+
+    rng = random.Random(0)
+    for method, c_theta, extra in PINNED_CONFIGS:
+        config = CodecConfig(method, c_theta, **extra)
+        edges = [k * omega(config) for k in range(config.c_theta)] + [ANGLE_RANGE]
+        angles = [theta for edge in edges for theta in (edge, math.nextafter(edge, -math.inf))
+                  if 0.0 <= theta < ANGLE_RANGE]
+        angles += [rng.uniform(0.0, ANGLE_RANGE) for _ in range(50)]
+        for theta in angles:
+            target = encode(theta, config)
+            put(target.class_index, *target.class_vector, target.residual_target,
+                target.raw_angle)
+            put(decode(ideal_prediction(target, config), config))
+            logits = [x + rng.gauss(0.0, 0.3) for x in target.class_vector]
+            residual = (None if target.residual_target is None
+                        else target.residual_target + rng.gauss(0.0, 0.05))
+            try:
+                put(decode(AnglePrediction(logits, residual), config))
+            except InvalidInputError as exc:
+                put(str(exc))
+        if method in (Method.DCL_BINARY, Method.DCL_GRAY):
+            edge = DCL_KNIFE_EDGE
+            for j in range(len(edge)):
+                logits = [edge[(i + j) % len(edge)] for i in range(config.code_length)]
+                put(decode(AnglePrediction(logits), config))
+        for step in (0.1, 0.37, 7.0):
+            put(*empirical_errors(config, step))
+    return digest.hexdigest()
+
+
+class TestPinnedCodecBits:
+    """Every codec bit on a fixed config grid, pinned as one literal: a change
+    that means to keep every encode, decode and sweep bit is checked against it."""
+
+    DIGEST = "0294fc3c4f82527eea810f07b08d20a1dc0708796b52ff3d70f5fbb2960e4aec"
+
+    def test_every_bit(self):
+        assert len(PINNED_CONFIGS) == 28
+        assert codec_fingerprint() == self.DIGEST

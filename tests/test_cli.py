@@ -148,6 +148,18 @@ class TestGeometryCommands:
         code, out, _ = run_cli(capsys, *argv)
         assert (code, json.loads(out)) == (0, {"kept": [0], "total": 2})
 
+    def test_nms_keeps_a_small_task1_quad_far_from_the_origin(self, capsys, caplog, tmp_path):
+        # A 0.1 px square at ~9e6 px: its shoelace in absolute coordinates
+        # cancels to nothing, but the quad check measures it about its centroid.
+        path = tmp_path / "Task1_plane.txt"
+        path.write_text("im1 0.0 5796369.05 9017693.05 5796368.95 9017693.05 "
+                        "5796368.95 9017692.95 5796369.05 9017692.95\n")
+        [record] = parse_detections(tmp_path)
+        assert record.box.w == pytest.approx(0.1) and record.box.h == pytest.approx(0.1)
+        code, out, _ = run_cli(capsys, "nms", "--detections", str(tmp_path), "--threshold", "0.5")
+        assert (code, json.loads(out)) == (0, {"kept": [0], "total": 1})
+        assert "skipped" not in caplog.text
+
     def test_nms_class_agnostic_suppresses_across_categories(self, capsys, tmp_path):
         box = OrientedBox(10, 10, 4, 2, 30)
         path = tmp_path / "dets.json"
