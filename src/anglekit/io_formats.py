@@ -8,16 +8,12 @@ read. Writers are byte-deterministic.
 
 from __future__ import annotations
 
-import csv
 import json
-import logging
 from pathlib import Path
 
 from .errors import InvalidInputError, ParseError
 from .evaluation import DetectionRecord, EvalReport, GroundTruthRecord, threshold_label
 from .obb import OrientedBox, QuadPolygon, _prepare, from_corners
-
-log = logging.getLogger("anglekit")
 
 _HEADER_PREFIXES = ("imagesource:", "gsd:")
 # The JSON type write_detections gives each field; a bool is not a number.
@@ -29,7 +25,8 @@ _DETECTION_FIELDS = {"image_id": "str", "category": "str",
 def _fail_or_skip(strict: bool, path, line_no: int, message: str) -> None:
     if strict:
         raise ParseError(path, line_no, message)
-    log.warning("%s:%d: %s (skipped)", path, line_no, message)
+    import logging  # only a skip needs it, so clean input never loads it
+    logging.getLogger("anglekit").warning("%s:%d: %s (skipped)", path, line_no, message)
 
 
 def _quad(tokens: list[str]) -> QuadPolygon:
@@ -84,7 +81,7 @@ def parse_annotation_file(path, strict: bool = True) -> list[GroundTruthRecord]:
 
 
 def parse_annotation_dir(path, strict: bool = True) -> list[GroundTruthRecord]:
-    """Parse every .txt file under a directory into ground-truth records.
+    """Parse a directory's own *.txt files, not its subdirectories', into records.
 
     Files are read in path-sorted order, so the result is deterministic.
     """
@@ -195,6 +192,7 @@ def write_report(report: EvalReport, path) -> None:
             json.dump(_report_dict(report), fh, sort_keys=True, indent=2)
             fh.write("\n")
         return
+    import csv
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["category", "iou_threshold", "ap", "tp", "fp", "num_gt"])

@@ -298,14 +298,20 @@ def _clip_by_edge(subject: list[Point], ax: float, ay: float, bx: float, by: flo
 
 
 def convex_intersection_area(a: QuadPolygon, b: QuadPolygon) -> float:
-    """Intersection area of two convex quads (Sutherland-Hodgman clipping)."""
-    poly = list(a.vertices)
-    c0, c1, c2, c3 = b.vertices
+    """Intersection area of two convex quads (Sutherland-Hodgman clipping).
+
+    Both quads are moved so that b's first vertex is the origin, so small
+    quads far from the origin keep their area."""
+    ox, oy = b.vertices[0]
+    poly = [(x - ox, y - oy) for x, y in a.vertices]
+    clip = [(x - ox, y - oy) for x, y in b.vertices]
+    area_a, area_b = _quad_area(poly), _quad_area(clip)
+    c0, c1, c2, c3 = clip
     for (ax, ay), (bx, by) in ((c0, c1), (c1, c2), (c2, c3), (c3, c0)):
         poly = _clip_by_edge(poly, ax, ay, bx, by)
         if not poly:
             return 0.0
-    return _overlap(abs(_signed_area(poly)), a.area, b.area)
+    return _overlap(abs(_signed_area(poly)), area_a, area_b)
 
 
 def _prepare(box: OrientedBox) -> tuple:

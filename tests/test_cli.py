@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -552,6 +553,83 @@ def test_star_import_binds_no_module():
     namespace = {}
     exec("from anglekit import *", namespace)
     assert "codecs" not in namespace and "AngleTarget" in namespace
+
+
+# Each module anglekit exports from, and its public names in `__all__` order.
+PUBLIC_HOMES = {
+    "errors": ["AngleKitError", "DegenerateQuadError", "InvalidInputError", "ParseError"],
+    "obb": ["AxisAlignedBox", "OrientedBox", "QuadPolygon", "convex_intersection_area",
+            "from_corners", "iou_matrix", "longside", "rotated_iou", "rotated_nms", "to_corners"],
+    "codecs": ["AnglePrediction", "AngleTarget", "CodecConfig", "FitFunction", "Method",
+               "analytic_errors", "decode", "empirical_errors", "encode", "head_thickness",
+               "ideal_prediction", "omega"],
+    "losses": ["AnchorBox", "AssignedSample", "BoxDeltas", "LossBreakdown", "LossWeights",
+               "cross_entropy", "cross_entropy_grad", "decode_box_deltas", "encode_box_deltas",
+               "finite_diff_grad_check", "focal_loss", "focal_loss_grad", "giou_location_loss",
+               "giou_location_loss_grad", "ifl", "ifl_grad", "mse", "mse_grad",
+               "multitask_loss", "run_gradient_checks", "smooth_l1", "smooth_l1_grad"],
+    "evaluation": ["COCO_THRESHOLDS", "VOC07", "VOC12", "CategoryThresholdResult",
+                   "DetectionRecord", "EvalReport", "GroundTruthRecord", "MatchResult",
+                   "average_precision", "evaluate", "match_detections"],
+    "io_formats": ["parse_annotation_dir", "parse_annotation_file", "parse_detections",
+                   "write_detections", "write_report"],
+}
+
+
+class TestNamespace:
+    def test_all_lists_the_public_names_in_order(self):
+        assert anglekit.__all__ == [n for names in PUBLIC_HOMES.values() for n in names]
+        assert set(anglekit.__all__) <= set(dir(anglekit))
+
+    def test_each_name_is_its_home_modules_object(self):
+        for module, names in PUBLIC_HOMES.items():
+            home = importlib.import_module(f"anglekit.{module}")
+            for name in names:
+                assert getattr(anglekit, name) is getattr(home, name), name
+
+    def test_unknown_names_raise(self):
+        with pytest.raises(AttributeError, match="'nope'"):
+            anglekit.nope
+        with pytest.raises(ImportError, match="nope"):
+            from anglekit import nope  # noqa: F401
+
+    def test_modules_resolve_after_a_bare_import(self):
+        proc = run_python(
+            "import anglekit\n"
+            "box = anglekit.obb.OrientedBox(0.0, 0.0, 2.0, 1.0, 0.0)\n"
+            f"mods = [getattr(anglekit, m).__name__ for m in {list(PUBLIC_HOMES)}]\n"
+            "print(anglekit.obb.rotated_iou(box, box), *mods)\n")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.split() == ["1.0", *(f"anglekit.{m}" for m in PUBLIC_HOMES)]
+
+    def test_each_import_loads_only_what_it_names(self):
+        # Submodules, logging and csv loaded by each line, in one fresh interpreter.
+        proc = run_python(LOAD_SETS)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        steps = json.loads(proc.stdout)
+        assert steps["import anglekit"] == []
+        assert steps["from anglekit import rotated_iou, rotated_nms"] == [
+            "anglekit.errors", "anglekit.obb"]
+        setup = steps["from anglekit import CodecConfig, Method, parse_annotation_dir, "
+                      "parse_detections"]
+        assert "anglekit.io_formats" in setup
+        assert not {"anglekit.losses", "logging", "csv"} & set(setup)
+        # benches/tracer.py reads these modules from sys.modules after importing the CLI.
+        assert {"anglekit.obb", "anglekit.codecs", "anglekit.losses", "anglekit.evaluation",
+                "anglekit.io_formats"} <= set(steps["import anglekit.cli"])
+
+
+LOAD_SETS = """
+import json, sys
+before, steps = set(sys.modules), {}
+for line in ["import anglekit", "from anglekit import rotated_iou, rotated_nms",
+             "from anglekit import CodecConfig, Method, parse_annotation_dir, parse_detections",
+             "import anglekit.cli"]:
+    exec(line)
+    steps[line] = sorted(m for m in set(sys.modules) - before
+                         if m.startswith("anglekit.") or m in ("logging", "csv"))
+print(json.dumps(steps))
+"""
 
 
 def run_python(code, *argv):

@@ -348,6 +348,24 @@ class TestConvexIntersectionArea:
         assert convex_intersection_area(a, b) == pytest.approx(
             exact_intersection_area(a.vertices, b.vertices), rel=0, abs=1e-12 * smaller)
 
+    def test_small_square_far_from_the_origin(self):
+        # A 0.1 px square at ~9e6 px: in absolute coordinates its area rounds to 0.
+        quad = QuadPolygon.from_points([(5796369.05, 9017693.05), (5796368.95, 9017693.05),
+                                        (5796368.95, 9017692.95), (5796369.05, 9017692.95)])
+        exact = exact_intersection_area(quad.vertices, quad.vertices)
+        assert exact == pytest.approx(0.01, rel=1e-7)
+        assert convex_intersection_area(quad, quad) == exact
+
+    @given(st.integers(0, 10_000), st.floats(-2e4, 2e4), st.floats(-2e4, 2e4))
+    @settings(max_examples=100)
+    def test_shifted_pairs_match_exact_arithmetic(self, seed, dx, dy):
+        rng = np.random.default_rng(seed)
+        a, b = (QuadPolygon(tuple((x + dx, y + dy) for x, y in to_corners(box).vertices))
+                for box in (random_longside_box(rng, span=1.0) for _ in range(2)))
+        exact = exact_intersection_area(a.vertices, b.vertices)
+        assert convex_intersection_area(a, b) == pytest.approx(
+            exact, rel=1e-12, abs=1e-12 * min(a.area, b.area))
+
     def test_symmetry_and_bound(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
