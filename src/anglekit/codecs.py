@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -187,8 +188,12 @@ class AnglePrediction:
     def __post_init__(self):
         object.__setattr__(self, "class_logits",
                            _finite_floats(self.class_logits, "class logits"))
-        if self.regression_output is not None and not math.isfinite(self.regression_output):
-            raise InvalidInputError(f"non-finite regression output {self.regression_output}")
+        out = self.regression_output
+        if out is not None and not isinstance(out, numbers.Real):
+            raise InvalidInputError(f"regression output must be a number, got {out!r}")
+        # abs, not math.isfinite, which raises OverflowError for an int past float range.
+        if out is not None and not abs(out) <= sys.float_info.max:
+            raise InvalidInputError(f"non-finite regression output {out}")
 
 
 def omega(config: CodecConfig) -> float:
@@ -233,12 +238,14 @@ def _target(theta: float, config: CodecConfig) -> tuple[int, float | None]:
 
 
 def _bin_from_scores(scores: Sequence[float], config: CodecConfig) -> int:
-    # DCL: the on/off code bits, MSB first, name the bin whose label they are.
-    # Every code word names one, since each DCL c_theta is a power of two, and
-    # a tuple of bools hashes and compares equal to the same 0.0/1.0 tuple.
-    # Otherwise the first argmax, or bin 0 for regression's empty scores.
+    # DCL: a bit is on when its sigmoid exceeds 0.5 (x <= 0 is off without
+    # exp(-x), which could overflow), and the bits, MSB first, name the bin
+    # whose label they are: each DCL c_theta is a power of two, and bools hash
+    # and compare as 0.0/1.0. Otherwise the first argmax, or bin 0 for
+    # regression's empty scores.
     if config.method in _DCL_METHODS:
-        return config._bin_of_code[tuple(scores)]
+        return config._bin_of_code[tuple(x > 0.0 and 1.0 / (1.0 + math.exp(-x)) > 0.5
+                                         for x in scores)]
     return scores.index(max(scores)) if scores else 0
 
 
@@ -272,7 +279,9 @@ def encode(theta_gt: float, config: CodecConfig) -> AngleTarget:
     targets carry the fit-space residual; CSL and DCL targets carry only
     the class vector.
     """
-    if not (0.0 <= theta_gt < ANGLE_RANGE) or not math.isfinite(theta_gt):
+    if not isinstance(theta_gt, numbers.Real):
+        raise InvalidInputError(f"angle must be a number, got {theta_gt!r}")
+    if not 0.0 <= theta_gt < ANGLE_RANGE:
         raise InvalidInputError(f"angle must lie in [0, {ANGLE_RANGE}), got {theta_gt}")
     k, residual_target = _target(theta_gt, config)
     return AngleTarget(class_index=k, class_vector=config._labels[k],
@@ -293,9 +302,6 @@ def decode(pred: AnglePrediction, config: CodecConfig) -> float:
     if len(logits) != expected:
         raise InvalidInputError(
             f"{config.method.value} expects {expected} logits, got shape ({len(logits)},)")
-    if config.method in _DCL_METHODS:
-        # A bit with x <= 0 is off (sigmoid <= 0.5) without exp(-x), which could overflow.
-        logits = [x > 0.0 and 1.0 / (1.0 + math.exp(-x)) > 0.5 for x in logits]
     return _angle(_bin_from_scores(logits, config), pred.regression_output, config)
 
 

@@ -139,9 +139,7 @@ def _match(gts: Sequence[GroundTruthRecord], order: Sequence[int],
     for di in order:
         best_iou, best_gi = 0.0, -1
         for gi, iou in candidates[di]:
-            if matched[gi] and not gts[gi].difficult:
-                continue
-            if iou > best_iou:
+            if iou > best_iou and not matched[gi]:
                 best_iou, best_gi = iou, gi
         if best_gi < 0 or best_iou < iou_threshold:
             fp[di] = True

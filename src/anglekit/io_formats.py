@@ -9,6 +9,7 @@ read. Writers are byte-deterministic.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 from .errors import InvalidInputError, ParseError
@@ -20,6 +21,15 @@ _HEADER_PREFIXES = ("imagesource:", "gsd:")
 _JSON_TYPES = {"str": (str,), "number": (int, float)}
 _DETECTION_FIELDS = {"image_id": "str", "category": "str",
                      **dict.fromkeys(("score", "cx", "cy", "w", "h", "theta"), "number")}
+# Input is read with errors="surrogateescape", which keeps each byte that is
+# not UTF-8 as one of these lone surrogates.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _not_utf8(text: str):
+    # (message, offset) for text's first byte that was not UTF-8, or None.
+    found = None if text.isascii() else _ESCAPED_BYTE.search(text)
+    return found and (f"byte 0x{ord(found.group()) - 0xDC00:02x} is not UTF-8", found.start())
 
 
 def _fail_or_skip(strict: bool, path, line_no: int, message: str) -> None:
@@ -51,17 +61,20 @@ def _read_dota(path: Path, strict: bool, build, headers: bool = False) -> list:
     Blank lines are skipped, and so are imagesource:/gsd: lines when
     `headers` is set (annotation files). A line without 10 fields, or one
     whose numbers, quad, fit or record are invalid or whose box the IoU
-    kernel rejects, raises ParseError at path:line when strict, and is
-    logged and skipped otherwise.
+    kernel rejects, or one holding a byte that is not UTF-8, raises
+    ParseError at path:line when strict, and is logged and skipped otherwise.
     """
     records, stem = [], path.stem
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or headers and line.lower().startswith(_HEADER_PREFIXES):
                 continue
             tokens = line.split()
             try:
+                bad = _not_utf8(line)
+                if bad:
+                    raise InvalidInputError(bad[0])
                 if len(tokens) != 10:
                     raise InvalidInputError(f"expected 10 fields, got {len(tokens)}")
                 record = build(stem, tokens)
@@ -93,11 +106,15 @@ def parse_annotation_dir(path, strict: bool = True) -> list[GroundTruthRecord]:
 
 
 def _parse_detection_json(path: Path, strict: bool) -> list[DetectionRecord]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(path, exc.lineno, exc.msg)
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    bad = _not_utf8(text)
+    if bad:
+        raise ParseError(path, text.count("\n", 0, bad[1]) + 1, bad[0])
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno, exc.msg)
     if not isinstance(payload, list):
         raise ParseError(path, 1, "detection JSON must be a list of records")
     records: list[DetectionRecord] = []

@@ -99,14 +99,7 @@ def _overlap(inter: float, area_a: float, area_b: float) -> float:
     return min(inter, smaller)
 
 
-# Quad helpers, unrolled for four vertices (a loop costs ~3% of a text parse);
-# _quad_area sums _signed_area's terms in its order, so both give the same bits.
-
-def _quad_area(pts) -> float:
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
-    return 0.5 * (0.0 + (x3 * y0 - x0 * y3) + (x0 * y1 - x1 * y0)
-                  + (x1 * y2 - x2 * y1) + (x2 * y3 - x3 * y2))
-
+# Quad helpers, unrolled for four vertices.
 
 def _quad_convex(pts) -> bool:
     # No clockwise turn at any vertex; a NaN turn counts as convex.
@@ -136,13 +129,13 @@ def _ordered_ccw(candidate: list[Point]):
     # order, reversing a clockwise candidate; None if there is none. The
     # checks run on the centred points; the vertices returned are absolute.
     centred = _centred(candidate)
-    area = _quad_area(centred)
+    area = _signed_area(centred)
     if area < 0.0:
         candidate, centred = candidate[::-1], centred[::-1]
         if -area < _SLIVER_AREA or not _quad_convex(centred):
             return None
         # The reversed order sums its terms differently, so measure it again.
-        return candidate, _quad_area(centred)
+        return candidate, _signed_area(centred)
     if area < _SLIVER_AREA or not _quad_convex(centred):
         return None
     return candidate, area
@@ -166,7 +159,7 @@ class QuadPolygon:
         if not _quad_finite(pts):
             raise InvalidInputError("non-finite quad vertices")
         centred = _centred(pts)
-        area = _quad_area(centred)
+        area = _signed_area(centred)
         if area <= 0.0:
             raise DegenerateQuadError("quad must be counter-clockwise with positive area")
         if not _quad_convex(centred):
@@ -214,11 +207,6 @@ class QuadPolygon:
         if not math.isfinite(area):
             raise InvalidInputError("quad area is not finite")
         return cls._trusted(tuple(vertices))
-
-    @property
-    def area(self) -> float:
-        """Shoelace area of the stored, absolute vertices (not the centred check's)."""
-        return _quad_area(self.vertices)
 
 
 def longside(cx: float, cy: float, w: float, h: float, theta: float) -> OrientedBox:
@@ -305,7 +293,7 @@ def convex_intersection_area(a: QuadPolygon, b: QuadPolygon) -> float:
     ox, oy = b.vertices[0]
     poly = [(x - ox, y - oy) for x, y in a.vertices]
     clip = [(x - ox, y - oy) for x, y in b.vertices]
-    area_a, area_b = _quad_area(poly), _quad_area(clip)
+    area_a, area_b = _signed_area(poly), _signed_area(clip)
     c0, c1, c2, c3 = clip
     for (ax, ay), (bx, by) in ((c0, c1), (c1, c2), (c2, c3), (c3, c0)):
         poly = _clip_by_edge(poly, ax, ay, bx, by)

@@ -186,7 +186,8 @@ class TestEncode:
         assert target.class_vector[173] == 0.0
 
     def test_out_of_range_rejected(self):
-        for bad in (-0.001, 180.0, 181.0, math.nan):
+        # An angle that is not a number, or an int past float range, included.
+        for bad in (-0.001, 180.0, 181.0, math.nan, 10**400, "73.5", None, [73.5]):
             with pytest.raises(InvalidInputError):
                 encode(bad, mgar(3))
 
@@ -286,6 +287,16 @@ class TestDecode:
     def test_missing_residual_rejected(self):
         with pytest.raises(InvalidInputError):
             decode(AnglePrediction([1.0, 0.0, 0.0]), mgar(3))
+
+    def test_residual_that_is_not_a_float_rejected(self):
+        for bad in ("2", b"2", [2.0]):
+            with pytest.raises(InvalidInputError, match="^regression output must be a number"):
+                AnglePrediction([1.0, 0.0, 0.0], bad)
+        # An int past float range is no float, and math.isfinite would raise OverflowError.
+        for bad in (10**400, -10**400, math.inf, math.nan):
+            with pytest.raises(InvalidInputError, match="^non-finite regression output"):
+                AnglePrediction([1.0, 0.0, 0.0], bad)
+        assert decode(AnglePrediction([0.0, 1.0, 0.0], 2), mgar(3)) == 64.0
 
     def test_unexpected_residual_rejected(self):
         with pytest.raises(InvalidInputError):

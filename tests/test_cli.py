@@ -415,6 +415,24 @@ class TestEval:
         assert "typed.json:2: record 2: image_id must be a JSON str, got None (skipped)" \
             in caplog.text
 
+    def test_input_that_is_not_utf8_is_located(self, capsys, caplog, eval_fixture):
+        # A text line with a byte that is not UTF-8 is skipped with a located
+        # warning; such a byte in a JSON file fails the run at its line.
+        gt_dir, det_path = eval_fixture
+        argv = ["eval", "--gt", str(gt_dir), "--det", str(det_path)]
+        code, clean, _ = run_cli(capsys, *argv)
+        assert code == 0
+        first_line = (gt_dir / "im1.txt").read_bytes().splitlines(keepends=True)[0]
+        (gt_dir / "im2.txt").write_bytes(b"\xff" + first_line)
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (0, clean)
+        assert "im2.txt:1: byte 0xff is not UTF-8 (skipped)" in caplog.text
+        det_path.write_bytes(det_path.read_bytes().replace(b'"ship"', b'"sh\xc3ip"', 2))
+        for command in (argv, ["nms", "--detections", str(det_path), "--threshold", "0.5"]):
+            code, out, err = run_cli(capsys, *command)
+            assert (code, out) == (2, "")
+            assert err == f"error: {det_path}:3: byte 0xc3 is not UTF-8\n"
+
     def test_bad_nms_threshold_exits_2_before_reading(self, capsys, eval_fixture, tmp_path):
         gt_dir, _ = eval_fixture
         empty = tmp_path / "empty.json"

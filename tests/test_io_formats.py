@@ -254,6 +254,67 @@ class TestParseDetections:
             parse_detections(path)
 
 
+
+ANNOTATION_TEXT = "gsd:0.5\n0 0 2 0 2 1 0 1 ship 0\n10 0 14 0 14 2 10 2 ship 0\n"
+TASK1_TEXT = "P1 0.9 0 0 2 0 2 1 0 1\nP1 0.4 10 0 14 0 14 2 10 2\n"
+
+
+def write_bytes(root, name, data):
+    root.mkdir(exist_ok=True)
+    (root / name).write_bytes(data)
+    return root / name
+
+
+class TestLineEndingsAndBytes:
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_dota_text_files_end_lines_at_cr_and_crlf(self, tmp_path, newline):
+        def parse_both(root, newline):
+            gt = write_bytes(root, "P1.txt", ANNOTATION_TEXT.replace("\n", newline).encode())
+            write_bytes(root, "Task1_ship.txt", TASK1_TEXT.replace("\n", newline).encode())
+            return parse_annotation_file(gt), parse_detections(root)
+
+        lf = parse_both(tmp_path / "lf", "\n")
+        other = parse_both(tmp_path / "other", newline)
+        assert other == lf
+        assert [len(records) for records in other] == [2, 2]
+        # Two ship GTs and one exact detection: AP@0.5 is 1/2, not 1 from a merged line.
+        gts, dets = other
+        assert evaluate(gts, dets[:1], [0.5]).map_by_threshold[0.5] == 0.5
+
+    def test_annotation_line_that_is_not_utf8_is_located(self, tmp_path, caplog):
+        # A header line's text is never read, so its bytes do not matter.
+        data = ANNOTATION_TEXT.encode().replace(b"0 0 2 0", b"0 0 2\xff 0", 1)
+        data = data.replace(b"gsd:0.5", b"gsd:0.5\xb5m")
+        path = write_bytes(tmp_path, "P1.txt", data)
+        with pytest.raises(ParseError) as info:
+            parse_annotation_file(path)
+        assert str(info.value).endswith("P1.txt:2: byte 0xff is not UTF-8")
+        assert [r.box.cx for r in parse_annotation_file(path, strict=False)] == [12.0]
+        assert "P1.txt:2: byte 0xff is not UTF-8 (skipped)" in caplog.text
+
+    def test_task1_line_that_is_not_utf8_is_located(self, tmp_path, caplog):
+        # A Latin-1 image id: its byte 0xe9 starts no UTF-8 sequence here.
+        write_bytes(tmp_path / "dets", "Task1_ship.txt",
+                    TASK1_TEXT.encode() + "P\xe9 0.5 0 0 2 0 2 1 0 1\n".encode("latin-1"))
+        with pytest.raises(ParseError) as info:
+            parse_detections(tmp_path / "dets")
+        assert str(info.value).endswith("Task1_ship.txt:3: byte 0xe9 is not UTF-8")
+        assert [r.score for r in parse_detections(tmp_path / "dets", strict=False)] == [0.9, 0.4]
+        assert "Task1_ship.txt:3: byte 0xe9 is not UTF-8 (skipped)" in caplog.text
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_json_that_is_not_utf8_fails_at_the_line_of_its_first_bad_byte(self, tmp_path,
+                                                                           strict):
+        write_detections([DetectionRecord("im\u00e9", OrientedBox(0, 0, 2, 1, 0), "ship", 0.5)],
+                         tmp_path / "dets.json")
+        data = (tmp_path / "dets.json").read_bytes().replace(b'"ship"', b'"sh\xffip\xfe"')
+        path = write_bytes(tmp_path, "bad.json", data)
+        line = data[:data.index(b"\xff")].count(b"\n") + 1
+        with pytest.raises(ParseError) as info:
+            parse_detections(path, strict=strict)
+        assert str(info.value) == f"{path}:{line}: byte 0xff is not UTF-8"
+
+
 # A 4.33e-5 x 3.13e-5 px box at (1.48e7, 2.09e7) px: its absolute corners
 # collapse, so a corner-quad check on the JSON record used to reject it.
 COLLAPSED_CORNERS_LINE = (

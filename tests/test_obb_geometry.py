@@ -92,7 +92,7 @@ class TestToCorners:
         assert lengths[1] == pytest.approx(h, abs=1e-9)
         assert lengths[2] == pytest.approx(w, abs=1e-9)
         assert lengths[3] == pytest.approx(w, abs=1e-9)
-        assert quad.area == pytest.approx(w * h, rel=1e-12)
+        assert _signed_area(quad.vertices) == pytest.approx(w * h, rel=1e-12)
 
 
 class TestFromCorners:
@@ -152,7 +152,8 @@ class TestFromCorners:
         ccw = QuadPolygon.from_points([(0, 0), (2, 0), (2, 1), (0, 1)])
         cw = QuadPolygon.from_points([(0, 0), (0, 1), (2, 1), (2, 0)])
         zigzag = QuadPolygon.from_points([(0, 0), (2, 1), (2, 0), (0, 1)])
-        assert ccw.area == cw.area == zigzag.area == pytest.approx(2.0)
+        areas = [_signed_area(quad.vertices) for quad in (ccw, cw, zigzag)]
+        assert areas[0] == areas[1] == areas[2] == pytest.approx(2.0)
 
 
 NAN, INF = math.nan, math.inf
@@ -239,7 +240,7 @@ class TestQuadValidation:
         assert rejection(QuadPolygon, vertices) == (error, message)
 
     def test_constructor_keeps_slivers_that_from_points_rejects(self):
-        assert QuadPolygon(SLIVER).area == pytest.approx(1e-13)
+        assert _signed_area(QuadPolygon(SLIVER).vertices) == pytest.approx(1e-13)
 
     @pytest.mark.parametrize("box, error, message", [
         pytest.param(OrientedBox(1.7e308, 0.0, 1.7e308, 1.0, 0.0), InvalidInputError,
@@ -258,16 +259,18 @@ class TestQuadValidation:
            st.floats(0.05, 1.0), st.floats(0, 180), st.integers(0, 3))
     @settings(max_examples=200)
     def test_stored_area_is_the_shoelace_of_the_vertices(self, cx, cy, w, hfrac, theta, roll):
+        # A quad stores no area of its own: it keeps the vertices it is given,
+        # and from_points keeps its points, reordered to a counter-clockwise
+        # quad, so the shoelace of the stored vertices is its area.
         quad = to_corners(OrientedBox(cx, cy, w, w * hfrac, theta))
-        assert quad.area == _signed_area(quad.vertices)
         rolled = quad.vertices[roll:] + quad.vertices[:roll]
-        assert QuadPolygon(rolled).area == _signed_area(rolled)
-        # A clockwise input is reversed and a zig-zag one re-sorted: the stored
-        # area is that of the vertex order kept, not the negated input area.
+        assert QuadPolygon(rolled).vertices == rolled
+        # A clockwise input is reversed and a zig-zag one re-sorted, each to a
+        # cyclic turn of the counter-clockwise order.
+        turns = {rolled[i:] + rolled[:i] for i in range(4)}
         zigzag = (rolled[0], rolled[2], rolled[1], rolled[3])
         for points in (rolled[::-1], zigzag):
-            fixed = QuadPolygon.from_points(points)
-            assert fixed.area == _signed_area(fixed.vertices)
+            assert QuadPolygon.from_points(points).vertices in turns
 
 
 def near_parallel_pair(rng):
@@ -343,7 +346,7 @@ class TestConvexIntersectionArea:
     @settings(max_examples=50)
     def test_near_parallel_edges_match_exact_arithmetic(self, seed):
         a, b = near_parallel_pair(random.Random(seed))
-        smaller = min(a.area, b.area)
+        smaller = min(_signed_area(a.vertices), _signed_area(b.vertices))
         # float64 rounding over a few dozen operations, with ~50x headroom.
         assert convex_intersection_area(a, b) == pytest.approx(
             exact_intersection_area(a.vertices, b.vertices), rel=0, abs=1e-12 * smaller)
@@ -364,7 +367,7 @@ class TestConvexIntersectionArea:
                 for box in (random_longside_box(rng, span=1.0) for _ in range(2)))
         exact = exact_intersection_area(a.vertices, b.vertices)
         assert convex_intersection_area(a, b) == pytest.approx(
-            exact, rel=1e-12, abs=1e-12 * min(a.area, b.area))
+            exact, rel=1e-12, abs=1e-12 * min(_signed_area(a.vertices), _signed_area(b.vertices)))
 
     def test_symmetry_and_bound(self):
         rng = np.random.default_rng(3)
@@ -374,7 +377,7 @@ class TestConvexIntersectionArea:
             ab = convex_intersection_area(a, b)
             ba = convex_intersection_area(b, a)
             assert ab == pytest.approx(ba, abs=1e-9)
-            assert ab <= min(a.area, b.area) + 1e-12
+            assert ab <= min(_signed_area(a.vertices), _signed_area(b.vertices)) + 1e-12
             assert ab >= 0.0
 
 
