@@ -10,15 +10,13 @@ the per-anchor prediction-head thickness it requires.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _finite, _finite_floats, _integer, _shown
 
 ANGLE_RANGE = 180.0
 _MAX_SWEEP_POINTS = 10**7  # per codec in empirical_errors: a 1.8e-5 degree step
@@ -62,35 +60,16 @@ _REGRESSION_METHODS = (Method.REGRESSION, Method.MGAR)
 _DCL_METHODS = (Method.DCL_BINARY, Method.DCL_GRAY)
 
 
-def _integer(value, name: str) -> int:
-    if not isinstance(value, numbers.Real) or value % 1 != 0:
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _finite_floats(values, name: str) -> tuple[float, ...]:
-    # A flat sequence of finite numbers (a 1-D array included) as a tuple of floats.
-    try:
-        if isinstance(values, (str, bytes)):
-            raise TypeError
-        floats = tuple(map(float, values))
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"{name} must be a flat sequence of numbers, "
-                                f"got {values!r}") from None
-    if not all(map(math.isfinite, floats)):
-        raise InvalidInputError(f"non-finite {name}")
-    return floats
-
-
 def _validate_c_theta(method: Method, c_theta: int, warn: bool = False) -> int:
     c_theta = _integer(c_theta, "c_theta")
     choices = C_THETA_CHOICES[method]
     if method is not Method.MGAR:
         if c_theta not in choices:
-            raise InvalidInputError(f"{method.value} supports c_theta in {choices}, got {c_theta}")
+            raise InvalidInputError(
+                f"{method.value} supports c_theta in {choices}, got {_shown(c_theta)}")
         return c_theta
     if c_theta < 1 or 180 % c_theta != 0:
-        raise InvalidInputError(f"mgar requires c_theta to divide 180, got {c_theta}")
+        raise InvalidInputError(f"mgar requires c_theta to divide 180, got {_shown(c_theta)}")
     if warn and c_theta not in choices:
         warnings.warn(f"mgar c_theta={c_theta} is outside the recommended set {choices}",
                       UserWarning, stacklevel=3)
@@ -123,9 +102,10 @@ class CodecConfig:
         method = Method(self.method)
         object.__setattr__(self, "method", method)
         object.__setattr__(self, "fit_function", FitFunction(self.fit_function))
-        if method is Method.CSL and not 0 < self.window_size < math.inf:
-            kind = "finite" if self.window_size == math.inf else "positive"
-            raise InvalidInputError(f"window_size must be {kind}, got {self.window_size}")
+        finite = _finite((self.window_size,), "window_size")  # a number for every method
+        if method is Method.CSL and not (finite and self.window_size > 0):  # only CSL reads it
+            kind = "finite" if self.window_size > 0 else "positive"
+            raise InvalidInputError(f"window_size must be {kind}, got {_shown(self.window_size)}")
         c_theta = _validate_c_theta(method, self.c_theta or DEFAULT_C_THETA[method], warn=True)
         object.__setattr__(self, "c_theta", c_theta)
 
@@ -189,11 +169,8 @@ class AnglePrediction:
         object.__setattr__(self, "class_logits",
                            _finite_floats(self.class_logits, "class logits"))
         out = self.regression_output
-        if out is not None and not isinstance(out, numbers.Real):
-            raise InvalidInputError(f"regression output must be a number, got {out!r}")
-        # abs, not math.isfinite, which raises OverflowError for an int past float range.
-        if out is not None and not abs(out) <= sys.float_info.max:
-            raise InvalidInputError(f"non-finite regression output {out}")
+        if out is not None and not _finite((out,), "regression output"):
+            raise InvalidInputError(f"non-finite regression output {_shown(out)}")
 
 
 def omega(config: CodecConfig) -> float:
@@ -201,27 +178,19 @@ def omega(config: CodecConfig) -> float:
     return ANGLE_RANGE / config.c_theta
 
 
-def _fit_inverse(degrees: float, fit: FitFunction, width: float) -> float:
-    # Fit-space target whose forward mapping reproduces `degrees`.
-    if fit is FitFunction.SQUARE:
-        return math.sqrt(degrees)
-    if fit is FitFunction.LINEAR:
-        return degrees
-    if fit is FitFunction.EXP:
-        return math.log1p(degrees)
-    # Sigmoid saturates at the range ends; clamp keeps the target finite.
+def _sigmoid_inverse(degrees: float, width: float) -> float:
+    # Sigmoid saturates at the range ends; the clamp keeps the target finite.
     ratio = min(max(degrees / width, 1e-12), 1.0 - 1e-12)
     return math.log(ratio / (1.0 - ratio))
 
 
-def _fit_forward(value: float, fit: FitFunction, width: float) -> float:
-    if fit is FitFunction.SQUARE:
-        return value * value
-    if fit is FitFunction.LINEAR:
-        return value
-    if fit is FitFunction.EXP:
-        return max(math.exp(value) - 1.0, 0.0)
-    return width / (1.0 + math.exp(-value))
+# Each fit's (forward, inverse): fit-space value v -> degrees d in a bin of width w, and back.
+_FITS = {
+    FitFunction.SQUARE: (lambda v, w: v * v, lambda d, w: math.sqrt(d)),
+    FitFunction.LINEAR: (lambda v, w: v, lambda d, w: d),
+    FitFunction.EXP: (lambda v, w: max(math.exp(v) - 1.0, 0.0), lambda d, w: math.log1p(d)),
+    FitFunction.SIGMOID: (lambda v, w: w / (1.0 + math.exp(-v)), _sigmoid_inverse),
+}
 
 
 # The codec kernel: three steps on Python scalars plus the config's label
@@ -233,7 +202,7 @@ def _target(theta: float, config: CodecConfig) -> tuple[int, float | None]:
     width = omega(config)
     k = min(int(theta // width), config.c_theta - 1)
     if config.has_regression:
-        return k, _fit_inverse(max(theta - k * width, 0.0), config.fit_function, width)
+        return k, _FITS[config.fit_function][1](max(theta - k * width, 0.0), width)
     return k, None
 
 
@@ -257,10 +226,10 @@ def _angle(k: int, regression_output: float | None, config: CodecConfig) -> floa
         if regression_output is None:
             raise InvalidInputError(f"{config.method.value} decode requires a regression output")
         try:
-            residual = _fit_forward(regression_output, config.fit_function, width)
+            residual = _FITS[config.fit_function][0](regression_output, width)
         except OverflowError:
             residual = math.inf
-        if not math.isfinite(residual):
+        if not _finite((residual,), "residual"):  # an int output squares past float range
             raise InvalidInputError(f"regression output {regression_output} overflows "
                                     f"the {config.fit_function.value} fit")
     else:
@@ -279,10 +248,8 @@ def encode(theta_gt: float, config: CodecConfig) -> AngleTarget:
     targets carry the fit-space residual; CSL and DCL targets carry only
     the class vector.
     """
-    if not isinstance(theta_gt, numbers.Real):
-        raise InvalidInputError(f"angle must be a number, got {theta_gt!r}")
-    if not 0.0 <= theta_gt < ANGLE_RANGE:
-        raise InvalidInputError(f"angle must lie in [0, {ANGLE_RANGE}), got {theta_gt}")
+    if not (_finite((theta_gt,), "angle") and 0.0 <= theta_gt < ANGLE_RANGE):
+        raise InvalidInputError(f"angle must lie in [0, {ANGLE_RANGE}), got {_shown(theta_gt)}")
     k, residual_target = _target(theta_gt, config)
     return AngleTarget(class_index=k, class_vector=config._labels[k],
                        residual_target=residual_target, raw_angle=theta_gt)
@@ -332,14 +299,16 @@ def empirical_errors(config: CodecConfig, grid_step: float) -> tuple[float, floa
     so the class step runs once per bin, before the sweep; a codec without a
     regression part keeps each bin's decoded angle instead.
     """
+    finite = _finite((grid_step,), "grid_step")
     if not grid_step > 0:
-        raise InvalidInputError(f"grid_step must be positive, got {grid_step}")
-    if not ANGLE_RANGE / grid_step <= _MAX_SWEEP_POINTS:
+        raise InvalidInputError(f"grid_step must be positive, got {_shown(grid_step)}")
+    steps = ANGLE_RANGE / grid_step if finite else 0.0  # an infinite step sweeps nothing
+    if not steps <= _MAX_SWEEP_POINTS:
         raise InvalidInputError(f"grid_step {grid_step} is too fine to sweep [0, {ANGLE_RANGE})")
-    count = int(round(ANGLE_RANGE / grid_step))
+    count = int(round(steps))
     if count < 1:
         raise InvalidInputError(
-            f"grid_step {grid_step} leaves no angle to sweep in [0, {ANGLE_RANGE})")
+            f"grid_step {_shown(grid_step)} leaves no angle to sweep in [0, {ANGLE_RANGE})")
     regression = config.has_regression
     decoded_bins = [_bin_from_scores(label, config) for label in config._labels]
     if not regression:
@@ -366,6 +335,6 @@ def head_thickness(method: Method | str, c_theta: int, anchors: int) -> int:
     method = Method(method)
     anchors = _integer(anchors, "anchor count")
     if anchors < 1:
-        raise InvalidInputError(f"anchor count must be >= 1, got {anchors}")
+        raise InvalidInputError(f"anchor count must be >= 1, got {_shown(anchors)}")
     c_theta = _validate_c_theta(method, c_theta)
     return anchors * (_code_length(method, c_theta) + (method in _REGRESSION_METHODS))

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one number rule: a
+number is a value float arithmetic takes (value + 0.0 is a float), so a str,
+bytes, None, sequence, array, complex or Decimal is not one, whole or as an
+element. An int past float range is a number that is not finite.
+"""
+
+import math
 
 
 class AngleKitError(Exception):
@@ -20,3 +26,52 @@ class ParseError(AngleKitError):
         self.path = str(path)
         self.line_no = line_no
         super().__init__(f"{self.path}:{line_no}: {message}")
+
+
+def _shown(value, convert=str) -> str:
+    # A caller's value as a message prints it; an int whose str raises
+    # ValueError (past sys.get_int_max_str_digits()) gets a stand-in.
+    try:
+        return convert(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
+def _finite(values: tuple, name: str) -> bool:
+    """Whether every value of a tuple of scalars is a finite number; an int past
+    float range is not. A caller passes the scalars it checks as one tuple."""
+    try:
+        for value in values:
+            if not math.isfinite(value + 0.0):
+                return False
+    except OverflowError:
+        return False
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} must be a number, got {_shown(value, repr)}") from None
+    return True
+
+
+def _sequence(values, name: str) -> tuple:
+    # A flat sequence (a 1-D array included) read once; text is not one.
+    if not isinstance(values, (str, bytes)):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise InvalidInputError(
+        f"{name} must be a flat sequence of numbers, got {_shown(values, repr)}")
+
+
+def _finite_floats(values, name: str) -> tuple[float, ...]:
+    """A flat sequence of finite numbers as a tuple of floats."""
+    values = _sequence(values, name)
+    if not _finite(values, name):
+        raise InvalidInputError(f"non-finite {name}")
+    return tuple(map(float, values))
+
+
+def _integer(value, name: str) -> int:
+    """An integral number, of any size, as an int."""
+    if not (isinstance(value, int) or _finite((value,), name) and value % 1 == 0):
+        raise InvalidInputError(f"{name} must be an integer, got {_shown(value, repr)}")
+    return int(value)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _finite, _sequence, _shown
 from .obb import OrientedBox, iou_matrix
 
 VOC07 = "voc07"
@@ -43,8 +43,8 @@ class DetectionRecord:
     score: float
 
     def __post_init__(self):
-        if not math.isfinite(self.score) or not (0.0 <= self.score <= 1.0):
-            raise InvalidInputError(f"score must lie in [0, 1], got {self.score}")
+        if not (_finite((self.score,), "score") and 0.0 <= self.score <= 1.0):
+            raise InvalidInputError(f"score must lie in [0, 1], got {_shown(self.score)}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class MatchResult:
 
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
-        raise InvalidInputError(f"mode must be {VOC07!r} or {VOC12!r}, got {mode!r}")
+        raise InvalidInputError(f"mode must be {VOC07!r} or {VOC12!r}, got {_shown(mode, repr)}")
 
 
 def canonical_thresholds(iou_thresholds: Sequence[float]) -> tuple[float, ...]:
@@ -71,10 +71,10 @@ def canonical_thresholds(iou_thresholds: Sequence[float]) -> tuple[float, ...]:
     Each must round into (0, 1]; the error names the value as given.
     """
     canonical = set()
-    for t in iou_thresholds:
-        rounded = round(float(t), 2)
+    for t in _sequence(iou_thresholds, "iou thresholds"):
+        rounded = round(float(t), 2) if _finite((t,), "iou threshold") else math.nan
         if not (0.0 < rounded <= 1.0):
-            raise InvalidInputError(f"iou threshold must lie in (0, 1], got {t}")
+            raise InvalidInputError(f"iou threshold must lie in (0, 1], got {_shown(t)}")
         canonical.add(rounded)
     if not canonical:
         raise InvalidInputError("at least one IoU threshold is required")
@@ -157,15 +157,13 @@ def average_precision(recall: Sequence[float], precision: Sequence[float], mode:
     VOC07 averages the best precision at recall levels 0, 0.1, ..., 1.0;
     VOC12 integrates the monotone envelope of the full curve.
     """
-    try:
-        rec = [float(r) for r in recall]
-        prec = [float(p) for p in precision]
-    except (TypeError, ValueError):
-        raise InvalidInputError("recall and precision must be equal-length vectors") from None
+    rec, prec = _sequence(recall, "recall"), _sequence(precision, "precision")
+    finite = _finite(rec + prec, "recall or precision")
     if len(rec) != len(prec):
         raise InvalidInputError("recall and precision must be equal-length vectors")
-    if not all(0.0 <= v <= 1.0 for v in (*rec, *prec)):
+    if not (finite and all(0.0 <= float(v) <= 1.0 for v in (*rec, *prec))):
         raise InvalidInputError("recall and precision must lie in [0, 1]")
+    rec, prec = list(map(float, rec)), list(map(float, prec))
     if any(b < a for a, b in zip(rec, rec[1:])):
         raise InvalidInputError("recall must be non-decreasing")
     _check_mode(mode)

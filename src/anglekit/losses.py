@@ -4,10 +4,9 @@ Anchor-relative box deltas, smooth L1, MSE, focal, softmax cross-entropy,
 the IoU-aware residual loss (smooth L1 re-weighted by |-log IoU| + 1), the
 five-term multi-task loss, and a finite-difference gradient checker. Each
 loss ships an analytic gradient for verification; vector gradients are
-lists of floats. Logits may be any flat sequence of finite numbers,
-one-dimensional arrays included. The constants are fixed: smooth L1 has
-beta = 1, focal loss alpha = 0.25 and gamma = 2 (RetinaNet), and the
-finite-difference step is 1e-6.
+lists of floats. The constants are fixed: smooth L1 has beta = 1, focal
+loss alpha = 0.25 and gamma = 2 (RetinaNet), and the finite-difference
+step is 1e-6.
 """
 
 from __future__ import annotations
@@ -17,9 +16,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .codecs import (_DCL_METHODS, AnglePrediction, CodecConfig, _angle, _bin_from_scores,
-                     _finite_floats, _integer, _target)
-from .errors import InvalidInputError
+from .codecs import _DCL_METHODS, AnglePrediction, CodecConfig, _angle, _bin_from_scores, _target
+from .errors import InvalidInputError, _finite, _finite_floats, _integer, _shown
 from .obb import AxisAlignedBox, OrientedBox, longside, rotated_iou
 
 FOCAL_ALPHA = 0.25
@@ -45,7 +43,7 @@ class BoxDeltas:
     dh: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.dx, self.dy, self.dw, self.dh)):
+        if not _finite((self.dx, self.dy, self.dw, self.dh), "box delta"):
             raise InvalidInputError("non-finite box deltas")
 
 
@@ -61,8 +59,8 @@ class LossWeights:
 
     def __post_init__(self):
         values = (self.location, self.confidence, self.category, self.angle_class, self.angle_reg)
-        if any(not math.isfinite(v) or v < 0 for v in values):
-            raise InvalidInputError(f"loss weights must be non-negative, got {values}")
+        if not _finite(values, "loss weight") or any(v < 0 for v in values):
+            raise InvalidInputError(f"loss weights must be non-negative, got {_shown(values)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,9 +78,9 @@ class AssignedSample:
 
     def __post_init__(self):
         if self.objectness not in (0, 1):
-            raise InvalidInputError(f"objectness must be 0 or 1, got {self.objectness}")
-        if not math.isfinite(self.pred_confidence):
-            raise InvalidInputError(f"non-finite confidence logit {self.pred_confidence}")
+            raise InvalidInputError(f"objectness must be 0 or 1, got {_shown(self.objectness)}")
+        if not _finite((self.pred_confidence,), "confidence logit"):
+            raise InvalidInputError(f"non-finite confidence logit {_shown(self.pred_confidence)}")
         object.__setattr__(self, "pred_category_logits",
                            _finite_floats(self.pred_category_logits, "category logits"))
         if self.objectness == 1 and (self.gt_box is None or self.gt_category is None):
@@ -170,8 +168,8 @@ def ifl_grad(pred_residual: float, target_residual: float, iou: float) -> float:
 
 
 def _ifl_weight(iou: float) -> float:
-    if not (0.0 < iou <= 1.0):
-        raise InvalidInputError(f"iou must lie in (0, 1], got {iou}")
+    if not (_finite((iou,), "iou") and 0.0 < iou <= 1.0):
+        raise InvalidInputError(f"iou must lie in (0, 1], got {_shown(iou)}")
     return abs(-math.log(iou)) + 1.0
 
 
@@ -196,7 +194,7 @@ def _focal_terms(logit: float, label: int) -> tuple[float, float, float]:
         return logit, FOCAL_ALPHA, 1.0
     if label == 0:
         return -logit, 1.0 - FOCAL_ALPHA, -1.0
-    raise InvalidInputError(f"label must be 0 or 1, got {label}")
+    raise InvalidInputError(f"label must be 0 or 1, got {_shown(label)}")
 
 
 def focal_loss(logit: float, label: int) -> float:
@@ -218,7 +216,8 @@ def _softmax_terms(z: tuple[float, ...], target_index: int):
     # (max z, exp(z - max z), the fsum of those) of finite float logits: the
     # max-shifted log-sum-exp behind the cross-entropy and its gradient.
     if not 0 <= target_index < len(z):
-        raise InvalidInputError(f"target index {target_index} out of range for {len(z)} logits")
+        raise InvalidInputError(
+            f"target index {_shown(target_index)} out of range for {len(z)} logits")
     m = max(z)
     exps = [math.exp(v - m) for v in z]
     return m, exps, math.fsum(exps)
@@ -417,10 +416,12 @@ def run_gradient_checks(seed: int = 0, points: int = 100) -> dict[str, GradCheck
 
     Returns the worst relative error (and the point attaining it) per loss.
     """
+    _finite((points,), "points")  # a number, so that it compares with 1
     if points < 1:
-        raise InvalidInputError(f"points must be at least 1, got {points}")
+        raise InvalidInputError(f"points must be at least 1, got {_shown(points)}")
+    points = _integer(points, "points")
     if seed < 0:
-        raise InvalidInputError(f"seed must be non-negative, got {seed}")
+        raise InvalidInputError(f"seed must be non-negative, got {_shown(seed)}")
     rng = random.Random(seed)
     results: dict[str, GradCheckResult] = {}
 

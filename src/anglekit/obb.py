@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from .errors import DegenerateQuadError, InvalidInputError
+from .errors import DegenerateQuadError, InvalidInputError, _finite, _shown
 
 Point = tuple[float, float]
 
@@ -43,8 +43,8 @@ class OrientedBox:
 
     def __post_init__(self):
         values = (self.cx, self.cy, self.w, self.h, self.theta)
-        if not all(map(math.isfinite, values)):
-            raise InvalidInputError(f"non-finite box parameters: {values}")
+        if not _finite(values, "box parameter"):
+            raise InvalidInputError(f"non-finite box parameters: {_shown(values)}")
         if self.w <= 0 or self.h <= 0:
             raise InvalidInputError(f"box sides must be positive, got w={self.w}, h={self.h}")
         if self.w < self.h:
@@ -68,7 +68,7 @@ class AxisAlignedBox:
     h: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.cx, self.cy, self.w, self.h))):
+        if not _finite((self.cx, self.cy, self.w, self.h), "box parameter"):
             raise InvalidInputError("non-finite box parameters")
         if self.w <= 0 or self.h <= 0:
             raise InvalidInputError(f"box sides must be positive, got w={self.w}, h={self.h}")
@@ -119,9 +119,13 @@ def _centred(pts) -> list:
     return [(x0 - cx, y0 - cy), (x1 - cx, y1 - cy), (x2 - cx, y2 - cy), (x3 - cx, y3 - cy)]
 
 
-def _quad_finite(pts) -> bool:
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
-    return all(map(math.isfinite, (x0, y0, x1, y1, x2, y2, x3, y3)))
+def _float_points(points) -> tuple:
+    # Four (x, y) points of finite numbers as float pairs.
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = points
+    if not _finite((x0, y0, x1, y1, x2, y2, x3, y3), "quad vertex"):
+        raise InvalidInputError("non-finite quad vertices")
+    return ((float(x0), float(y0)), (float(x1), float(y1)),
+            (float(x2), float(y2)), (float(x3), float(y3)))
 
 
 def _ordered_ccw(candidate: list[Point]):
@@ -154,10 +158,8 @@ class QuadPolygon:
     def __post_init__(self):
         if len(self.vertices) != 4:
             raise InvalidInputError("quad requires exactly 4 vertices")
-        pts = tuple((float(x), float(y)) for x, y in self.vertices)
+        pts = _float_points(self.vertices)
         object.__setattr__(self, "vertices", pts)
-        if not _quad_finite(pts):
-            raise InvalidInputError("non-finite quad vertices")
         centred = _centred(pts)
         area = _signed_area(centred)
         if area <= 0.0:
@@ -185,9 +187,7 @@ class QuadPolygon:
         """
         if len(points) != 4:
             raise DegenerateQuadError("expected exactly 4 points")
-        pts = [(float(x), float(y)) for x, y in points]
-        if not _quad_finite(pts):
-            raise InvalidInputError("non-finite quad vertices")
+        pts = _float_points(points)
         for i in range(4):
             for j in range(i + 1, 4):
                 if pts[i] == pts[j]:
@@ -394,8 +394,8 @@ def iou_matrix(rows: Sequence[OrientedBox], cols: Sequence[OrientedBox]) -> list
 
 def check_nms_threshold(iou_threshold: float) -> None:
     """Raise InvalidInputError unless iou_threshold lies in [0, 1]."""
-    if not (0.0 <= iou_threshold <= 1.0):
-        raise InvalidInputError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
+    if not (_finite((iou_threshold,), "iou_threshold") and 0.0 <= iou_threshold <= 1.0):
+        raise InvalidInputError(f"iou_threshold must be in [0, 1], got {_shown(iou_threshold)}")
 
 
 def rotated_nms(
@@ -412,8 +412,8 @@ def rotated_nms(
     """
     check_nms_threshold(iou_threshold)
     for _, score, _ in items:
-        if not math.isfinite(score):
-            raise InvalidInputError(f"non-finite score {score}")
+        if not _finite((score,), "score"):
+            raise InvalidInputError(f"non-finite score {_shown(score)}")
     prepared = [_prepare(box) for box, _, _ in items]
     kept_by_group: dict[Hashable, list[int]] = {}
     kept: list[int] = []

@@ -278,10 +278,14 @@ class TestDecode:
             decode(AnglePrediction([1.0, 2.0], 0.0), mgar(3))
         with pytest.raises(InvalidInputError):
             decode(AnglePrediction([1.0] * 64, 0.0), CodecConfig(Method.DCL_GRAY, 64))
-        # scalar, nested, non-numeric and string logits are not a flat sequence of numbers
-        for bad in (3.0, np.float64(3.0), np.array(3.0), [[1.0], [2.0], [3.0]], np.ones((3, 1)),
-                    ["a", "b", "c"], [1.0, None, 2.0], "123", b"123", None):
-            with pytest.raises(InvalidInputError, match="flat sequence"):
+        # scalar and string logits are not a flat sequence of numbers
+        for bad in (3.0, np.float64(3.0), np.array(3.0), "123", b"123", None):
+            with pytest.raises(InvalidInputError, match="^class logits must be a flat sequence"):
+                decode(AnglePrediction(bad, 0.0), mgar(3))
+        # and a nested or non-numeric element is not a number
+        for bad in ([[1.0], [2.0], [3.0]], np.ones((3, 1)), ["a", "b", "c"], [1.0, None, 2.0],
+                    ["0", "1", "0"]):
+            with pytest.raises(InvalidInputError, match="^class logits must be a number"):
                 decode(AnglePrediction(bad, 0.0), mgar(3))
 
     def test_missing_residual_rejected(self):
