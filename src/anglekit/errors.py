@@ -51,15 +51,20 @@ def _finite(values: tuple, name: str) -> bool:
     return True
 
 
-def _sequence(values, name: str) -> tuple:
-    # A flat sequence (a 1-D array included) read once; text is not one.
+def _sequence(values, name: str, length=None, of="numbers") -> tuple:
+    # A flat sequence (a 1-D array included) read once, of the given length if
+    # one is given; text is not one.
     if not isinstance(values, (str, bytes)):
         try:
-            return tuple(values)
+            read = tuple(values)
         except TypeError:
             pass
+        else:
+            if length is None or len(read) == length:
+                return read
+    size = "" if length is None else f" of length {length}"
     raise InvalidInputError(
-        f"{name} must be a flat sequence of numbers, got {_shown(values, repr)}")
+        f"{name} must be a flat sequence of {of}{size}, got {_shown(values, repr)}")
 
 
 def _finite_floats(values, name: str) -> tuple[float, ...]:

@@ -3,10 +3,10 @@
 Anchor-relative box deltas, smooth L1, MSE, focal, softmax cross-entropy,
 the IoU-aware residual loss (smooth L1 re-weighted by |-log IoU| + 1), the
 five-term multi-task loss, and a finite-difference gradient checker. Each
-loss ships an analytic gradient for verification; vector gradients are
-lists of floats. The constants are fixed: smooth L1 has beta = 1, focal
-loss alpha = 0.25 and gamma = 2 (RetinaNet), and the finite-difference
-step is 1e-6.
+loss is one private kernel giving its value and analytic gradient (a list
+of floats for a vector) from one set of terms; its public pair checks the
+inputs once, and the multi-task loss calls the kernels. Fixed constants:
+smooth L1 beta = 1, focal alpha = 0.25, gamma = 2, finite-difference step 1e-6.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .codecs import _DCL_METHODS, AnglePrediction, CodecConfig, _angle, _bin_from_scores, _target
-from .errors import InvalidInputError, _finite, _finite_floats, _integer, _shown
+from .errors import InvalidInputError, _finite, _finite_floats, _integer, _sequence, _shown
 from .obb import AxisAlignedBox, OrientedBox, longside, rotated_iou
 
 FOCAL_ALPHA = 0.25
@@ -130,28 +130,59 @@ def decode_box_deltas(deltas: BoxDeltas, anchor: AnchorBox) -> AxisAlignedBox:
                           cy=deltas.dy * anchor.h + anchor.cy, w=w, h=h)
 
 
-def smooth_l1(pred: float, target: float) -> float:
-    """Huber-style loss with beta = 1: quadratic within 1 of the target, linear beyond."""
+def _checked(names: str, *values) -> tuple:
+    # The scalar arguments of a public loss, named in order by the words of
+    # names: each a finite number, or an error naming the first that is not.
+    for name, value in zip(names.split(), values):
+        if not _finite((value,), name):
+            raise InvalidInputError(f"{name} must be finite, got {_shown(value)}")
+    return values
+
+
+def _smooth_l1(pred: float, target: float) -> tuple[float, float]:
+    # (value, gradient) of smooth L1 at the residual x = pred - target.
     x = pred - target
     if abs(x) < 1.0:
-        return 0.5 * x * x
-    return abs(x) - 0.5
+        return 0.5 * x * x, x
+    return abs(x) - 0.5, math.copysign(1.0, x)
+
+
+def smooth_l1(pred: float, target: float) -> float:
+    """Huber-style loss with beta = 1: quadratic within 1 of the target, linear beyond."""
+    return _smooth_l1(*_checked("pred target", pred, target))[0]
 
 
 def smooth_l1_grad(pred: float, target: float) -> float:
+    return _smooth_l1(*_checked("pred target", pred, target))[1]
+
+
+def _mse(pred: float, target: float) -> tuple[float, float]:
+    # (value, gradient) of the squared error at the residual x = pred - target.
+    # A square past float range is inf, as a product is, so the gradient stands.
     x = pred - target
-    if abs(x) < 1.0:
-        return x
-    return math.copysign(1.0, x)
+    try:
+        return x ** 2, 2.0 * x
+    except OverflowError:
+        return math.inf, 2.0 * x
 
 
 def mse(pred: float, target: float) -> float:
     """Squared error."""
-    return (pred - target) ** 2
+    return _mse(*_checked("pred target", pred, target))[0]
 
 
 def mse_grad(pred: float, target: float) -> float:
-    return 2.0 * (pred - target)
+    return _mse(*_checked("pred target", pred, target))[1]
+
+
+def _ifl(pred: float, target: float, iou: float) -> tuple[float, float]:
+    # (value, gradient) of smooth L1 at the residual, each times the weight
+    # |-log(iou)| + 1. The IoU is checked here: the multi-task loss computes it.
+    if not (_finite((iou,), "iou") and 0.0 < iou <= 1.0):
+        raise InvalidInputError(f"iou must lie in (0, 1], got {_shown(iou)}")
+    weight = abs(-math.log(iou)) + 1.0
+    value, grad = _smooth_l1(pred, target)
+    return value * weight, grad * weight
 
 
 def ifl(pred_residual: float, target_residual: float, iou: float) -> float:
@@ -160,77 +191,60 @@ def ifl(pred_residual: float, target_residual: float, iou: float) -> float:
     The weight is 1 at iou = 1 and grows as the boxes diverge, so poorly
     localized samples push the residual harder.
     """
-    return smooth_l1(pred_residual, target_residual) * _ifl_weight(iou)
+    return _ifl(*_checked("pred_residual target_residual", pred_residual, target_residual), iou)[0]
 
 
 def ifl_grad(pred_residual: float, target_residual: float, iou: float) -> float:
-    return smooth_l1_grad(pred_residual, target_residual) * _ifl_weight(iou)
+    return _ifl(*_checked("pred_residual target_residual", pred_residual, target_residual), iou)[1]
 
 
-def _ifl_weight(iou: float) -> float:
-    if not (_finite((iou,), "iou") and 0.0 < iou <= 1.0):
-        raise InvalidInputError(f"iou must lie in (0, 1], got {_shown(iou)}")
-    return abs(-math.log(iou)) + 1.0
-
-
-def _log_sigmoid(x: float) -> float:
-    # log(sigmoid(x)), stable for large |x|.
-    if x >= 0:
-        return -math.log1p(math.exp(-x))
-    return x - math.log1p(math.exp(x))
-
-
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
-def _focal_terms(logit: float, label: int) -> tuple[float, float, float]:
-    # (z, alpha_t, sign) with pt = sigmoid(z) and dz/dlogit = sign. The label
-    # check is the branch that picks the terms, so it costs nothing to keep.
+def _focal(logit: float, label: int) -> tuple[float, float]:
+    # (value, gradient) of focal loss. With z = logit for label 1 and -logit for
+    # label 0, pt = sigmoid(z) and d/dz = -alpha_t (1-pt)^gamma ((1-pt) - gamma
+    # pt log(pt)), written with 1 - pt = sigmoid(-z) so it stays finite when
+    # pt rounds to 0 or 1. The label check is the branch that picks the terms.
     if label == 1:
-        return logit, FOCAL_ALPHA, 1.0
-    if label == 0:
-        return -logit, 1.0 - FOCAL_ALPHA, -1.0
-    raise InvalidInputError(f"label must be 0 or 1, got {_shown(label)}")
+        z, alpha_t, sign = logit, FOCAL_ALPHA, 1.0
+    elif label == 0:
+        z, alpha_t, sign = -logit, 1.0 - FOCAL_ALPHA, -1.0
+    else:
+        raise InvalidInputError(f"label must be 0 or 1, got {_shown(label)}")
+    # Both sigmoids and log(pt) from one e = exp(-|z|), stable for large |z|.
+    if z >= 0:
+        e = math.exp(-z)
+        pt, one_minus_pt, log_pt = 1.0 / (1.0 + e), e / (1.0 + e), -math.log1p(e)
+    else:
+        e = math.exp(z)
+        pt, one_minus_pt, log_pt = e / (1.0 + e), 1.0 / (1.0 + e), z - math.log1p(e)
+    scale = -alpha_t * one_minus_pt ** FOCAL_GAMMA
+    return scale * log_pt, sign * scale * (one_minus_pt - FOCAL_GAMMA * pt * log_pt)
 
 
 def focal_loss(logit: float, label: int) -> float:
     """Focal loss -alpha_t (1 - pt)^gamma log(pt) on a single logit."""
-    z, alpha_t, _ = _focal_terms(logit, label)
-    return -alpha_t * _sigmoid(-z) ** FOCAL_GAMMA * _log_sigmoid(z)
+    return _focal(*_checked("logit", logit), label)[0]
 
 
 def focal_loss_grad(logit: float, label: int) -> float:
-    # d/dz = -alpha_t (1-pt)^gamma ((1-pt) - gamma pt log(pt)), written with
-    # sigmoid(-z) for 1 - pt so it stays finite when pt rounds to 0 or 1.
-    z, alpha_t, sign = _focal_terms(logit, label)
-    one_minus_pt = _sigmoid(-z)
-    return sign * -alpha_t * one_minus_pt ** FOCAL_GAMMA * (
-        one_minus_pt - FOCAL_GAMMA * _sigmoid(z) * _log_sigmoid(z))
+    return _focal(*_checked("logit", logit), label)[1]
 
 
 def _softmax_terms(z: tuple[float, ...], target_index: int):
-    # (max z, exp(z - max z), the fsum of those) of finite float logits: the
-    # max-shifted log-sum-exp behind the cross-entropy and its gradient.
+    # (cross-entropy, exp(z - max z), the fsum of those) of finite float logits:
+    # the max-shifted log-sum-exp behind the loss and its gradient.
     if not 0 <= target_index < len(z):
         raise InvalidInputError(
             f"target index {_shown(target_index)} out of range for {len(z)} logits")
     m = max(z)
     exps = [math.exp(v - m) for v in z]
-    return m, exps, math.fsum(exps)
-
-
-def _cross_entropy(z: tuple[float, ...], target_index: int) -> float:
-    m, _, total = _softmax_terms(z, target_index)
-    return m + math.log(total) - z[target_index]
+    total = math.fsum(exps)
+    return m + math.log(total) - z[target_index], exps, total
 
 
 def cross_entropy(logits: Sequence[float], target_index: int) -> float:
     """Softmax cross-entropy against a hard class index."""
-    return _cross_entropy(_finite_floats(logits, "logits"), _integer(target_index, "target index"))
+    z, target_index = _finite_floats(logits, "logits"), _integer(target_index, "target index")
+    return _softmax_terms(z, target_index)[0]
 
 
 def cross_entropy_grad(logits: Sequence[float], target_index: int) -> list[float]:
@@ -260,19 +274,18 @@ def _axis_spans(pc: float, ps: float, tc: float, ts: float):
 
 
 def _giou_terms(pred: Sequence[float], target: Sequence[float]):
-    # The _giou_areas of two (cx, cy, w, h) boxes, each checked first as an
-    # AxisAlignedBox, with its errors.
-    px, py, pw, ph = pred
-    tx, ty, tw, th = target
-    AxisAlignedBox(px, py, pw, ph)
-    AxisAlignedBox(tx, ty, tw, th)
-    return _giou_areas(px, py, pw, ph, tx, ty, tw, th)
+    # The _giou_areas of two (cx, cy, w, h) boxes, each read as a flat sequence
+    # of 4 numbers and checked first as an AxisAlignedBox, with its errors.
+    pred, target = _sequence(pred, "pred box", 4), _sequence(target, "target box", 4)
+    AxisAlignedBox(*pred)
+    AxisAlignedBox(*target)
+    return _giou_areas(*pred, *target)
 
 
 def _giou_areas(*boxes: float):
-    # ((pw, ph), x spans, y spans, inter, union, enclosing) of a predicted and a
-    # target box, 8 numbers of valid boxes: the _axis_spans of each axis and the
-    # areas GIoU is built from, which the loss and its gradient both read.
+    # (1 - GIoU, (pw, ph), x spans, y spans, inter, union, enclosing) of a
+    # predicted and a target box, 8 numbers of valid boxes: the loss, with the
+    # _axis_spans of each axis and the areas its gradient reads.
     px, py, pw, ph, tx, ty, tw, th = map(float, boxes)
     x, y = _axis_spans(px, pw, tx, tw), _axis_spans(py, ph, ty, th)
     inter = x[0] * y[0]
@@ -281,22 +294,18 @@ def _giou_areas(*boxes: float):
     if not (0.0 < union < math.inf and 0.0 < enclosing < math.inf):
         raise InvalidInputError(f"boxes have no finite GIoU: union={union!r}, "
                                 f"enclosing={enclosing!r}")
-    return (pw, ph), x, y, inter, union, enclosing
-
-
-def _giou_loss(terms) -> float:
-    _, _, _, inter, union, enclosing = terms
-    return 1.0 - (inter / union - (enclosing - union) / enclosing)
+    value = 1.0 - (inter / union - (enclosing - union) / enclosing)
+    return value, (pw, ph), x, y, inter, union, enclosing
 
 
 def giou_location_loss(pred: Sequence[float], target: Sequence[float]) -> float:
     """1 - GIoU between two (cx, cy, w, h) boxes."""
-    return _giou_loss(_giou_terms(pred, target))
+    return _giou_terms(pred, target)[0]
 
 
 def giou_location_loss_grad(pred: Sequence[float], target: Sequence[float]) -> list[float]:
     """Gradient of 1 - GIoU with respect to the predicted (cx, cy, w, h)."""
-    (pw, ph), x, y, inter, union, enclosing = _giou_terms(pred, target)
+    _, (pw, ph), x, y, inter, union, enclosing = _giou_terms(pred, target)
     iw, (diw_c, diw_s), cw, (dcw_c, dcw_s) = x
     ih, (dih_c, dih_s), ch, (dch_c, dch_s) = y
     # The quotient rule squares both areas: one below ~1e-162 squares to 0, and
@@ -336,7 +345,7 @@ def multitask_loss(samples: Sequence[AssignedSample], weights: LossWeights,
 
     loc, conf, cat, ang_c, ang_r = [], [], [], [], []
     for s in samples:
-        conf.append(focal_loss(s.pred_confidence, s.objectness))
+        conf.append(_focal(s.pred_confidence, s.objectness)[0])
         if not s.objectness:
             continue
         angle, gt = s.pred_angle, s.gt_box
@@ -344,18 +353,18 @@ def multitask_loss(samples: Sequence[AssignedSample], weights: LossWeights,
             raise InvalidInputError(f"{codec.method.value} expects {codec.code_length} angle "
                                     f"logits, got {len(angle.class_logits)}")
         pred_box = decode_box_deltas(s.pred_deltas, s.anchor)
-        loc.append(_giou_loss(_giou_areas(pred_box.cx, pred_box.cy, pred_box.w, pred_box.h,
-                                          gt.cx, gt.cy, gt.w, gt.h)))
-        cat.append(_cross_entropy(s.pred_category_logits, s.gt_category))
+        loc.append(_giou_areas(pred_box.cx, pred_box.cy, pred_box.w, pred_box.h,
+                               gt.cx, gt.cy, gt.w, gt.h)[0])
+        cat.append(_softmax_terms(s.pred_category_logits, s.gt_category)[0])
         k, residual_target = _target(gt.theta, codec)
         if codec.has_classification:
-            ang_c.append(_cross_entropy(angle.class_logits, k))
+            ang_c.append(_softmax_terms(angle.class_logits, k)[0])
         if codec.has_regression:
             theta_pred = _angle(_bin_from_scores(angle.class_logits, codec),
                                 angle.regression_output, codec)
             pred_obb = longside(pred_box.cx, pred_box.cy, pred_box.w, pred_box.h, theta_pred)
             iou = max(rotated_iou(pred_obb, gt), _IOU_FLOOR)
-            ang_r.append(ifl(angle.regression_output, residual_target, iou))
+            ang_r.append(_ifl(angle.regression_output, residual_target, iou)[0])
 
     n = len(samples)
     terms = tuple(math.fsum(values) / n for values in (loc, conf, cat, ang_c, ang_r))
@@ -370,20 +379,25 @@ def finite_diff_grad_check(fn: Callable[[list[float]], float],
                            point: Sequence[float]) -> float:
     """Max relative error between grad_fn and central differences of fn.
 
-    A NaN in either gradient gives math.inf, so it fails every tolerance."""
+    The gradient must be a flat sequence of numbers as long as the non-empty
+    point; a non-finite gradient entry or a NaN difference gives math.inf."""
     x = _finite_floats(point, "point")
-    analytic = [float(g) for g in grad_fn(list(x))]
+    if not x:
+        raise InvalidInputError("point must not be empty")
+    analytic = _sequence(grad_fn(list(x)), "gradient", len(x))
+    if not _finite(analytic, "gradient"):
+        return math.inf
     worst = 0.0
-    for i, xi in enumerate(x):
+    for i, (xi, gi) in enumerate(zip(x, map(float, analytic))):
         shifted = list(x)
         shifted[i] = xi + _FD_STEP
         f_plus = fn(shifted)
         shifted[i] = xi - _FD_STEP
         fd = (f_plus - fn(shifted)) / (2.0 * _FD_STEP)
-        if math.isnan(fd) or math.isnan(analytic[i]):
+        if math.isnan(fd):
             return math.inf
-        denom = max(abs(fd), abs(analytic[i]), 1e-8)
-        worst = max(worst, abs(fd - analytic[i]) / denom)
+        denom = max(abs(fd), abs(gi), 1e-8)
+        worst = max(worst, abs(fd - gi) / denom)
     return worst
 
 
@@ -393,22 +407,23 @@ class GradCheckResult:
     worst_point: tuple[float, ...]
 
 
-def _sample_giou_case(rng: random.Random) -> tuple[list[float], list[float]]:
-    # Resample until every min/max branch sits well clear of its boundary,
-    # keeping the loss smooth across the finite-difference stencil.
+def _draw_giou(rng: random.Random) -> tuple[tuple[list[float]], list[float]]:
+    # ((target,), pred) of GIoU, resampled until every min/max branch sits well
+    # clear of its boundary, keeping the loss smooth across the stencil.
     while True:
         pred = [rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(1, 3), rng.uniform(1, 3)]
         target = [rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(1, 3), rng.uniform(1, 3)]
-        px, py, pw, ph = pred
-        tx, ty, tw, th = target
-        margins = [
-            (px + pw / 2) - (tx + tw / 2), (px - pw / 2) - (tx - tw / 2),
-            (py + ph / 2) - (ty + th / 2), (py - ph / 2) - (ty - th / 2),
-            min(px + pw / 2, tx + tw / 2) - max(px - pw / 2, tx - tw / 2),
-            min(py + ph / 2, ty + th / 2) - max(py - ph / 2, ty - th / 2),
-        ]
+        margins = []
+        for pc, ps, tc, ts in zip(pred[:2], pred[2:], target[:2], target[2:]):
+            pr, pl, tr, tl = pc + ps / 2, pc - ps / 2, tc + ts / 2, tc - ts / 2
+            margins += [pr - tr, pl - tl, min(pr, tr) - max(pl, tl)]
         if all(abs(m) > 1e-2 for m in margins):
-            return pred, target
+            return (target,), pred
+
+
+def _of_point(loss: Callable, gradient: Callable) -> tuple[Callable, Callable]:
+    # A scalar loss and its gradient as functions of a one-entry point.
+    return (lambda p, *args: loss(p[0], *args)), (lambda p, *args: [gradient(p[0], *args)])
 
 
 def run_gradient_checks(seed: int = 0, points: int = 100) -> dict[str, GradCheckResult]:
@@ -419,69 +434,40 @@ def run_gradient_checks(seed: int = 0, points: int = 100) -> dict[str, GradCheck
     _finite((points,), "points")  # a number, so that it compares with 1
     if points < 1:
         raise InvalidInputError(f"points must be at least 1, got {_shown(points)}")
-    points = _integer(points, "points")
+    points, seed = _integer(points, "points"), _integer(seed, "seed")
     if seed < 0:
         raise InvalidInputError(f"seed must be non-negative, got {_shown(seed)}")
     rng = random.Random(seed)
-    results: dict[str, GradCheckResult] = {}
 
-    def run(name, make_case):
-        worst, worst_point = 0.0, ()
-        for _ in range(points):
-            fn, grad_fn, point = make_case()
-            err = finite_diff_grad_check(fn, grad_fn, point)
-            if err > worst:
-                worst, worst_point = err, tuple(point)
-        results[name] = GradCheckResult(worst, worst_point)
-
-    def off_kink() -> float:
-        # An offset from the target kept 0.05 clear of smooth L1's kink at |x| = 1.
+    def off_kink(target: float, *args: float):
+        # ((target, *args), point), the point 0.05 clear of smooth L1's kink.
         while True:
             x = rng.uniform(-3, 3)
             if abs(abs(x) - 1.0) > 0.05:
-                return x
+                return (target, *args), [target + x]
 
-    def smooth_l1_case():
-        target = rng.uniform(-3, 3)
-        return (lambda p: smooth_l1(p[0], target),
-                lambda p: [smooth_l1_grad(p[0], target)],
-                [target + off_kink()])
-
-    def mse_case():
-        target = rng.uniform(-3, 3)
-        return (lambda p: mse(p[0], target),
-                lambda p: [mse_grad(p[0], target)],
-                [rng.uniform(-3, 3)])
-
-    def ifl_case():
-        target = rng.uniform(-3, 3)
-        iou = rng.uniform(0.05, 1.0)
-        return (lambda p: ifl(p[0], target, iou),
-                lambda p: [ifl_grad(p[0], target, iou)],
-                [target + off_kink()])
-
-    def focal_case():
-        label = rng.randrange(2)
-        return (lambda p: focal_loss(p[0], label),
-                lambda p: [focal_loss_grad(p[0], label)],
-                [rng.uniform(-4, 4)])
-
-    def cross_entropy_case():
-        idx = rng.randrange(5)
-        return (lambda p: cross_entropy(p, idx),
-                lambda p: cross_entropy_grad(p, idx),
-                [rng.gauss(0.0, 1.0) for _ in range(5)])
-
-    def giou_case():
-        pred, target = _sample_giou_case(rng)
-        return (lambda p: giou_location_loss(p, target),
-                lambda p: giou_location_loss_grad(p, target),
-                pred)
-
-    run("smooth_l1", smooth_l1_case)
-    run("mse", mse_case)
-    run("ifl", ifl_case)
-    run("focal", focal_case)
-    run("cross_entropy", cross_entropy_case)
-    run("giou_location", giou_case)
+    # (name, loss, gradient, draw): draw() gives the loss's arguments after the
+    # point, then the point, drawing from rng in that order. The rows read the
+    # public pairs when the call is made, so a replaced gradient is checked.
+    table = [
+        ("smooth_l1", *_of_point(smooth_l1, smooth_l1_grad), lambda: off_kink(rng.uniform(-3, 3))),
+        ("mse", *_of_point(mse, mse_grad), lambda: ((rng.uniform(-3, 3),), [rng.uniform(-3, 3)])),
+        ("ifl", *_of_point(ifl, ifl_grad),
+         lambda: off_kink(rng.uniform(-3, 3), rng.uniform(0.05, 1.0))),
+        ("focal", *_of_point(focal_loss, focal_loss_grad),
+         lambda: ((rng.randrange(2),), [rng.uniform(-4, 4)])),
+        ("cross_entropy", cross_entropy, cross_entropy_grad,
+         lambda: ((rng.randrange(5),), [rng.gauss(0.0, 1.0) for _ in range(5)])),
+        ("giou_location", giou_location_loss, giou_location_loss_grad, lambda: _draw_giou(rng)),
+    ]
+    results: dict[str, GradCheckResult] = {}
+    for name, loss, gradient, draw in table:
+        worst, worst_point = 0.0, ()
+        for _ in range(points):
+            args, point = draw()
+            err = finite_diff_grad_check(lambda p: loss(p, *args), lambda p: gradient(p, *args),
+                                         point)
+            if err > worst:
+                worst, worst_point = err, tuple(point)
+        results[name] = GradCheckResult(worst, worst_point)
     return results

@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from .errors import DegenerateQuadError, InvalidInputError, _finite, _shown
+from .errors import DegenerateQuadError, InvalidInputError, _finite, _sequence, _shown
 
 Point = tuple[float, float]
 
@@ -119,9 +119,19 @@ def _centred(pts) -> list:
     return [(x0 - cx, y0 - cy), (x1 - cx, y1 - cy), (x2 - cx, y2 - cy), (x3 - cx, y3 - cy)]
 
 
-def _float_points(points) -> tuple:
-    # Four (x, y) points of finite numbers as float pairs.
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = points
+def _float_points(points, count_error: type, count_message: str) -> tuple:
+    # Four (x, y) points of finite numbers as float pairs. Points that do not
+    # unpack so are read through _sequence for the error, and another count of
+    # them raises count_error(count_message).
+    try:
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = points
+    except (TypeError, ValueError):
+        points = _sequence(points, "quad vertices", of="(x, y) points")
+        if len(points) != 4:
+            raise count_error(count_message) from None
+        for point in points:
+            _sequence(point, "quad vertex", 2)
+        raise
     if not _finite((x0, y0, x1, y1, x2, y2, x3, y3), "quad vertex"):
         raise InvalidInputError("non-finite quad vertices")
     return ((float(x0), float(y0)), (float(x1), float(y1)),
@@ -156,9 +166,7 @@ class QuadPolygon:
     vertices: tuple[Point, Point, Point, Point]
 
     def __post_init__(self):
-        if len(self.vertices) != 4:
-            raise InvalidInputError("quad requires exactly 4 vertices")
-        pts = _float_points(self.vertices)
+        pts = _float_points(self.vertices, InvalidInputError, "quad requires exactly 4 vertices")
         object.__setattr__(self, "vertices", pts)
         centred = _centred(pts)
         area = _signed_area(centred)
@@ -185,9 +193,7 @@ class QuadPolygon:
         InvalidInputError; duplicate or collinear point sets raise
         DegenerateQuadError.
         """
-        if len(points) != 4:
-            raise DegenerateQuadError("expected exactly 4 points")
-        pts = _float_points(points)
+        pts = _float_points(points, DegenerateQuadError, "expected exactly 4 points")
         for i in range(4):
             for j in range(i + 1, 4):
                 if pts[i] == pts[j]:

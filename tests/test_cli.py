@@ -549,6 +549,23 @@ class TestGradcheck:
         assert code_a == code_b == 0
         assert out_a == out_b
 
+    # sha256 of `gradcheck --seed s` stdout at the default 100 points, s = 0..4,
+    # pinned as literals: a change that means to keep every byte of the
+    # gradient check is checked against them, not only against itself.
+    STDOUT_SHA256 = (
+        "1e8f475a0d0a134de0ccbc3030eefecd5848f0d9f620f05ca439368f9eac586a",
+        "58f7772d7aea92dce38ccd4a29b488317ba77dd2f13185b1a472ae781550d1e0",
+        "43a7f1cdc72971707d0e2ffb6560c1ce52544b690f9e7905f54714ba42d07eb3",
+        "8080a893b3050f7732eba55a1ea8503cf388b349851cfa87ee1515add29a607c",
+        "97a70f3349119ea2bb67706f8364ac386901c1f32252cda8e35667980a20908b",
+    )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_stdout_is_pinned(self, capsys, seed):
+        code, out, err = run_cli(capsys, "gradcheck", "--seed", str(seed))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT_SHA256[seed]
+
     def test_corrupt_hook_exits_1(self, capsys, monkeypatch):
         exact = anglekit.losses.smooth_l1_grad
         monkeypatch.setattr(anglekit.losses, "smooth_l1_grad",

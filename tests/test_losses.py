@@ -114,6 +114,10 @@ class TestMse:
             p, t = rng.uniform(-10, 10, size=2)
             assert mse(p, t) == pytest.approx(p * p - 2 * p * t + t * t, abs=1e-12)
 
+    def test_square_past_float_range_is_inf_and_keeps_its_gradient(self):
+        assert mse(1e200, 0.0) == math.inf
+        assert mse_grad(1e200, 0.0) == 2e200
+
 
 class TestFocalLoss:
     def test_perfect_prediction_limit(self):
@@ -380,11 +384,13 @@ class TestMultitaskLossOracle:
         samples = [noisy_positive_sample(rng) for _ in range(5)] + \
                   [background_sample(float(rng.normal())) for _ in range(4)]
         prepared = count_calls(monkeypatch, "_prepare")
-        rechecks = count_calls(monkeypatch, "_finite_floats", anglekit.losses)
+        # The input checks of the public losses: the loss calls none of them.
+        rechecks = [count_calls(monkeypatch, name, anglekit.losses)
+                    for name in ("_finite_floats", "_checked", "_sequence")]
         for calls in (1, 2):
             multitask_loss(samples, self.WEIGHTS, CODEC)
             # Two boxes per foreground IoU, on every call: nothing is cached.
-            assert (prepared[0], rechecks[0]) == (2 * 5 * calls, 0)
+            assert (prepared[0], [n[0] for n in rechecks]) == (2 * 5 * calls, [0, 0, 0])
 
     def test_category_index_is_an_integer_from_build_on(self):
         positive = perfect_positive_sample()
@@ -409,6 +415,40 @@ class TestMultitaskLossOracle:
         assert breakdown == reference_multitask_loss([sample], self.WEIGHTS, CODEC)
         assert breakdown == multitask_loss([perfect_positive_sample(theta=0.0)], self.WEIGHTS,
                                            CODEC)
+
+
+class TestPinnedLossBits:
+    """Every LossBreakdown field on one seeded batch per codec, pinned under
+    float.hex: a change that means to keep every loss bit is checked against
+    these literals, where the oracle above shares the library's kernels."""
+
+    WEIGHTS = LossWeights(1.5, 0.5, 3.0, 2.5, 0.25)
+    CODECS = {
+        "mgar-3-square": CodecConfig(Method.MGAR, 3),
+        "mgar-5-exp": CodecConfig(Method.MGAR, 5, fit_function=FitFunction.EXP),
+        "csl-180": CodecConfig(Method.CSL, 180),
+        "regression-square": CodecConfig(Method.REGRESSION),
+    }
+    # (location, confidence, category, angle_class, angle_reg, total)
+    FIELDS = {
+        "mgar-3-square": ("0x1.4676e4df12f9fp-1", "0x1.812cc5c68ce8ep-1", "0x1.5b77250ee1366p-1",
+                          "0x1.0b8b0b2bc0cbbp+0", "0x1.963a288479b9bp-1", "0x1.8b7e7d6b4d1eep+2"),
+        "mgar-5-exp": ("0x1.e095df88bcafep-1", "0x1.2f110fd852107p-1", "0x1.320c394ce02adp+0",
+                       "0x1.1d148e6c453e9p+1", "0x1.c57be9a473c1fp-1", "0x1.628df39aa5673p+3"),
+        "csl-180": ("0x1.00ff1292d5615p+0", "0x1.81d6b1111f337p-3", "0x1.00067c1c8015ap+0",
+                    "0x1.2a44c70825d5cp+2", "0x0.0p+0", "0x1.0405f41944ca0p+4"),
+        "regression-square": ("0x1.62c415771c178p-1", "0x1.9456a4a529b98p-1",
+                              "0x1.e5c040e32d2f8p-1", "0x0.0p+0", "0x1.af9c2fd0dd8e8p-1",
+                              "0x1.1f6f28245fbe4p+2"),
+    }
+
+    @pytest.mark.parametrize("name", list(FIELDS))
+    def test_every_field(self, name):
+        codec = self.CODECS[name]
+        rng = np.random.default_rng(30)
+        samples = [random_sample(rng, codec) for _ in range(16)]
+        breakdown = multitask_loss(samples, self.WEIGHTS, codec)
+        assert tuple(v.hex() for v in dataclasses.astuple(breakdown)) == self.FIELDS[name]
 
 
 class TestMultitaskLoss:
@@ -590,6 +630,26 @@ class TestFiniteDifference:
         assert finite_diff_grad_check(square, lambda p: [math.nan], [1.0]) == math.inf
         assert finite_diff_grad_check(lambda p: math.nan, lambda p: [2.0 * p[0]],
                                       [1.0]) == math.inf
+
+    @pytest.mark.parametrize("gradient, message", [
+        ([], "gradient must be a flat sequence of numbers of length 2, got []"),
+        ([2.0, 1.0, 0.0], "gradient must be a flat sequence of numbers of length 2, "
+                          "got [2.0, 1.0, 0.0]"),
+        (2.0, "gradient must be a flat sequence of numbers of length 2, got 2.0"),
+        (["2", 1.0], "gradient must be a number, got '2'"),
+    ], ids=["shorter", "longer", "scalar", "numeric-string"])
+    def test_gradient_must_match_the_point(self, gradient, message):
+        with pytest.raises(InvalidInputError) as info:
+            finite_diff_grad_check(lambda p: p[0] * p[1], lambda p: gradient, [1.0, 2.0])
+        assert str(info.value) == message
+
+    def test_empty_point_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="^point must not be empty$"):
+            finite_diff_grad_check(lambda p: 0.0, lambda p: [], [])
+
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf, 10**400], ids=["inf", "-inf", "1e400"])
+    def test_infinite_gradient_fails(self, entry):
+        assert finite_diff_grad_check(lambda p: p[0] ** 2, lambda p: [entry], [1.0]) == math.inf
 
     def test_full_suite_passes(self):
         results = run_gradient_checks(seed=0, points=100)

@@ -16,12 +16,15 @@ from anglekit import (AnchorBox, AnglePrediction, AssignedSample, AxisAlignedBox
                       CodecConfig, DetectionRecord, GroundTruthRecord, InvalidInputError,
                       LossWeights, OrientedBox, QuadPolygon, average_precision, cross_entropy,
                       decode, empirical_errors, encode, evaluate, finite_diff_grad_check,
-                      head_thickness, ifl, match_detections, rotated_nms, run_gradient_checks)
+                      focal_loss, focal_loss_grad, giou_location_loss, giou_location_loss_grad,
+                      head_thickness, ifl, ifl_grad, match_detections, mse, mse_grad,
+                      rotated_nms, run_gradient_checks, smooth_l1, smooth_l1_grad)
 from anglekit.evaluation import canonical_thresholds
 
 BOX = OrientedBox(0.0, 0.0, 2.0, 1.0, 0.0)
 MGAR3 = CodecConfig("mgar", 3)
 SQUARE = ((0, 0), (1, 0), (1, 1), (0, 1))
+UNIT = (0, 0, 1, 1)
 
 
 def sample(confidence=0.0, category_logits=(0.0, 1.0)):
@@ -29,10 +32,23 @@ def sample(confidence=0.0, category_logits=(0.0, 1.0)):
                           category_logits, AnglePrediction([0, 0, 1], 1.0))
 
 
+# The scalar arguments of the public losses, which must also be finite.
+LOSS_SCALARS = [
+    (f"{fn.__name__}.{name}", name, call)
+    for fn in (smooth_l1, smooth_l1_grad, mse, mse_grad)
+    for name, call in (("pred", lambda v, fn=fn: fn(v, 0.5)),
+                       ("target", lambda v, fn=fn: fn(0.5, v)))
+] + [
+    (f"{fn.__name__}.{name}", name, call)
+    for fn in (ifl, ifl_grad)
+    for name, call in (("pred_residual", lambda v, fn=fn: fn(v, 0.5, 0.5)),
+                       ("target_residual", lambda v, fn=fn: fn(0.5, v, 0.5)))
+] + [(f"{fn.__name__}.logit", "logit", lambda v, fn=fn: fn(v, 1))
+     for fn in (focal_loss, focal_loss_grad)]
 # (entry point, the name its errors give, call with one value). A scalar
 # argument takes the value whole; a sequence argument takes it as an element,
 # and in one test whole.
-SCALARS = [
+SCALARS = LOSS_SCALARS + [
     ("OrientedBox", "box parameter", lambda v: OrientedBox(0, v, 2, 1, 0)),
     ("AxisAlignedBox", "box parameter", lambda v: AxisAlignedBox(0, 0, v, 1)),
     ("BoxDeltas", "box delta", lambda v: BoxDeltas(0, 0, v, 0)),
@@ -51,6 +67,7 @@ SCALARS = [
     ("CodecConfig.c_theta", "c_theta", lambda v: CodecConfig("mgar", v)),
     ("head_thickness", "anchor count", lambda v: head_thickness("mgar", 3, v)),
     ("run_gradient_checks.points", "points", lambda v: run_gradient_checks(0, v)),
+    ("run_gradient_checks.seed", "seed", lambda v: run_gradient_checks(v, 1)),
 ]
 SEQUENCES = [
     ("AnglePrediction.class_logits", "class logits", lambda s: AnglePrediction(s, 2.0)),
@@ -68,14 +85,29 @@ SEQUENCES = [
     ("average_precision.recall", "recall", lambda s: average_precision(s, [1.0, 1.0], "voc12")),
     ("average_precision.precision", "precision",
      lambda s: average_precision([0.5, 1.0], s, "voc12")),
-]
+] + [(f"{fn.__name__}.{side}", "box param", call)
+     for fn in (giou_location_loss, giou_location_loss_grad)
+     for side, call in (("pred", lambda s, fn=fn: fn((*s, 1, 1), UNIT)),
+                        ("target", lambda s, fn=fn: fn(UNIT, (*s, 1, 1))))]
+# Sequence arguments of a fixed length, called with one value whole.
+FIXED_LENGTH = [
+    (f"{fn.__name__}.{side}", f"{side} box", call)
+    for fn in (giou_location_loss, giou_location_loss_grad)
+    for side, call in (("pred", lambda v, fn=fn: fn(v, UNIT)),
+                       ("target", lambda v, fn=fn: fn(UNIT, v)))
+] + [("finite_diff_grad_check.gradient", "gradient",
+      lambda v: finite_diff_grad_check(lambda p: 0.0, lambda p: v, [0.0, 0.0]))]
+# Quad points that are not a sequence of (x, y) pairs: four points, one of them
+# not a pair, or no sequence at all.
+NOT_PAIRS = {"three-coordinates": [(0, 0, 0), *SQUARE[1:]], "one-coordinate": [(0,), *SQUARE[1:]],
+             "int-point": [0, *SQUARE[1:]], "None": None, "str": "0.5", "float": 0.5}
 NOT_NUMBERS = {"str": "0.5", "bytes": b"0.5", "None": None, "str-in-list": ["0.5"],
                "numbers-in-list": [0.5, 0.5]}
 # Ints past float range; an integer argument takes a positive one as an integer.
 HUGE = {"1e400": 10**400, "-1e400": -10**400, "1e5000": 10**5000}
 # None means no regression output, or the default bin count.
 TAKES_NONE = ("AnglePrediction.regression_output", "CodecConfig.c_theta")
-INTEGER_ARGS = ("head_thickness", "run_gradient_checks.points")
+INTEGER_ARGS = ("head_thickness", "run_gradient_checks.points", "run_gradient_checks.seed")
 
 
 def cases(entries, values, keep=lambda entry, value: True):
@@ -101,9 +133,32 @@ def test_sequence_element_is_a_finite_number(name, call, value):
 
 @pytest.mark.parametrize("name, call, value", cases(
     SEQUENCES, {"str": "0.5", "bytes": b"0.5", "None": None, "float": 0.5, "1e400": 10**400},
-    lambda entry, value: not entry.startswith("QuadPolygon")))
+    lambda entry, value: not entry.startswith(("QuadPolygon", "giou"))))
 def test_sequence_argument_is_a_sequence(name, call, value):
     with pytest.raises(InvalidInputError, match=name):
+        call(value)
+
+
+@pytest.mark.parametrize("name, call, value", cases(
+    FIXED_LENGTH, {"str": "0.5", "bytes": b"0.5", "None": None, "float": 0.5, "1e400": 10**400,
+                   "short": (0,), "long": (0, 0, 0, 0, 0)}))
+def test_fixed_length_argument_is_a_flat_sequence_of_that_length(name, call, value):
+    with pytest.raises(InvalidInputError, match=f"^{name} must be a flat sequence"):
+        call(value)
+
+
+@pytest.mark.parametrize("build", [QuadPolygon, QuadPolygon.from_points],
+                         ids=["QuadPolygon", "from_points"])
+@pytest.mark.parametrize("points", NOT_PAIRS.values(), ids=NOT_PAIRS)
+def test_quad_points_are_xy_pairs(build, points):
+    with pytest.raises(InvalidInputError, match="^quad vert(ex|ices) must be a flat sequence"):
+        build(points)
+
+
+@pytest.mark.parametrize("name, call, value", cases(
+    LOSS_SCALARS, {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}))
+def test_loss_scalar_is_finite(name, call, value):
+    with pytest.raises(InvalidInputError, match=f"^{name} must be finite"):
         call(value)
 
 
@@ -144,6 +199,14 @@ def test_other_number_types_give_what_floats_give(kind):
         average_precision([0.0, 1.0], [1.0, 1.0], "voc12")
     assert cross_entropy([zero, one], 1) == cross_entropy([0.0, 1.0], 1)
     assert ifl(0.0, 2.0, one) == ifl(0.0, 2.0, 1.0)
+    for fn in (smooth_l1, smooth_l1_grad, mse, mse_grad):
+        assert fn(one, zero) == fn(1.0, 0.0)
+    assert ifl_grad(one, zero, one) == ifl_grad(1.0, 0.0, 1.0)
+    assert focal_loss(one, 1) == focal_loss(1.0, 1)
+    assert focal_loss_grad(zero, 0) == focal_loss_grad(0.0, 0)
+    assert giou_location_loss([zero, zero, one, one], (0.5, 0, 1, 1)) == \
+        giou_location_loss([0.0, 0.0, 1.0, 1.0], (0.5, 0, 1, 1))
+    assert run_gradient_checks(one, 1) == run_gradient_checks(1, 1)
     assert decode(AnglePrediction([zero, one, zero], one), MGAR3) == \
         decode(AnglePrediction([0.0, 1.0, 0.0], 1.0), MGAR3)
     assert encode(one, MGAR3).residual_target == encode(1.0, MGAR3).residual_target
