@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidInputError, _finite, _sequence, _shown
-from .obb import OrientedBox, iou_matrix
+from .obb import OrientedBox, _check_box, iou_matrix
 
 VOC07 = "voc07"
 VOC12 = "voc12"
@@ -32,6 +32,11 @@ class GroundTruthRecord:
     category: str
     difficult: bool = False
 
+    def __post_init__(self):
+        _check_box(self.box, "ground truth box")
+        if self.difficult not in (0, 1):
+            raise InvalidInputError(f"difficult must be 0 or 1, got {_shown(self.difficult, repr)}")
+
 
 @dataclass(frozen=True)
 class DetectionRecord:
@@ -43,6 +48,7 @@ class DetectionRecord:
     score: float
 
     def __post_init__(self):
+        _check_box(self.box, "detection box")
         if not (_finite((self.score,), "score") and 0.0 <= self.score <= 1.0):
             raise InvalidInputError(f"score must lie in [0, 1], got {_shown(self.score)}")
 

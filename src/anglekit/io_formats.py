@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import InvalidInputError, ParseError
 from .evaluation import DetectionRecord, EvalReport, GroundTruthRecord, threshold_label
-from .obb import OrientedBox, QuadPolygon, _prepare, from_corners
+from .obb import OrientedBox, QuadPolygon, from_corners
 
 _HEADER_PREFIXES = ("imagesource:", "gsd:")
 # The JSON type write_detections gives each field; a bool is not a number.
@@ -60,9 +60,9 @@ def _read_dota(path: Path, strict: bool, build, headers: bool = False) -> list:
 
     Blank lines are skipped, and so are imagesource:/gsd: lines when
     `headers` is set (annotation files). A line without 10 fields, or one
-    whose numbers, quad, fit or record are invalid or whose box the IoU
-    kernel rejects, or one holding a byte that is not UTF-8, raises
-    ParseError at path:line when strict, and is logged and skipped otherwise.
+    whose numbers, quad, fitted box or record are invalid, or one holding a
+    byte that is not UTF-8, raises ParseError at path:line when strict, and
+    is logged and skipped otherwise.
     """
     records, stem = [], path.stem
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -77,9 +77,7 @@ def _read_dota(path: Path, strict: bool, build, headers: bool = False) -> list:
                     raise InvalidInputError(bad[0])
                 if len(tokens) != 10:
                     raise InvalidInputError(f"expected 10 fields, got {len(tokens)}")
-                record = build(stem, tokens)
-                _prepare(record.box)  # the IoU kernel's box rule, as for JSON records
-                records.append(record)
+                records.append(build(stem, tokens))
             except ValueError as exc:
                 _fail_or_skip(strict, path, line_no, str(exc))
     return records
@@ -130,7 +128,6 @@ def _parse_detection_json(path: Path, strict: bool) -> list[DetectionRecord]:
                 if type(entry[key]) not in _JSON_TYPES[kind]:
                     raise InvalidInputError(f"{key} must be a JSON {kind}, got {entry[key]!r}")
             box = OrientedBox(*(float(entry[k]) for k in ("cx", "cy", "w", "h", "theta")))
-            _prepare(box)  # the IoU kernel's box rule: a box it cannot score fails here
             records.append(DetectionRecord(entry["image_id"], box, entry["category"],
                                            float(entry["score"])))
         except (ValueError, OverflowError) as exc:
@@ -144,8 +141,8 @@ def parse_detections(path, strict: bool = True) -> list[DetectionRecord]:
     Text lines read "image_id score x1 y1 ... y4"; quads are fitted to
     long-side boxes. The JSON format is the canonical normalized form
     written by write_detections: image_id and category must be JSON
-    strings and the other six fields JSON numbers. In either format a box
-    the IoU kernel would reject fails at its line or record.
+    strings and the other six fields JSON numbers. In either format an
+    invalid box, one OrientedBox rejects, fails at its line or record.
     """
     path = Path(path)
     if path.is_dir():

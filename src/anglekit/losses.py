@@ -336,7 +336,8 @@ def multitask_loss(samples: Sequence[AssignedSample], weights: LossWeights,
 
     Inputs are checked once, when a sample is built. Its terms then go
     through the same kernels as the public losses, encode and decode, with
-    only the checks a built sample can still fail, raising the same errors.
+    only the checks a built sample can still fail, raising the same errors;
+    the decoded box meets the box rule as its OrientedBox is built.
     """
     if not samples:
         raise InvalidInputError("sample list is empty")

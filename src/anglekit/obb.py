@@ -33,6 +33,10 @@ class OrientedBox:
     reduced modulo 180 on construction. Exact squares are reduced modulo 90,
     since both representatives describe the same corner set. A tiny negative
     angle whose reduction rounds up to the period is stored as 0.0.
+
+    Construction applies the IoU kernel's box rule, so every box can be
+    scored: a finite extent and an area w * h from the smallest normal
+    float up to half the float maximum.
     """
 
     cx: float
@@ -52,6 +56,7 @@ class OrientedBox:
         period = 90.0 if self.w == self.h else 180.0
         theta = self.theta % period
         object.__setattr__(self, "theta", theta if theta < period else 0.0)
+        _prepare(self)
 
     @property
     def area(self) -> float:
@@ -121,10 +126,14 @@ def _centred(pts) -> list:
 
 def _float_points(points, count_error: type, count_message: str) -> tuple:
     # Four (x, y) points of finite numbers as float pairs. Points that do not
-    # unpack so are read through _sequence for the error, and another count of
-    # them raises count_error(count_message).
+    # unpack so, or a bytes point (which unpacks into ints), are read through
+    # _sequence for the error; another count raises count_error(count_message).
     try:
-        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = points
+        p0, p1, p2, p3 = points
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = p0, p1, p2, p3
+        if isinstance(p0, bytes) or isinstance(p1, bytes) or isinstance(p2, bytes) \
+                or isinstance(p3, bytes):
+            raise TypeError
     except (TypeError, ValueError):
         points = _sequence(points, "quad vertices", of="(x, y) points")
         if len(points) != 4:
@@ -136,23 +145,6 @@ def _float_points(points, count_error: type, count_message: str) -> tuple:
         raise InvalidInputError("non-finite quad vertices")
     return ((float(x0), float(y0)), (float(x1), float(y1)),
             (float(x2), float(y2)), (float(x3), float(y3)))
-
-
-def _ordered_ccw(candidate: list[Point]):
-    # (vertices, area) of a convex, non-sliver quad in counter-clockwise
-    # order, reversing a clockwise candidate; None if there is none. The
-    # checks run on the centred points; the vertices returned are absolute.
-    centred = _centred(candidate)
-    area = _signed_area(centred)
-    if area < 0.0:
-        candidate, centred = candidate[::-1], centred[::-1]
-        if -area < _SLIVER_AREA or not _quad_convex(centred):
-            return None
-        # The reversed order sums its terms differently, so measure it again.
-        return candidate, _signed_area(centred)
-    if area < _SLIVER_AREA or not _quad_convex(centred):
-        return None
-    return candidate, area
 
 
 @dataclass(frozen=True)
@@ -178,41 +170,37 @@ class QuadPolygon:
             raise InvalidInputError("quad area is not finite")
 
     @classmethod
-    def _trusted(cls, vertices: tuple) -> "QuadPolygon":
-        # A quad whose float vertices already passed the checks.
-        quad = object.__new__(cls)
-        object.__setattr__(quad, "vertices", vertices)
-        return quad
-
-    @classmethod
     def from_points(cls, points: Sequence[Point]) -> "QuadPolygon":
         """Build a quad from 4 points in any winding, normalizing to CCW.
 
-        Points given in an order that zig-zags are re-sorted around their
-        centroid. Non-finite points, or an area that overflows, raise
-        InvalidInputError; duplicate or collinear point sets raise
-        DegenerateQuadError.
+        The points are tried in the order given, then in order of angle about
+        their centroid; a clockwise order is reversed. Non-finite points, or an
+        area that overflows, raise InvalidInputError; duplicate or collinear
+        points, or a sliver under 1e-12 px^2, raise DegenerateQuadError.
         """
         pts = _float_points(points, DegenerateQuadError, "expected exactly 4 points")
         for i in range(4):
             for j in range(i + 1, 4):
                 if pts[i] == pts[j]:
                     raise DegenerateQuadError(f"duplicate point {pts[i]}")
-        found = _ordered_ccw(pts)
-        if found is None:
-            cx = sum(p[0] for p in pts) / 4.0
-            cy = sum(p[1] for p in pts) / 4.0
-            found = _ordered_ccw(sorted(pts, key=lambda p: math.atan2(p[1] - cy, p[0] - cx)))
-        if found is None:
-            raise DegenerateQuadError("points do not form a convex quad")
-        vertices, area = found
-        # Only a re-measured reversed order can fall to <= 0 here, through
-        # cancellation in a thin sliver; QuadPolygon rejects it so.
-        if area <= 0.0:
-            raise DegenerateQuadError("quad must be counter-clockwise with positive area")
-        if not math.isfinite(area):
-            raise InvalidInputError("quad area is not finite")
-        return cls._trusted(tuple(vertices))
+        centred = _centred(pts)
+        vertices, shifted = pts, centred
+        for by_angle in (False, True):
+            if by_angle:  # sorted only now: most quads come in a usable order
+                order = sorted(range(4), key=lambda i: math.atan2(centred[i][1], centred[i][0]))
+                vertices = tuple(pts[i] for i in order)
+                shifted = _centred(vertices)  # its own centroid, as QuadPolygon would use
+            area = _signed_area(shifted)
+            if area < 0.0:
+                vertices, shifted = vertices[::-1], shifted[::-1]
+                area = _signed_area(shifted)  # the reversed order rounds its own way
+            if not area < _SLIVER_AREA and _quad_convex(shifted):
+                if not math.isfinite(area):
+                    raise InvalidInputError("quad area is not finite")
+                quad = object.__new__(cls)  # skips __post_init__, whose checks these include
+                object.__setattr__(quad, "vertices", vertices)
+                return quad
+        raise DegenerateQuadError("points do not form a convex quad")
 
 
 def longside(cx: float, cy: float, w: float, h: float, theta: float) -> OrientedBox:
@@ -311,8 +299,8 @@ def convex_intersection_area(a: QuadPolygon, b: QuadPolygon) -> float:
 def _prepare(box: OrientedBox) -> tuple:
     # Everything the pair kernel reads of one box: centre, half sides, angle
     # in radians with its cosine and sine, area, and the AABB, taken from the
-    # half extents rather than from corners. A box is rejected with the
-    # messages its corner quad would give.
+    # half extents rather than from corners. It is OrientedBox's box rule,
+    # rejecting a box with the messages its corner quad would give.
     rad = math.radians(box.theta)
     c, s = math.cos(rad), math.sin(rad)
     hw, hh = 0.5 * box.w, 0.5 * box.h
@@ -398,6 +386,12 @@ def iou_matrix(rows: Sequence[OrientedBox], cols: Sequence[OrientedBox]) -> list
     return [[_pair_iou(a, b) for b in prepared_cols] for a in map(_prepare, rows)]
 
 
+def _check_box(box, name: str) -> None:
+    # Scoring trusts the box rule, which only an OrientedBox has applied.
+    if not isinstance(box, OrientedBox):
+        raise InvalidInputError(f"{name} must be an OrientedBox, got {_shown(box, repr)}")
+
+
 def check_nms_threshold(iou_threshold: float) -> None:
     """Raise InvalidInputError unless iou_threshold lies in [0, 1]."""
     if not (_finite((iou_threshold,), "iou_threshold") and 0.0 <= iou_threshold <= 1.0):
@@ -417,7 +411,8 @@ def rotated_nms(
     rotated IoU with an already-kept item of its group exceeds iou_threshold.
     """
     check_nms_threshold(iou_threshold)
-    for _, score, _ in items:
+    for box, score, _ in items:
+        _check_box(box, "NMS item box")
         if not _finite((score,), "score"):
             raise InvalidInputError(f"non-finite score {_shown(score)}")
     prepared = [_prepare(box) for box, _, _ in items]

@@ -6,6 +6,7 @@ routes stay independent.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -318,3 +319,103 @@ def count_clipped_pairs(monkeypatch):
 
     monkeypatch.setattr(anglekit.obb, "_clip_step", counted)
     return pairs
+
+
+# Seeded quads of the kinds that reach QuadPolygon.from_points. Only float
+# arithmetic that IEEE 754 rounds exactly is used (no trig, no float pow), so
+# a seed gives the same points on every platform.
+
+def _scale(rng, lo, hi):
+    # A number of magnitude between 1e<lo> and 1e<hi + 1>.
+    return rng.uniform(1.0, 10.0) * float(f"1e{rng.randint(lo, hi)}")
+
+
+def _rectangle(rng, cx, cy, a, b):
+    # Counter-clockwise corners about (cx, cy), half sides a and b, turned
+    # by a rational unit vector.
+    t = rng.uniform(-1.0, 1.0)
+    ux, uy = (1.0 - t * t) / (1.0 + t * t), 2.0 * t / (1.0 + t * t)
+    return [(cx + sa * a * ux - sb * b * uy, cy + sa * a * uy + sb * b * ux)
+            for sa, sb in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
+
+
+def _rect_quad(rng):
+    a = _scale(rng, -2, 4)
+    return _rectangle(rng, _scale(rng, 0, 6), -_scale(rng, 0, 6), a, a * rng.uniform(0.01, 1.0))
+
+
+def _noisy_quad(rng):
+    a = _scale(rng, 0, 3)
+    noise = a * rng.choice((1e-9, 1e-3, 0.1, 0.4))
+    return [(x + rng.uniform(-noise, noise), y + rng.uniform(-noise, noise))
+            for x, y in _rectangle(rng, _scale(rng, 0, 15), _scale(rng, 0, 15), a, 0.5 * a)]
+
+
+def _thin_quad(rng):
+    a = _scale(rng, -1, 5)
+    return _rectangle(rng, _scale(rng, 0, 15), -_scale(rng, 0, 15), a, a * _scale(rng, -16, -4))
+
+
+def _sliver_quad(rng):
+    # Area 4ab within a factor of 2 of the 1e-12 px^2 sliver bound.
+    a = _scale(rng, -7, 0)
+    return _rectangle(rng, _scale(rng, -3, 6), _scale(rng, -3, 6), a,
+                      rng.uniform(0.5, 2.0) * 1e-12 / (4.0 * a))
+
+
+def _collinear_quad(rng):
+    x, y, dx, dy = (_scale(rng, 0, 8) for _ in range(4))
+    off = _scale(rng, -15, -6)
+    return [(x + s * dx - rng.uniform(-off, off) * dy, y + s * dy + rng.uniform(-off, off) * dx)
+            for s in (rng.uniform(-1.0, 1.0) for _ in range(4))]
+
+
+def _dart_quad(rng):
+    # Counter-clockwise, reflex at its third vertex when r < 2.
+    s, r, x, y = _scale(rng, -3, 4), rng.uniform(0.5, 2.5), _scale(rng, 0, 9), _scale(rng, 0, 9)
+    return [(x, y), (x + 4.0 * s, y), (x + r * s, y + r * s), (x, y + 4.0 * s)]
+
+
+def _huge_quad(rng):
+    # Sides up to 1e300, and darts whose area is inf with a turn of -inf.
+    if rng.random() < 0.5:
+        a = _scale(rng, 100, 299)
+        return _rectangle(rng, _scale(rng, 0, 299), 0.0, a, a * rng.uniform(0.01, 1.0))
+    s, r = rng.uniform(1e153, 9e153), rng.uniform(0.5, 2.5)
+    return [(0.0, 0.0), (4.0 * s, 0.0), (r * s, r * s), (0.0, 4.0 * s)]
+
+
+def _duplicate_quad(rng):
+    pts = _rect_quad(rng)
+    pts[rng.randrange(4)] = pts[rng.randrange(4)]
+    return pts
+
+
+def _integer_quad(rng):
+    # DOTA-style whole-pixel points.
+    a = _scale(rng, 0, 3)
+    return [(float(round(x)), float(round(y))) for x, y in
+            _rectangle(rng, _scale(rng, 0, 4), _scale(rng, 0, 4), a, a * rng.uniform(0.0, 1.0))]
+
+
+_QUAD_KINDS = (_rect_quad, _noisy_quad, _thin_quad, _sliver_quad, _collinear_quad, _dart_quad,
+               _huge_quad, _duplicate_quad, _integer_quad)
+
+
+def seeded_quads(seed, count):
+    """count point lists, each of a random kind given as drawn, reversed,
+    cyclically turned or shuffled."""
+    rng = random.Random(seed)
+    quads = []
+    for _ in range(count):
+        pts = rng.choice(_QUAD_KINDS)(rng)
+        order = rng.randrange(4)
+        if order == 1:
+            pts.reverse()
+        elif order == 2:
+            turn = rng.randrange(1, 4)
+            pts = pts[turn:] + pts[:turn]
+        elif order == 3:
+            rng.shuffle(pts)
+        quads.append(pts)
+    return quads

@@ -359,9 +359,11 @@ class TestEval:
                                                                tmp_path):
         # Each area, 1.44e308, is finite, but two of them sum past the float
         # maximum: the box rule skips both records, so no pair aborts the run.
+        # No OrientedBox holds such a box, so the records are written as text.
         det_path = tmp_path / "d.json"
-        write_detections([DetectionRecord("im1", OrientedBox(0, 0, 1.2e154, 1.2e154, 0),
-                                          "ship", score) for score in (0.9, 0.8)], det_path)
+        det_path.write_text(json.dumps([
+            {"image_id": "im1", "category": "ship", "score": score, "cx": 0.0, "cy": 0.0,
+             "w": 1.2e154, "h": 1.2e154, "theta": 0.0} for score in (0.9, 0.8)]))
         code, out, err = run_cli(capsys, "nms", "--detections", str(det_path),
                                  "--threshold", "0.5")
         assert (code, json.loads(out), err) == (0, {"kept": [], "total": 0}, "")

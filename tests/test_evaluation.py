@@ -25,6 +25,33 @@ BOX_B = OrientedBox(50, 50, 6, 3, 120)
 BOX_FAR = OrientedBox(200, 200, 4, 2, 0)
 
 
+class TestRecords:
+    """A record holds an OrientedBox, and a ground truth's difficult flag is 0 or 1."""
+
+    @pytest.mark.parametrize("box", ["notabox", None, (10, 10, 4, 2, 30)],
+                             ids=["str", "None", "tuple"])
+    def test_box_is_an_oriented_box(self, box):
+        with pytest.raises(InvalidInputError, match="^ground truth box must be an OrientedBox"):
+            gt("im1", box)
+        with pytest.raises(InvalidInputError, match="^detection box must be an OrientedBox"):
+            det("im1", box, 0.5)
+
+    @pytest.mark.parametrize("difficult", ["no", "0", None, 2, -1, 0.5, math.nan])
+    def test_difficult_is_0_or_1(self, difficult):
+        # A truthy non-flag such as "no" would make a matched box difficult.
+        with pytest.raises(InvalidInputError, match="^difficult must be 0 or 1"):
+            gt("im1", BOX_A, difficult=difficult)
+
+    @pytest.mark.parametrize("difficult, num_gt, ap", [
+        (False, 2, 0.5), (0, 2, 0.5), (0.0, 2, 0.5), (True, 1, 1.0), (1, 1, 1.0), (1.0, 1, 1.0)])
+    def test_difficult_flags_score_as_bools(self, difficult, num_gt, ap):
+        # BOX_B is found; BOX_A is missed, which costs recall unless difficult.
+        report = evaluate([gt("im1", BOX_A, difficult=difficult), gt("im1", BOX_B)],
+                          [det("im1", BOX_B, 0.9)], [0.5], mode=VOC12)
+        assert report.categories["ship"][0.5].num_gt == num_gt
+        assert report.map_by_threshold[0.5] == ap
+
+
 class TestMatchDetections:
     def test_exact_match_is_tp(self):
         result = match_detections([det("im1", BOX_A, 0.9)], [gt("im1", BOX_A)], 0.5)

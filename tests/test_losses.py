@@ -389,8 +389,9 @@ class TestMultitaskLossOracle:
                     for name in ("_finite_floats", "_checked", "_sequence")]
         for calls in (1, 2):
             multitask_loss(samples, self.WEIGHTS, CODEC)
-            # Two boxes per foreground IoU, on every call: nothing is cached.
-            assert (prepared[0], [n[0] for n in rechecks]) == (2 * 5 * calls, [0, 0, 0])
+            # Three per foreground sample, on every call, as nothing is cached:
+            # the predicted box as it is built, then both boxes of its IoU.
+            assert (prepared[0], [n[0] for n in rechecks]) == (3 * 5 * calls, [0, 0, 0])
 
     def test_category_index_is_an_integer_from_build_on(self):
         positive = perfect_positive_sample()

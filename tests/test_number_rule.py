@@ -100,7 +100,8 @@ FIXED_LENGTH = [
 # Quad points that are not a sequence of (x, y) pairs: four points, one of them
 # not a pair, or no sequence at all.
 NOT_PAIRS = {"three-coordinates": [(0, 0, 0), *SQUARE[1:]], "one-coordinate": [(0,), *SQUARE[1:]],
-             "int-point": [0, *SQUARE[1:]], "None": None, "str": "0.5", "float": 0.5}
+             "int-point": [0, *SQUARE[1:]], "None": None, "str": "0.5", "float": 0.5,
+             "bytes-point": [b"\x00\x00", *SQUARE[1:]]}
 NOT_NUMBERS = {"str": "0.5", "bytes": b"0.5", "None": None, "str-in-list": ["0.5"],
                "numbers-in-list": [0.5, 0.5]}
 # Ints past float range; an integer argument takes a positive one as an integer.

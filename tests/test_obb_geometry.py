@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -12,7 +13,7 @@ from anglekit import (DegenerateQuadError, InvalidInputError, OrientedBox, QuadP
 from anglekit.obb import _signed_area
 from helpers import (brute_force_min_rect_area, count_calls, count_clipped_pairs,
                      exact_intersection_area, mc_intersection_fraction, random_longside_box,
-                     reference_nms)
+                     reference_nms, seeded_quads)
 
 
 def sorted_corners(quad):
@@ -239,21 +240,66 @@ class TestQuadValidation:
     def test_constructor_rejections(self, vertices, error, message):
         assert rejection(QuadPolygon, vertices) == (error, message)
 
+    def test_from_points_results_are_pinned(self):
+        # The vertices under float.hex, or the error's type and message, for
+        # 20,000 seeded quads of every kind seeded_quads draws: a change to
+        # which quads pass, how their vertices are ordered or which error a
+        # quad raises moves the digest.
+        def outcome(points):
+            try:
+                quad = QuadPolygon.from_points(points)
+            except InvalidInputError as exc:
+                return f"{type(exc).__name__}: {exc}"
+            return " ".join(c.hex() for point in quad.vertices for c in point)
+
+        text = "\n".join(map(outcome, seeded_quads(0, 20_000)))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "8befcfbe40915086bf95dbdf97626248c1735a9aaf43310af4d8c1721a3f847e"
+
+    # Near-degenerate zig-zags, passed and failed only about the centroid of
+    # the order by angle: the given order's centred points, re-ordered, round
+    # differently and give the opposite verdict.
+    @pytest.mark.parametrize("points, expected", [
+        pytest.param([(63348098.22891704, 120803829.6429411),
+                      (-36176127.21714981, 16035907.562802952),
+                      (10297972.074521733, 64958617.50112851),
+                      (-849983.9426578274, 53223301.98246028)], (3, 1, 2, 0), id="passes"),
+        pytest.param([(-1396.467141381834, -396.2383854314469),
+                      (-2217.161561344495, -678.634185963068),
+                      (2529.9431784078793, 954.8147696795135),
+                      (-1729.5673893604114, -510.8560907516086)], None, id="fails"),
+    ])
+    def test_order_by_angle_is_measured_about_its_own_centroid(self, points, expected):
+        if expected is None:
+            assert rejection(QuadPolygon.from_points, points) == (DegenerateQuadError, NOT_CONVEX)
+            return
+        vertices = QuadPolygon.from_points(points).vertices
+        assert vertices == tuple(points[i] for i in expected)
+        assert QuadPolygon(vertices).vertices == vertices
+
     def test_constructor_keeps_slivers_that_from_points_rejects(self):
         assert _signed_area(QuadPolygon(SLIVER).vertices) == pytest.approx(1e-13)
 
     @pytest.mark.parametrize("box, error, message", [
-        pytest.param(OrientedBox(1.7e308, 0.0, 1.7e308, 1.0, 0.0), InvalidInputError,
-                     "non-finite quad vertices", id="overflow"),
         pytest.param(OrientedBox(1e9, 1e9, 1e-7, 5e-8, 30.0), DegenerateQuadError,
                      CCW_MESSAGE, id="collapse"),
-        pytest.param(OrientedBox(0.0, 0.0, 1e200, 1e200, 0.0), InvalidInputError,
-                     NOT_FINITE, id="inf-area"),
         pytest.param(OrientedBox(0.0, 0.0, 1e200, 1e100, 30.0), InvalidInputError,
                      NOT_FINITE, id="nan-area"),
     ])
     def test_to_corners_rejections(self, box, error, message):
+        # Boxes the IoU kernel scores, whose absolute corners make no valid quad.
         assert rejection(to_corners, box) == (error, message)
+
+    @pytest.mark.parametrize("box, error, message", [
+        pytest.param((1.7e308, 0.0, 1.7e308, 1.0, 0.0), InvalidInputError,
+                     "non-finite quad vertices", id="overflow"),
+        pytest.param((0.0, 0.0, 1e200, 1e200, 0.0), InvalidInputError, NOT_FINITE,
+                     id="inf-area"),
+    ])
+    def test_box_rule_rejects_what_to_corners_would(self, box, error, message):
+        # The box rule gives a box the messages its corner quad would give,
+        # so no box whose corners overflow can be built.
+        assert rejection(OrientedBox, *box) == (error, message)
 
     @given(st.floats(-2e4, 2e4), st.floats(-2e4, 2e4), st.floats(1e-3, 1e3),
            st.floats(0.05, 1.0), st.floats(0, 180), st.integers(0, 3))
@@ -422,26 +468,27 @@ class TestRotatedIoU:
         box = OrientedBox(1e10, 0, 1e-10, 1e-10, 0)
         assert rotated_iou(box, box) == 1.0
 
-    @pytest.mark.parametrize("a, b, error, message", [
-        pytest.param((0, 0, 1e200, 1e200, 0), (0, 0, 1e200, 1e200, 0), InvalidInputError,
-                     NOT_FINITE, id="area-overflows"),
-        pytest.param((1e308, 0, 1e308, 1, 0), (1e308, 0, 1e308, 1, 0), InvalidInputError,
-                     OVER_HALF_MAX, id="union-overflows"),
-        pytest.param((0, 0, 2.0 ** 512, 2.0 ** 511, 0), (0, 0, 1, 1, 0), InvalidInputError,
-                     OVER_HALF_MAX, id="area-over-half-max"),
-        pytest.param((0, 0, 1e-200, 1e-200, 0), (0, 0, 1e-200, 1e-200, 0),
-                     DegenerateQuadError, CCW_MESSAGE, id="area-underflows"),
-        pytest.param((0, 0, 1e-170, 1e-170, 30), (0, 0, 1e-170, 1e-170, 10),
+    @pytest.mark.parametrize("boxes, error, message", [
+        pytest.param([(0, 0, 1e200, 1e200, 0)], InvalidInputError, NOT_FINITE,
+                     id="area-overflows"),
+        pytest.param([(1e308, 0, 1e308, 1, 0)], InvalidInputError, OVER_HALF_MAX,
+                     id="union-overflows"),
+        pytest.param([(0, 0, 2.0 ** 512, 2.0 ** 511, 0)], InvalidInputError, OVER_HALF_MAX,
+                     id="area-over-half-max"),
+        pytest.param([(0, 0, 1e-200, 1e-200, 0)], DegenerateQuadError, CCW_MESSAGE,
+                     id="area-underflows"),
+        pytest.param([(0, 0, 1e-170, 1e-170, 30), (0, 0, 1e-170, 1e-170, 10)],
                      DegenerateQuadError, CCW_MESSAGE, id="area-subnormal"),
-        pytest.param((0, 0, 1e-154, 1e-154, 0), (0, 0, 1, 1, 0), DegenerateQuadError,
-                     CCW_MESSAGE, id="area-below-float-min"),
-        pytest.param((1.7e308, 0, 1.7e308, 1, 0), (0, 0, 1, 1, 0), InvalidInputError,
+        pytest.param([(0, 0, 1e-154, 1e-154, 0)], DegenerateQuadError, CCW_MESSAGE,
+                     id="area-below-float-min"),
+        pytest.param([(1.7e308, 0, 1.7e308, 1, 0)], InvalidInputError,
                      "non-finite quad vertices", id="extent-overflows"),
     ])
-    def test_rejections(self, a, b, error, message):
-        a, b = OrientedBox(*a), OrientedBox(*b)
-        assert rejection(rotated_iou, a, b) == rejection(rotated_iou, b, a) == (error, message)
-        assert rejection(iou_matrix, [a], [b]) == (error, message)
+    def test_rejections(self, boxes, error, message):
+        # The IoU kernel's box rule runs when a box is built, so a box it
+        # cannot score never reaches rotated_iou or iou_matrix.
+        for box in boxes:
+            assert rejection(OrientedBox, *box) == (error, message)
 
     def test_areas_up_to_half_the_float_maximum_have_a_finite_union(self):
         # Twice 2**1022 is still finite; an area of 2**1023 is rejected above.
@@ -577,6 +624,12 @@ class TestRotatedNms:
             rotated_nms([(box, math.inf, "a")], 0.5)
         with pytest.raises(InvalidInputError):
             rotated_nms([(box, 0.5, "a")], 1.5)
+
+    @pytest.mark.parametrize("box", ["x", None, (0, 0, 2, 1, 0)], ids=["str", "None", "tuple"])
+    def test_item_box_is_an_oriented_box(self, box):
+        items = [(OrientedBox(0, 0, 2, 1, 0), 0.9, "a"), (box, 0.5, "a")]
+        with pytest.raises(InvalidInputError, match="^NMS item box must be an OrientedBox"):
+            rotated_nms(items, 0.5)
 
 
 class TestLongside:
