@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidInputError, _finite, _sequence, _shown
+from .errors import InvalidInputError, _finite, _integer, _sequence, _shown
 from .obb import OrientedBox, _check_box, iou_matrix
 
 VOC07 = "voc07"
@@ -33,8 +33,8 @@ class GroundTruthRecord:
     difficult: bool = False
 
     def __post_init__(self):
-        _check_box(self.box, "ground truth box")
-        if self.difficult not in (0, 1):
+        _check_box("ground truth box", self.box)
+        if _integer(self.difficult, "difficult") not in (0, 1):
             raise InvalidInputError(f"difficult must be 0 or 1, got {_shown(self.difficult, repr)}")
 
 
@@ -48,7 +48,7 @@ class DetectionRecord:
     score: float
 
     def __post_init__(self):
-        _check_box(self.box, "detection box")
+        _check_box("detection box", self.box)
         if not (_finite((self.score,), "score") and 0.0 <= self.score <= 1.0):
             raise InvalidInputError(f"score must lie in [0, 1], got {_shown(self.score)}")
 
@@ -149,9 +149,7 @@ def _match(gts: Sequence[GroundTruthRecord], order: Sequence[int],
                 best_iou, best_gi = iou, gi
         if best_gi < 0 or best_iou < iou_threshold:
             fp[di] = True
-        elif gts[best_gi].difficult:
-            pass
-        else:
+        elif not gts[best_gi].difficult:  # a difficult GT absorbs the detection
             tp[di] = True
             matched[best_gi] = True
     return MatchResult(tuple(tp), tuple(fp), tuple(matched))

@@ -77,7 +77,7 @@ class AssignedSample:
     gt_category: int | None = None
 
     def __post_init__(self):
-        if self.objectness not in (0, 1):
+        if _integer(self.objectness, "objectness") not in (0, 1):
             raise InvalidInputError(f"objectness must be 0 or 1, got {_shown(self.objectness)}")
         if not _finite((self.pred_confidence,), "confidence logit"):
             raise InvalidInputError(f"non-finite confidence logit {_shown(self.pred_confidence)}")
@@ -105,13 +105,12 @@ class LossBreakdown:
     total: float
 
 
-def encode_box_deltas(box, anchor: AnchorBox) -> BoxDeltas:
-    """Anchor-relative deltas of a box's center and sides.
-
-    Accepts anything with cx/cy/w/h fields (axis-aligned or oriented box).
-    """
-    if box.w <= 0 or box.h <= 0:
-        raise InvalidInputError(f"box sides must be positive, got w={box.w}, h={box.h}")
+def encode_box_deltas(box: OrientedBox | AnchorBox, anchor: AnchorBox) -> BoxDeltas:
+    """Anchor-relative deltas of a built box's center and sides."""
+    if not isinstance(box, (OrientedBox, AnchorBox)):
+        raise InvalidInputError(f"box must be an OrientedBox or AnchorBox, got {_shown(box, repr)}")
+    if not isinstance(anchor, AnchorBox):  # whose sides, the divisors, are positive
+        raise InvalidInputError(f"anchor must be an AnchorBox, got {_shown(anchor, repr)}")
     return BoxDeltas(
         dx=(box.cx - anchor.cx) / anchor.w,
         dy=(box.cy - anchor.cy) / anchor.h,
@@ -122,6 +121,8 @@ def encode_box_deltas(box, anchor: AnchorBox) -> BoxDeltas:
 
 def decode_box_deltas(deltas: BoxDeltas, anchor: AnchorBox) -> AxisAlignedBox:
     """Exact inverse of encode_box_deltas; log-scales that overflow are an input error."""
+    if not isinstance(anchor, AnchorBox):
+        raise InvalidInputError(f"anchor must be an AnchorBox, got {_shown(anchor, repr)}")
     try:
         w, h = anchor.w * math.exp(deltas.dw), anchor.h * math.exp(deltas.dh)
     except OverflowError:
@@ -222,11 +223,11 @@ def _focal(logit: float, label: int) -> tuple[float, float]:
 
 def focal_loss(logit: float, label: int) -> float:
     """Focal loss -alpha_t (1 - pt)^gamma log(pt) on a single logit."""
-    return _focal(*_checked("logit", logit), label)[0]
+    return _focal(*_checked("logit", logit), _integer(label, "label"))[0]
 
 
 def focal_loss_grad(logit: float, label: int) -> float:
-    return _focal(*_checked("logit", logit), label)[1]
+    return _focal(*_checked("logit", logit), _integer(label, "label"))[1]
 
 
 def _softmax_terms(z: tuple[float, ...], target_index: int):

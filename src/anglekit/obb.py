@@ -56,7 +56,16 @@ class OrientedBox:
         period = 90.0 if self.w == self.h else 180.0
         theta = self.theta % period
         object.__setattr__(self, "theta", theta if theta < period else 0.0)
-        _prepare(self)
+        # The box rule, on its area and AABB, with the messages its corners would give.
+        *_, area, x0, x1, y0, y1 = _prepare(self)
+        if not (-_INF < x0 and x1 < _INF and -_INF < y0 and y1 < _INF):
+            raise InvalidInputError("non-finite quad vertices")
+        if area < _FLOAT_MIN:
+            raise DegenerateQuadError("quad must be counter-clockwise with positive area")
+        if area == _INF:
+            raise InvalidInputError("quad area is not finite")
+        if area > _MAX_AREA:
+            raise InvalidInputError("box area exceeds half the float maximum")
 
     @property
     def area(self) -> float:
@@ -216,11 +225,9 @@ def longside(cx: float, cy: float, w: float, h: float, theta: float) -> Oriented
 
 def to_corners(box: OrientedBox) -> QuadPolygon:
     """Corner polygon of a box, counter-clockwise."""
-    rad = math.radians(box.theta)
-    ux, uy = math.cos(rad), math.sin(rad)
-    vx, vy = -uy, ux
-    a, b = 0.5 * box.w, 0.5 * box.h
-    return QuadPolygon(_corners(box.cx, box.cy, a * ux, a * uy, b * vx, b * vy))
+    _check_box("to_corners box", box)
+    cx, cy, hw, hh, _, c, s, *_ = _prepare(box)
+    return QuadPolygon(_corners(cx, cy, hw * c, hw * s, -hh * s, hh * c))
 
 
 def from_corners(quad: QuadPolygon) -> OrientedBox:
@@ -297,25 +304,15 @@ def convex_intersection_area(a: QuadPolygon, b: QuadPolygon) -> float:
 
 
 def _prepare(box: OrientedBox) -> tuple:
-    # Everything the pair kernel reads of one box: centre, half sides, angle
-    # in radians with its cosine and sine, area, and the AABB, taken from the
-    # half extents rather than from corners. It is OrientedBox's box rule,
-    # rejecting a box with the messages its corner quad would give.
+    # Everything the box rule, to_corners and the pair kernel read of one box:
+    # centre, half sides, angle in radians with its cosine and sine, area, and
+    # the AABB, taken from the half extents rather than from corners.
     rad = math.radians(box.theta)
     c, s = math.cos(rad), math.sin(rad)
     hw, hh = 0.5 * box.w, 0.5 * box.h
     ex, ey = hw * abs(c) + hh * abs(s), hw * abs(s) + hh * abs(c)
     x0, x1, y0, y1 = box.cx - ex, box.cx + ex, box.cy - ey, box.cy + ey
-    if not (-_INF < x0 and x1 < _INF and -_INF < y0 and y1 < _INF):
-        raise InvalidInputError("non-finite quad vertices")
-    area = box.w * box.h
-    if area < _FLOAT_MIN:
-        raise DegenerateQuadError("quad must be counter-clockwise with positive area")
-    if area == _INF:
-        raise InvalidInputError("quad area is not finite")
-    if area > _MAX_AREA:
-        raise InvalidInputError("box area exceeds half the float maximum")
-    return box.cx, box.cy, hw, hh, rad, c, s, area, x0, x1, y0, y1
+    return box.cx, box.cy, hw, hh, rad, c, s, box.w * box.h, x0, x1, y0, y1
 
 
 def _clip_step(poly: list, bound: float) -> list:
@@ -374,6 +371,7 @@ def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     The pair is clipped in b's own frame, never in absolute coordinates, so
     boxes far from the origin keep the precision they have near it.
     """
+    _check_box("IoU box", a, b)
     return _pair_iou(_prepare(a), _prepare(b))
 
 
@@ -382,14 +380,17 @@ def iou_matrix(rows: Sequence[OrientedBox], cols: Sequence[OrientedBox]) -> list
 
     Each box is prepared once, however many pairs it is in.
     """
+    _check_box("IoU matrix row", *rows)
+    _check_box("IoU matrix column", *cols)
     prepared_cols = [_prepare(b) for b in cols]
     return [[_pair_iou(a, b) for b in prepared_cols] for a in map(_prepare, rows)]
 
 
-def _check_box(box, name: str) -> None:
+def _check_box(name: str, *boxes) -> None:
     # Scoring trusts the box rule, which only an OrientedBox has applied.
-    if not isinstance(box, OrientedBox):
-        raise InvalidInputError(f"{name} must be an OrientedBox, got {_shown(box, repr)}")
+    for box in boxes:
+        if not isinstance(box, OrientedBox):
+            raise InvalidInputError(f"{name} must be an OrientedBox, got {_shown(box, repr)}")
 
 
 def check_nms_threshold(iou_threshold: float) -> None:
@@ -412,7 +413,7 @@ def rotated_nms(
     """
     check_nms_threshold(iou_threshold)
     for box, score, _ in items:
-        _check_box(box, "NMS item box")
+        _check_box("NMS item box", box)
         if not _finite((score,), "score"):
             raise InvalidInputError(f"non-finite score {_shown(score)}")
     prepared = [_prepare(box) for box, _, _ in items]

@@ -419,3 +419,23 @@ def seeded_quads(seed, count):
             rng.shuffle(pts)
         quads.append(pts)
     return quads
+
+
+def seeded_box_pairs(seed, count):
+    """count pairs of long-side boxes of 1e-3 to 1e4 px, some 1e6 px from the
+    origin, some squares and some at multiples of 45 degrees; each pair's
+    centres lie within a box size of each other, so about half overlap."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        size = 10.0 ** rng.uniform(-3, 4)
+        x, y = (rng.choice((0.0, 1e3, -1e6)) + size * rng.uniform(-50, 50) for _ in range(2))
+        pair = []
+        for _ in range(2):
+            w = size * rng.uniform(0.5, 2.0)
+            h = w if rng.random() < 0.05 else w * rng.uniform(0.05, 1.0)
+            theta = 45.0 * rng.randrange(8) if rng.random() < 0.1 else rng.uniform(-180, 360)
+            pair.append(OrientedBox(x + size * rng.uniform(-1, 1), y + size * rng.uniform(-1, 1),
+                                    w, h, theta))
+        pairs.append(tuple(pair))
+    return pairs

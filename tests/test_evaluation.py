@@ -36,10 +36,13 @@ class TestRecords:
         with pytest.raises(InvalidInputError, match="^detection box must be an OrientedBox"):
             det("im1", box, 0.5)
 
-    @pytest.mark.parametrize("difficult", ["no", "0", None, 2, -1, 0.5, math.nan])
-    def test_difficult_is_0_or_1(self, difficult):
+    @pytest.mark.parametrize("difficult, rule", [
+        ("no", "a number"), ("0", "a number"), (None, "a number"), (2, "0 or 1"),
+        (-1, "0 or 1"), (0.5, "an integer"), (math.nan, "an integer")],
+        ids=["no", "0", "None", "2", "-1", "0.5", "nan"])
+    def test_difficult_is_0_or_1(self, difficult, rule):
         # A truthy non-flag such as "no" would make a matched box difficult.
-        with pytest.raises(InvalidInputError, match="^difficult must be 0 or 1"):
+        with pytest.raises(InvalidInputError, match=f"^difficult must be {rule}, got"):
             gt("im1", BOX_A, difficult=difficult)
 
     @pytest.mark.parametrize("difficult, num_gt, ap", [

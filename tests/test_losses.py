@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,6 +55,18 @@ class TestBoxDeltas:
 
     def test_anchor_is_the_axis_aligned_box(self):
         assert AnchorBox is AxisAlignedBox
+
+    @pytest.mark.parametrize("value", [(10, 20, 4, 2), None,
+                                       SimpleNamespace(cx=0, cy=0, w=0, h=1)],
+                             ids=["tuple", "None", "zero-width-fields"])
+    def test_take_built_boxes_only(self, value):
+        box = AxisAlignedBox(10.0, 20.0, 4.0, 2.0)
+        with pytest.raises(InvalidInputError, match="^box must be an OrientedBox or AnchorBox"):
+            encode_box_deltas(value, self.ANCHOR)
+        with pytest.raises(InvalidInputError, match="^anchor must be an AnchorBox"):
+            encode_box_deltas(box, value)
+        with pytest.raises(InvalidInputError, match="^anchor must be an AnchorBox"):
+            decode_box_deltas(BoxDeltas(0, 0, 0, 0), value)
 
 
 class TestSmoothL1:

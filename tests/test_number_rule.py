@@ -27,8 +27,8 @@ SQUARE = ((0, 0), (1, 0), (1, 1), (0, 1))
 UNIT = (0, 0, 1, 1)
 
 
-def sample(confidence=0.0, category_logits=(0.0, 1.0)):
-    return AssignedSample(0, AnchorBox(0, 0, 1, 1), BoxDeltas(0, 0, 0, 0), confidence,
+def sample(confidence=0.0, category_logits=(0.0, 1.0), objectness=0):
+    return AssignedSample(objectness, AnchorBox(0, 0, 1, 1), BoxDeltas(0, 0, 0, 0), confidence,
                           category_logits, AnglePrediction([0, 0, 1], 1.0))
 
 
@@ -45,10 +45,17 @@ LOSS_SCALARS = [
                        ("target_residual", lambda v, fn=fn: fn(0.5, v, 0.5)))
 ] + [(f"{fn.__name__}.logit", "logit", lambda v, fn=fn: fn(v, 1))
      for fn in (focal_loss, focal_loss_grad)]
+# The 0/1 flags, each read as an integer before it is tested for 0 or 1.
+FLAGS = [
+    ("GroundTruthRecord.difficult", "difficult",
+     lambda v: GroundTruthRecord("im", BOX, "ship", difficult=v)),
+    ("AssignedSample.objectness", "objectness", lambda v: sample(objectness=v)),
+] + [(f"{fn.__name__}.label", "label", lambda v, fn=fn: fn(0.3, v))
+     for fn in (focal_loss, focal_loss_grad)]
 # (entry point, the name its errors give, call with one value). A scalar
 # argument takes the value whole; a sequence argument takes it as an element,
 # and in one test whole.
-SCALARS = LOSS_SCALARS + [
+SCALARS = LOSS_SCALARS + FLAGS + [
     ("OrientedBox", "box parameter", lambda v: OrientedBox(0, v, 2, 1, 0)),
     ("AxisAlignedBox", "box parameter", lambda v: AxisAlignedBox(0, 0, v, 1)),
     ("BoxDeltas", "box delta", lambda v: BoxDeltas(0, 0, v, 0)),
@@ -156,6 +163,17 @@ def test_quad_points_are_xy_pairs(build, points):
         build(points)
 
 
+@pytest.mark.parametrize("name, call, value, rule", [
+    pytest.param(name, call, value, rule, id=f"{entry}-{value_id}")
+    for entry, name, call in FLAGS
+    for value_id, value, rule in (("array", np.array([1, 0]), "a number"),
+                                  ("str", "1", "a number"), ("half", 0.5, "an integer"),
+                                  ("nan", math.nan, "an integer"), ("two", 2, "0 or 1"))])
+def test_flag_is_an_integer_0_or_1(name, call, value, rule):
+    with pytest.raises(InvalidInputError, match=f"^{name} must be {rule}, got"):
+        call(value)
+
+
 @pytest.mark.parametrize("name, call, value", cases(
     LOSS_SCALARS, {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}))
 def test_loss_scalar_is_finite(name, call, value):
@@ -205,6 +223,8 @@ def test_other_number_types_give_what_floats_give(kind):
     assert ifl_grad(one, zero, one) == ifl_grad(1.0, 0.0, 1.0)
     assert focal_loss(one, 1) == focal_loss(1.0, 1)
     assert focal_loss_grad(zero, 0) == focal_loss_grad(0.0, 0)
+    assert focal_loss(0.3, one) == focal_loss(0.3, 1)
+    assert GroundTruthRecord("im", BOX, "ship", difficult=one).difficult == 1
     assert giou_location_loss([zero, zero, one, one], (0.5, 0, 1, 1)) == \
         giou_location_loss([0.0, 0.0, 1.0, 1.0], (0.5, 0, 1, 1))
     assert run_gradient_checks(one, 1) == run_gradient_checks(1, 1)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from anglekit import (DegenerateQuadError, InvalidInputError, OrientedBox, QuadP
 from anglekit.obb import _signed_area
 from helpers import (brute_force_min_rect_area, count_calls, count_clipped_pairs,
                      exact_intersection_area, mc_intersection_fraction, random_longside_box,
-                     reference_nms, seeded_quads)
+                     reference_nms, seeded_box_pairs, seeded_quads)
 
 
 def sorted_corners(quad):
@@ -567,6 +568,50 @@ class TestIouMatrix:
         prepared = count_calls(monkeypatch, "_prepare")
         iou_matrix(rows, cols)
         assert prepared[0] == len(rows) + len(cols)
+
+
+BOX = OrientedBox(0, 0, 2, 1, 0)
+# Values that are not built boxes: the last has the fields of one, with
+# negative sides that the box rule would reject.
+NOT_BOXES = {"tuple": (0, 0, 2, 1, 0), "None": None,
+             "negative-sides": SimpleNamespace(cx=0, cy=0, w=-2, h=-1, theta=0)}
+# Each scoring call with one argument (or one entry of it) given: the name its
+# error gives, and the call.
+SCORING_CALLS = {
+    "rotated_iou-a": ("IoU box", lambda v: rotated_iou(v, BOX)),
+    "rotated_iou-b": ("IoU box", lambda v: rotated_iou(BOX, v)),
+    "iou_matrix-row": ("IoU matrix row", lambda v: iou_matrix([BOX, v], [BOX])),
+    "iou_matrix-column": ("IoU matrix column", lambda v: iou_matrix([BOX], [BOX, v])),
+    "to_corners": ("to_corners box", to_corners),
+}
+
+
+class TestScoringTakesBuiltBoxes:
+    """Every scoring call takes only an OrientedBox, whose constructor applied the box rule."""
+
+    @pytest.mark.parametrize("name, call, value", [
+        pytest.param(name, call, value, id=f"{entry}-{value_id}")
+        for entry, (name, call) in SCORING_CALLS.items()
+        for value_id, value in NOT_BOXES.items()])
+    def test_rejects_what_is_not_a_box(self, name, call, value):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an OrientedBox, got"):
+            call(value)
+
+    def test_corners_and_iou_are_pinned(self):
+        # The corners under float.hex (or the error's type and message) of
+        # both boxes of 50,000 seeded pairs, and their IoU both ways: a change
+        # to any bit of to_corners or rotated_iou moves the digest.
+        def corners(box):
+            try:
+                quad = to_corners(box)
+            except InvalidInputError as exc:
+                return f"{type(exc).__name__}: {exc}"
+            return " ".join(c.hex() for point in quad.vertices for c in point)
+
+        text = "\n".join(f"{corners(a)} {corners(b)} {rotated_iou(a, b).hex()} "
+                         f"{rotated_iou(b, a).hex()}" for a, b in seeded_box_pairs(0, 50_000))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "d684177a429d80adf1d00ec97db0ad7ed6a611b24e2529dfe127cf8320452f9f"
 
 
 class TestRotatedNms:
