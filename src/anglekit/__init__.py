@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "errors": "AngleKitError DegenerateQuadError InvalidInputError ParseError",
     "obb": "AxisAlignedBox OrientedBox QuadPolygon convex_intersection_area from_corners "
-           "iou_matrix longside rotated_iou rotated_nms to_corners",
+           "longside rotated_iou rotated_nms to_corners",
     "codecs": "AnglePrediction AngleTarget CodecConfig FitFunction Method analytic_errors "
               "decode empirical_errors encode head_thickness ideal_prediction omega",
     "losses": "AnchorBox AssignedSample BoxDeltas LossBreakdown LossWeights cross_entropy "

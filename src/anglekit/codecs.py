@@ -313,21 +313,16 @@ def empirical_errors(config: CodecConfig, grid_step: float) -> tuple[float, floa
     decoded_bins = [_bin_from_scores(label, config) for label in config._labels]
     if not regression:
         decoded_bins = [_angle(k, None, config) for k in decoded_bins]
-    worst = 0.0
-    total = 0.0
-    n = 0
+    worst = total = 0.0
     for i in range(count):
-        theta = i * grid_step
-        if theta >= ANGLE_RANGE:
-            continue
+        theta = i * grid_step  # (count - 1) * step <= 180 - step / 2 < 180
         k, residual_target = _target(theta, config)
         decoded = _angle(decoded_bins[k], residual_target, config) if regression else decoded_bins[k]
         err = abs(decoded - theta)
         if err > worst:
             worst = err
         total += err
-        n += 1
-    return (worst, total / n)
+    return (worst, total / count)
 
 
 def head_thickness(method: Method | str, c_theta: int, anchors: int) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidInputError, _finite, _integer, _sequence, _shown
-from .obb import OrientedBox, _check_box, iou_matrix
+from .obb import OrientedBox, _check_box, _overlaps
 
 VOC07 = "voc07"
 VOC12 = "voc12"
@@ -107,6 +107,8 @@ def match_detections(dets: Sequence[DetectionRecord], gts: Sequence[GroundTruthR
     positive. The threshold is rounded by canonical_thresholds, as in evaluate.
     """
     (threshold,) = canonical_thresholds((iou_threshold,))
+    gts = _check_box("gts entry", *_sequence(gts, "gts", of="records"), kind=GroundTruthRecord)
+    dets = _check_box("dets entry", *_sequence(dets, "dets", of="records"), kind=DetectionRecord)
     categories = {r.category for r in dets} | {r.category for r in gts}
     if len(categories) > 1:
         raise InvalidInputError(f"records span multiple categories: {sorted(categories)}")
@@ -117,8 +119,8 @@ def _candidates(dets: Sequence[DetectionRecord],
                 gts: Sequence[GroundTruthRecord]) -> list[list[tuple[int, float]]]:
     """For each detection, (GT index, IoU) over its image's GTs in input order.
 
-    One det x GT IoU table per image, computed once for every threshold.
-    Zero-IoU pairs are left out: no detection can claim them.
+    Only overlapping pairs are listed, once per image for every threshold:
+    no detection can claim a zero-IoU pair.
     """
     gt_by_image: dict[str, list[int]] = {}
     for gi, gt in enumerate(gts):
@@ -131,9 +133,9 @@ def _candidates(dets: Sequence[DetectionRecord],
         gis = gt_by_image.get(image_id)
         if not gis:
             continue
-        table = iou_matrix([dets[di].box for di in dis], [gts[gi].box for gi in gis])
-        for di, row in zip(dis, table):
-            candidates[di] = [(gi, iou) for gi, iou in zip(gis, row) if iou > 0.0]
+        rows = _overlaps([dets[di].box for di in dis], [gts[gi].box for gi in gis])
+        for di, row in zip(dis, rows):
+            candidates[di] = [(gis[j], iou) for j, iou in row]
     return candidates
 
 
@@ -221,6 +223,8 @@ def evaluate(gts: Sequence[GroundTruthRecord], dets: Sequence[DetectionRecord],
     """
     _check_mode(mode)
     thresholds = canonical_thresholds(iou_thresholds)
+    gts = _check_box("gts entry", *_sequence(gts, "gts", of="records"), kind=GroundTruthRecord)
+    dets = _check_box("dets entry", *_sequence(dets, "dets", of="records"), kind=DetectionRecord)
 
     categories = sorted({g.category for g in gts})
     dets_by_cat: dict[str, list[DetectionRecord]] = {c: [] for c in categories}

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .codecs import _DCL_METHODS, AnglePrediction, CodecConfig, _angle, _bin_from_scores, _target
 from .errors import InvalidInputError, _finite, _finite_floats, _integer, _sequence, _shown
-from .obb import AxisAlignedBox, OrientedBox, longside, rotated_iou
+from .obb import AxisAlignedBox, OrientedBox, _check_box, longside, rotated_iou
 
 FOCAL_ALPHA = 0.25
 FOCAL_GAMMA = 2.0
@@ -88,9 +88,11 @@ class AssignedSample:
         if self.gt_category is not None:
             object.__setattr__(self, "gt_category", _integer(self.gt_category, "gt_category"))
         # The loss trusts what these types checked when they were built.
-        if not (isinstance(self.pred_angle, AnglePrediction)
+        if not (isinstance(self.anchor, AnchorBox) and isinstance(self.pred_deltas, BoxDeltas)
+                and isinstance(self.pred_angle, AnglePrediction)
                 and isinstance(self.gt_box, (OrientedBox, type(None)))):
-            raise InvalidInputError("pred_angle must be an AnglePrediction, gt_box an OrientedBox")
+            raise InvalidInputError("pred_angle must be an AnglePrediction, gt_box an OrientedBox, "
+                                    "anchor an AnchorBox, pred_deltas a BoxDeltas")
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,7 @@ def encode_box_deltas(box: OrientedBox | AnchorBox, anchor: AnchorBox) -> BoxDel
 
 def decode_box_deltas(deltas: BoxDeltas, anchor: AnchorBox) -> AxisAlignedBox:
     """Exact inverse of encode_box_deltas; log-scales that overflow are an input error."""
+    _check_box("deltas", deltas, kind=BoxDeltas)
     if not isinstance(anchor, AnchorBox):
         raise InvalidInputError(f"anchor must be an AnchorBox, got {_shown(anchor, repr)}")
     try:

@@ -2,8 +2,8 @@
 
 Long-side boxes (w is the longest side, theta in [0, 180) degrees), corner
 conversions, minimum-area rectangle fitting, convex polygon intersection,
-rotated IoU (one pair or a whole matrix), and greedy rotated NMS. All
-functions are pure and operate on immutable values.
+rotated IoU, and greedy rotated NMS. All functions are pure and operate on
+immutable values.
 """
 
 from __future__ import annotations
@@ -375,22 +375,20 @@ def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     return _pair_iou(_prepare(a), _prepare(b))
 
 
-def iou_matrix(rows: Sequence[OrientedBox], cols: Sequence[OrientedBox]) -> list[list[float]]:
-    """Rotated IoU of every (row, col) pair; entry [i][j] equals rotated_iou(rows[i], cols[j]).
-
-    Each box is prepared once, however many pairs it is in.
-    """
-    _check_box("IoU matrix row", *rows)
-    _check_box("IoU matrix column", *cols)
-    prepared_cols = [_prepare(b) for b in cols]
-    return [[_pair_iou(a, b) for b in prepared_cols] for a in map(_prepare, rows)]
+def _overlaps(rows: Sequence[OrientedBox], cols: Sequence[OrientedBox]) -> list[list]:
+    # Per row, (j, rotated_iou(row, cols[j])) for each column j it overlaps; boxes prepared once.
+    prepared_cols = list(enumerate(map(_prepare, cols)))
+    return [[(j, iou) for j, b in prepared_cols if (iou := _pair_iou(a, b)) > 0.0]
+            for a in map(_prepare, rows)]
 
 
-def _check_box(name: str, *boxes) -> None:
-    # Scoring trusts the box rule, which only an OrientedBox has applied.
-    for box in boxes:
-        if not isinstance(box, OrientedBox):
-            raise InvalidInputError(f"{name} must be an OrientedBox, got {_shown(box, repr)}")
+def _check_box(name: str, *values, kind: type = OrientedBox) -> tuple:
+    # The values, each of the built type whose checks scoring trusts (an OrientedBox: the box rule).
+    for item in values:
+        if not isinstance(item, kind):
+            a = "an" if kind.__name__[0] in "AEIOU" else "a"
+            raise InvalidInputError(f"{name} must be {a} {kind.__name__}, got {_shown(item, repr)}")
+    return values
 
 
 def check_nms_threshold(iou_threshold: float) -> None:

@@ -596,7 +596,7 @@ def test_star_import_binds_no_module():
 PUBLIC_HOMES = {
     "errors": ["AngleKitError", "DegenerateQuadError", "InvalidInputError", "ParseError"],
     "obb": ["AxisAlignedBox", "OrientedBox", "QuadPolygon", "convex_intersection_area",
-            "from_corners", "iou_matrix", "longside", "rotated_iou", "rotated_nms", "to_corners"],
+            "from_corners", "longside", "rotated_iou", "rotated_nms", "to_corners"],
     "codecs": ["AnglePrediction", "AngleTarget", "CodecConfig", "FitFunction", "Method",
                "analytic_errors", "decode", "empirical_errors", "encode", "head_thickness",
                "ideal_prediction", "omega"],

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -53,6 +54,70 @@ class TestRecords:
                           [det("im1", BOX_B, 0.9)], [0.5], mode=VOC12)
         assert report.categories["ship"][0.5].num_gt == num_gt
         assert report.map_by_threshold[0.5] == ap
+
+
+# Values that are not built records, each with the side it is given on. The
+# namespaces have a record's fields, each with one value its record rejects.
+NEGATIVE_BOX = SimpleNamespace(cx=10, cy=10, w=-4, h=-2, theta=30)
+NOT_RECORDS = {
+    "difficult-no": ("gts", SimpleNamespace(image_id="im1", box=BOX_A, category="ship",
+                                            difficult="no")),
+    "str-score": ("dets", SimpleNamespace(image_id="im1", box=BOX_A, category="ship",
+                                          score="0.9")),
+    "gt-negative-sided-box": ("gts", SimpleNamespace(image_id="im1", box=NEGATIVE_BOX,
+                                                     category="ship", difficult=False)),
+    "det-negative-sided-box": ("dets", SimpleNamespace(image_id="im1", box=NEGATIVE_BOX,
+                                                       category="ship", score=0.9)),
+    "gt-tuple": ("gts", ("im1", BOX_A, "ship", False)),
+    "det-tuple": ("dets", ("im1", BOX_A, "ship", 0.9)),
+    "gt-None": ("gts", None),
+    "det-None": ("dets", None),
+}
+KINDS = {"gts": "GroundTruthRecord", "dets": "DetectionRecord"}
+# Each scoring call of evaluation, given its ground truths and detections.
+RECORD_CALLS = {
+    "evaluate": lambda gts, dets: evaluate(gts, dets, [0.5]),
+    "match_detections": lambda gts, dets: match_detections(dets, gts, 0.5),
+}
+
+
+class TestScoringTakesBuiltRecords:
+    """evaluate and match_detections score only records, whose constructors checked them."""
+
+    @pytest.mark.parametrize("call, side, value", [
+        pytest.param(call, side, value, id=f"{name}-{value_id}")
+        for name, call in RECORD_CALLS.items()
+        for value_id, (side, value) in NOT_RECORDS.items()])
+    def test_rejects_what_is_not_a_record(self, call, side, value):
+        records = {"gts": [gt("im1", BOX_A)], "dets": [det("im1", BOX_A, 0.9)]}
+        records[side].append(value)
+        message = f"^{side} entry must be a {KINDS[side]}, got"
+        with pytest.raises(InvalidInputError, match=message):
+            call(records["gts"], records["dets"])
+
+    @pytest.mark.parametrize("value", [None, 3, "im1"], ids=["None", "int", "str"])
+    @pytest.mark.parametrize("name", RECORD_CALLS)
+    def test_rejects_what_is_not_a_sequence(self, name, value):
+        for side, args in (("gts", (value, [det("im1", BOX_A, 0.9)])),
+                           ("dets", ([gt("im1", BOX_A)], value))):
+            with pytest.raises(InvalidInputError, match=f"^{side} must be a flat sequence of"):
+                RECORD_CALLS[name](*args)
+
+    def test_checks_records_after_mode_and_thresholds(self):
+        with pytest.raises(InvalidInputError, match="^mode must be"):
+            evaluate([None], [None], [0.5], mode="bogus")
+        with pytest.raises(InvalidInputError, match="^iou threshold must lie in"):
+            evaluate([None], [None], [0.0])
+        with pytest.raises(InvalidInputError, match="^iou threshold must lie in"):
+            match_detections([None], [None], 0.0)
+
+    def test_iterators_are_read_once(self):
+        gts, dets = three_category_fixture(seed=58)
+        report = evaluate(gts, dets, [0.5])
+        assert report.map_by_threshold[0.5] > 0.0
+        assert evaluate(iter(gts), iter(dets), [0.5]) == report
+        ship = ([d for d in dets if d.category == "ship"], [g for g in gts if g.category == "ship"])
+        assert match_detections(*map(iter, ship), 0.5) == match_detections(*ship, 0.5)
 
 
 class TestMatchDetections:

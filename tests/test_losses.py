@@ -68,6 +68,13 @@ class TestBoxDeltas:
         with pytest.raises(InvalidInputError, match="^anchor must be an AnchorBox"):
             decode_box_deltas(BoxDeltas(0, 0, 0, 0), value)
 
+    @pytest.mark.parametrize("value", [(0, 0, 0, 0), None,
+                                       SimpleNamespace(dx=0, dy=0, dw="a", dh=0)],
+                             ids=["tuple", "None", "str-log-scale-fields"])
+    def test_decode_takes_built_deltas_only(self, value):
+        with pytest.raises(InvalidInputError, match="^deltas must be a BoxDeltas, got"):
+            decode_box_deltas(value, self.ANCHOR)
+
 
 class TestSmoothL1:
     def test_zero_at_target(self):
@@ -591,6 +598,17 @@ class TestMultitaskLoss:
     def test_rejects_untyped_angle_or_ground_truth(self, change):
         with pytest.raises(InvalidInputError, match="pred_angle must be an AnglePrediction"):
             dataclasses.replace(perfect_positive_sample(), **change)
+
+    @pytest.mark.parametrize("objectness", [0, 1])
+    @pytest.mark.parametrize("change", [
+        {"anchor": (10.0, 20.0, 6.0, 2.0)}, {"pred_deltas": (0.0, 0.0, 0.0, 0.0)},
+        {"pred_deltas": SimpleNamespace(dx=0.0, dy=0.0, dw=0.0, dh=0.0)},
+    ], ids=["anchor-tuple", "deltas-tuple", "deltas-namespace"])
+    def test_rejects_untyped_anchor_or_deltas(self, change, objectness):
+        sample = perfect_positive_sample() if objectness else background_sample()
+        message = "anchor an AnchorBox, pred_deltas a BoxDeltas$"
+        with pytest.raises(InvalidInputError, match=message):
+            dataclasses.replace(sample, **change)
 
     def test_foreground_requires_targets(self):
         with pytest.raises(InvalidInputError):

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anglekit import (DegenerateQuadError, InvalidInputError, OrientedBox, QuadPolygon,
-                      convex_intersection_area, from_corners, iou_matrix, longside, rotated_iou,
-                      rotated_nms, to_corners)
-from anglekit.obb import _signed_area
+                      convex_intersection_area, from_corners, longside, rotated_iou, rotated_nms,
+                      to_corners)
+from anglekit.obb import _overlaps, _signed_area
 from helpers import (brute_force_min_rect_area, count_calls, count_clipped_pairs,
                      exact_intersection_area, mc_intersection_fraction, random_longside_box,
                      reference_nms, seeded_box_pairs, seeded_quads)
@@ -455,9 +455,7 @@ class TestRotatedIoU:
         ab, ba = rotated_iou(a, b), rotated_iou(b, a)
         assert 0.0 <= ab <= 1.0  # and so not NaN
         assert ab == pytest.approx(ba, abs=1e-12)
-        table = iou_matrix([a, b], [a, b])
-        assert table == [[rotated_iou(a, a), ab], [ba, rotated_iou(b, b)]]
-        assert table[0][0] == table[1][1] == 1.0
+        assert rotated_iou(a, a) == rotated_iou(b, b) == 1.0
 
     def test_tiny_box_identity(self):
         # the sliver cutoff is relative to the boxes, so tiny boxes keep their overlap
@@ -487,14 +485,15 @@ class TestRotatedIoU:
     ])
     def test_rejections(self, boxes, error, message):
         # The IoU kernel's box rule runs when a box is built, so a box it
-        # cannot score never reaches rotated_iou or iou_matrix.
+        # cannot score never reaches the pair kernel.
         for box in boxes:
             assert rejection(OrientedBox, *box) == (error, message)
 
     def test_areas_up_to_half_the_float_maximum_have_a_finite_union(self):
         # Twice 2**1022 is still finite; an area of 2**1023 is rejected above.
         largest = OrientedBox(0, 0, 2.0 ** 511, 2.0 ** 511, 0)
-        assert iou_matrix([largest], [largest, OrientedBox(0, 0, 1, 1, 0)]) == [[1.0, 2.0 ** -1022]]
+        assert rotated_iou(largest, largest) == 1.0
+        assert rotated_iou(largest, OrientedBox(0, 0, 1, 1, 0)) == 2.0 ** -1022
 
     @pytest.mark.parametrize("offset", [2e4, 1e6])
     @given(st.floats(-1, 1), st.floats(-1, 1), PAIR)
@@ -534,8 +533,30 @@ class TestRotatedIoU:
             assert scaled == pytest.approx(rotated_iou(a, b), abs=1e-9)
 
 
-class TestIouMatrix:
-    def test_equals_rotated_iou_exactly(self, monkeypatch):
+class TestOverlaps:
+    """The sparse pair step evaluation scores with: each row's overlapping columns."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lists_exactly_the_overlapping_pairs(self, seed, monkeypatch):
+        # Both boxes of 30 seeded pairs on each side: the paired boxes overlap
+        # about half the time, boxes of different pairs mostly not at all.
+        boxes = [box for pair in seeded_box_pairs(seed, 30) for box in pair]
+        rows, cols = boxes, boxes[::-1]
+        prepared = count_calls(monkeypatch, "_prepare")
+        listed = _overlaps(rows, cols)
+        assert prepared[0] == len(rows) + len(cols)
+        assert len(listed) == len(rows)
+        for row, entries in zip(rows, listed):
+            found = dict(entries)
+            assert [j for j, _ in entries] == sorted(found)  # column order, each once
+            for j, col in enumerate(cols):
+                iou = rotated_iou(row, col)
+                if j in found:
+                    assert found[j].hex() == iou.hex() and iou > 0.0
+                else:
+                    assert iou == 0.0
+
+    def test_clipped_pairs_that_do_not_overlap_are_omitted(self, monkeypatch):
         rng = np.random.default_rng(37)
         rows = [random_longside_box(rng, span=5.0) for _ in range(25)]
         cols = [random_longside_box(rng, span=5.0) for _ in range(20)]
@@ -543,31 +564,18 @@ class TestIouMatrix:
         rows.append(OrientedBox(0, 0, 10, 1, 45))
         cols.append(OrientedBox(2, -2, 10, 1, 45))
         clipped = count_clipped_pairs(monkeypatch)
-        table = iou_matrix(rows, cols)
+        listed = _overlaps(rows, cols)
         assert clipped[0] < len(rows) * len(cols)  # some pairs were AABB-rejected
-        values = [v for row in table for v in row]
-        assert 0.0 in values and any(v > 0.0 for v in values)
+        assert 0 < sum(map(len, listed)) < len(rows) * len(cols)
         clipped[0] = 0
-        assert table[-1][-1] == rotated_iou(rows[-1], cols[-1]) == 0.0
+        assert _overlaps(rows[-1:], cols[-1:]) == [[]]
         assert clipped[0] == 1  # the AABBs overlap, so the pair was clipped
-        assert len(table) == len(rows) and all(len(row) == len(cols) for row in table)
-        for i, a in enumerate(rows):
-            for j, b in enumerate(cols):
-                assert table[i][j] == rotated_iou(a, b)
 
     def test_empty_sides(self):
         box = OrientedBox(0, 0, 2, 1, 0)
-        assert iou_matrix([], [box]) == []
-        assert iou_matrix([box, box], []) == [[], []]
-        assert iou_matrix([], []) == []
-
-    def test_corners_built_once_per_box(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        rows = [random_longside_box(rng) for _ in range(6)]
-        cols = [random_longside_box(rng) for _ in range(4)]
-        prepared = count_calls(monkeypatch, "_prepare")
-        iou_matrix(rows, cols)
-        assert prepared[0] == len(rows) + len(cols)
+        assert _overlaps([], [box]) == []
+        assert _overlaps([box, box], []) == [[], []]
+        assert _overlaps([], []) == []
 
 
 BOX = OrientedBox(0, 0, 2, 1, 0)
@@ -580,8 +588,6 @@ NOT_BOXES = {"tuple": (0, 0, 2, 1, 0), "None": None,
 SCORING_CALLS = {
     "rotated_iou-a": ("IoU box", lambda v: rotated_iou(v, BOX)),
     "rotated_iou-b": ("IoU box", lambda v: rotated_iou(BOX, v)),
-    "iou_matrix-row": ("IoU matrix row", lambda v: iou_matrix([BOX, v], [BOX])),
-    "iou_matrix-column": ("IoU matrix column", lambda v: iou_matrix([BOX], [BOX, v])),
     "to_corners": ("to_corners box", to_corners),
 }
 
