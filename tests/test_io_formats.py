@@ -1,6 +1,8 @@
+import hashlib
 import json
 import logging
 import math
+import random
 import tempfile
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from anglekit import (DetectionRecord, GroundTruthRecord, InvalidInputError, OrientedBox,
                       ParseError, evaluate, parse_annotation_dir, parse_annotation_file,
                       parse_detections, rotated_iou, to_corners, write_detections, write_report)
+from helpers import seeded_quads
 
 
 def corner_line(box, category, difficulty):
@@ -499,3 +502,57 @@ class TestWriteReport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "category,iou_threshold,ap,tp,fp,num_gt"
         assert lines[1] == "mAP,0.50,0.000000,,,"
+
+
+def seeded_dota_files(seed, root, count=6000, files=12):
+    """Write count seeded quads as DOTA annotation lines into root/gt and
+    Task1 lines into root/dets, some files with CRLF endings. A tenth of
+    the lines are malformed: a nan, inf or overflowing coordinate, a word for
+    a number, a missing field or a nan score; one line holds a byte that is
+    not UTF-8. Every difficulty flag is 0 or 1."""
+    rng = random.Random(seed)
+    chunks = [[] for _ in range(files)]
+    for i, pts in enumerate(seeded_quads(seed, count)):
+        tokens = [repr(c) for point in pts for c in point]
+        k = i % files
+        if k % 2:
+            tokens = [f"im{rng.randrange(20)}", repr(rng.random())] + tokens
+        else:
+            tokens += [rng.choice(("ship", "plane")), str(rng.randrange(2))]
+        fault = rng.randrange(60)
+        if fault < 4:
+            tokens[-3 - rng.randrange(6)] = ("nan", "inf", "-1e309", "abc")[fault]
+        elif fault == 4:
+            tokens.pop()
+        elif fault == 5 and k % 2:
+            tokens[1] = "nan"
+        chunks[k].append(" ".join(tokens).encode())
+    chunks[0][7] += b" \xff"
+    for sub in ("gt", "dets"):
+        (root / sub).mkdir()
+    for k, lines in enumerate(chunks):
+        name = f"dets/Task1_{('ship', 'plane')[k // 2 % 2]}{k}.txt" if k % 2 else f"gt/im{k}.txt"
+        (root / name).write_bytes((b"\r\n" if k % 3 else b"\n").join(lines) + b"\n")
+
+
+class TestIngestIsPinned:
+    def test_parsed_records_and_skips_are_pinned(self, tmp_path, caplog):
+        # Every field of every record the text parsers return, boxes under
+        # float.hex, and every skip message: a change to how a DOTA line is
+        # read, fitted or rejected moves a digest.
+        seeded_dota_files(3, tmp_path)
+        with caplog.at_level(logging.WARNING, logger="anglekit"):
+            records = (parse_annotation_dir(tmp_path / "gt", strict=False)
+                       + parse_detections(tmp_path / "dets", strict=False))
+        fields = "\n".join(
+            f"{r.image_id} {r.category} "
+            + (repr(r.difficult) if isinstance(r, GroundTruthRecord) else r.score.hex()) + " "
+            + " ".join(getattr(r.box, k).hex() for k in ("cx", "cy", "w", "h", "theta"))
+            for r in records)
+        skips = "\n".join(f"{Path(rec.args[0]).name}:{rec.args[1]}: {rec.args[2]}"
+                          for rec in caplog.records)
+        assert (len(records), len(caplog.records)) == (3266, 2734)
+        assert hashlib.sha256(fields.encode()).hexdigest() == \
+            "d8bda8e23910fe8018c95ed7656a022b860c57eb125ce9ecd12dfdfe49fb12e3"
+        assert hashlib.sha256(skips.encode()).hexdigest() == \
+            "4a71aca1f4a1892af12607cf404207e1d8db3c5b32ec89eb6937af3a17bd8749"
