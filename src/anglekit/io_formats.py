@@ -12,9 +12,9 @@ import json
 import re
 from pathlib import Path
 
-from .errors import InvalidInputError, ParseError
+from .errors import InvalidInputError, ParseError, _finite
 from .evaluation import DetectionRecord, EvalReport, GroundTruthRecord, threshold_label
-from .obb import OrientedBox, QuadPolygon, from_corners
+from .obb import OrientedBox, QuadPolygon, _built_quad, _ccw, from_corners
 
 _HEADER_PREFIXES = ("imagesource:", "gsd:")
 # The JSON type write_detections gives each field; a bool is not a number.
@@ -40,13 +40,18 @@ def _fail_or_skip(strict: bool, path, line_no: int, message: str) -> None:
 
 
 def _quad(tokens: list[str]) -> QuadPolygon:
-    xy = [float(t) for t in tokens]
-    return QuadPolygon.from_points(list(zip(xy[0::2], xy[1::2])))
+    # The quad QuadPolygon.from_points builds of the 8 numbers, each converted once.
+    x0, y0, x1, y1, x2, y2, x3, y3 = xy = tuple(map(float, tokens))
+    if not _finite(xy, "quad vertex"):
+        raise InvalidInputError("non-finite quad vertices")
+    return _built_quad(_ccw(((x0, y0), (x1, y1), (x2, y2), (x3, y3))))
 
 
 def _ground_truth(stem: str, tokens: list[str]) -> GroundTruthRecord:
-    quad, difficult = _quad(tokens[:8]), int(tokens[9]) != 0
-    return GroundTruthRecord(stem, from_corners(quad), tokens[8], difficult)
+    quad, difficult = _quad(tokens[:8]), int(tokens[9])
+    if difficult not in (0, 1):
+        raise InvalidInputError(f"difficult must be 0 or 1, got {difficult}")
+    return GroundTruthRecord(stem, from_corners(quad), tokens[8], difficult == 1)
 
 
 def _task1_detection(stem: str, tokens: list[str]) -> DetectionRecord:

@@ -188,28 +188,40 @@ class QuadPolygon:
         points, or a sliver under 1e-12 px^2, raise DegenerateQuadError.
         """
         pts = _float_points(points, DegenerateQuadError, "expected exactly 4 points")
+        return _built_quad(_ccw(pts), cls)
+
+
+def _ccw(pts: tuple) -> tuple:
+    # from_points' order rule on four finite float pairs: the first usable of
+    # the given order and the order by angle, each reversed if clockwise.
+    if len(set(pts)) < 4:
         for i in range(4):
             for j in range(i + 1, 4):
                 if pts[i] == pts[j]:
                     raise DegenerateQuadError(f"duplicate point {pts[i]}")
-        centred = _centred(pts)
-        vertices, shifted = pts, centred
-        for by_angle in (False, True):
-            if by_angle:  # sorted only now: most quads come in a usable order
-                order = sorted(range(4), key=lambda i: math.atan2(centred[i][1], centred[i][0]))
-                vertices = tuple(pts[i] for i in order)
-                shifted = _centred(vertices)  # its own centroid, as QuadPolygon would use
-            area = _signed_area(shifted)
-            if area < 0.0:
-                vertices, shifted = vertices[::-1], shifted[::-1]
-                area = _signed_area(shifted)  # the reversed order rounds its own way
-            if not area < _SLIVER_AREA and _quad_convex(shifted):
-                if not math.isfinite(area):
-                    raise InvalidInputError("quad area is not finite")
-                quad = object.__new__(cls)  # skips __post_init__, whose checks these include
-                object.__setattr__(quad, "vertices", vertices)
-                return quad
-        raise DegenerateQuadError("points do not form a convex quad")
+    centred = _centred(pts)
+    vertices, shifted = pts, centred
+    for by_angle in (False, True):
+        if by_angle:  # sorted only now: most quads come in a usable order
+            order = sorted(range(4), key=lambda i: math.atan2(centred[i][1], centred[i][0]))
+            vertices = tuple(pts[i] for i in order)
+            shifted = _centred(vertices)  # its own centroid, as QuadPolygon would use
+        area = _signed_area(shifted)
+        if area < 0.0:
+            vertices, shifted = vertices[::-1], shifted[::-1]
+            area = _signed_area(shifted)  # the reversed order rounds its own way
+        if not area < _SLIVER_AREA and _quad_convex(shifted):
+            if not math.isfinite(area):
+                raise InvalidInputError("quad area is not finite")
+            return vertices
+    raise DegenerateQuadError("points do not form a convex quad")
+
+
+def _built_quad(vertices: tuple, cls: type = QuadPolygon) -> QuadPolygon:
+    # A quad of vertices _ccw returned; skips __post_init__, whose checks _ccw's include.
+    quad = object.__new__(cls)
+    object.__setattr__(quad, "vertices", vertices)
+    return quad
 
 
 def longside(cx: float, cy: float, w: float, h: float, theta: float) -> OrientedBox:
@@ -235,21 +247,34 @@ def from_corners(quad: QuadPolygon) -> OrientedBox:
 
     Scans the edge-aligned orientations of the convex quad (rotating
     calipers for four points); for exact rectangle inputs this round-trips
-    to_corners within 1e-6 px.
+    to_corners within 1e-6 px. Edges are tried in vertex order, from
+    v0 -> v1, and the first with the least area wins a tie; the vertices are
+    projected in absolute coordinates.
     """
-    p0, p1, p2, p3 = quad.vertices
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = p0, p1, p2, p3
-    best = None
-    for (px, py), (qx, qy) in ((p0, p1), (p1, p2), (p2, p3), (p3, p0)):
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = quad.vertices
+    rest, best = quad.vertices[1:], None
+    for px, py, qx, qy in ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x3, y3),
+                           (x3, y3, x0, y0)):
         ex, ey = qx - px, qy - py
         norm = math.hypot(ex, ey)
         if norm < 1e-12:
             continue
         ux, uy = ex / norm, ey / norm
-        su = (x0 * ux + y0 * uy, x1 * ux + y1 * uy, x2 * ux + y2 * uy, x3 * ux + y3 * uy)
-        sv = (y0 * ux - x0 * uy, y1 * ux - x1 * uy, y2 * ux - x2 * uy, y3 * ux - x3 * uy)
-        lo_u, hi_u = min(su), max(su)
-        lo_v, hi_v = min(sv), max(sv)
+        # The least and greatest projection, replaced only on a strict < or >,
+        # as min() and max() pick them.
+        lo_u = hi_u = x0 * ux + y0 * uy
+        lo_v = hi_v = y0 * ux - x0 * uy
+        for x, y in rest:
+            u = x * ux + y * uy
+            if u < lo_u:
+                lo_u = u
+            elif u > hi_u:
+                hi_u = u
+            v = y * ux - x * uy
+            if v < lo_v:
+                lo_v = v
+            elif v > hi_v:
+                hi_v = v
         area = (hi_u - lo_u) * (hi_v - lo_v)
         if best is None or area < best[0]:
             best = (area, ux, uy, lo_u, hi_u, lo_v, hi_v)
@@ -397,6 +422,21 @@ def check_nms_threshold(iou_threshold: float) -> None:
         raise InvalidInputError(f"iou_threshold must be in [0, 1], got {_shown(iou_threshold)}")
 
 
+def _nms_item(item) -> tuple:
+    # An NMS item as a checked (box, score, key) triple: an OrientedBox, a
+    # finite score and a hashable key.
+    try:
+        box, score, key = item
+        hash(key)
+    except (TypeError, ValueError):
+        raise InvalidInputError("NMS item must be a (box, score, hashable key) triple, "
+                                f"got {_shown(item, repr)}") from None
+    _check_box("NMS item box", box)
+    if not _finite((score,), "score"):
+        raise InvalidInputError(f"non-finite score {_shown(score)}")
+    return box, score, key
+
+
 def rotated_nms(
     items: Sequence[tuple[OrientedBox, float, Hashable]],
     iou_threshold: float,
@@ -408,12 +448,12 @@ def rotated_nms(
     Returns indices of kept items in descending score order (equal scores
     break toward the lower input index). An item is suppressed when its
     rotated IoU with an already-kept item of its group exceeds iou_threshold.
+    An item that is not such a triple, with an OrientedBox, a finite score
+    and a hashable key, raises InvalidInputError.
     """
     check_nms_threshold(iou_threshold)
-    for box, score, _ in items:
-        _check_box("NMS item box", box)
-        if not _finite((score,), "score"):
-            raise InvalidInputError(f"non-finite score {_shown(score)}")
+    items = [_nms_item(item)
+             for item in _sequence(items, "NMS items", of="(box, score, key) items")]
     prepared = [_prepare(box) for box, _, _ in items]
     kept_by_group: dict[Hashable, list[int]] = {}
     kept: list[int] = []

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from anglekit import (DetectionRecord, GroundTruthRecord, InvalidInputError, OrientedBox,
                       ParseError, evaluate, parse_annotation_dir, parse_annotation_file,
                       parse_detections, rotated_iou, to_corners, write_detections, write_report)
-from helpers import seeded_quads
+import anglekit.io_formats
+from helpers import count_calls, seeded_quads
 
 
 def corner_line(box, category, difficulty):
@@ -160,6 +161,35 @@ class TestParseAnnotations:
     def test_not_a_directory(self, tmp_path):
         with pytest.raises(InvalidInputError):
             parse_annotation_dir(tmp_path / "missing")
+
+    @pytest.mark.parametrize("flag", ["2", "-1", "10"])
+    def test_difficulty_flag_other_than_0_or_1_is_located(self, tmp_path, caplog, flag):
+        path = tmp_path / "P1.txt"
+        path.write_text(f"0 0 2 0 2 1 0 1 ship 1\n0 0 2 0 2 1 0 1 ship {flag}\n"
+                        "0 0 2 0 2 1 0 1 ship 0\n")
+        with pytest.raises(ParseError) as info:
+            parse_annotation_file(path)
+        assert str(info.value).endswith(f"P1.txt:2: difficult must be 0 or 1, got {flag}")
+        records = parse_annotation_file(path, strict=False)
+        assert [r.difficult for r in records] == [True, False]
+        assert all(type(r.difficult) is bool for r in records)
+        assert f"P1.txt:2: difficult must be 0 or 1, got {flag} (skipped)" in caplog.text
+
+    def test_each_text_record_is_fitted_once_through_the_parser(self, tmp_path, monkeypatch):
+        # The parsers fit through io_formats.from_corners, the name a tracer wraps.
+        (tmp_path / "gt").mkdir()
+        (tmp_path / "gt" / "P1.txt").write_text("gsd:0.5\n0 0 2 0 2 1 0 1 ship 0\n"
+                                                "0 0 1 1 2 2 3 3 ship 0\n"
+                                                "10 0 14 0 14 2 10 2 ship 1\n")
+        (tmp_path / "gt" / "P2.txt").write_text("4 0 8 3 6.2 5.4 2.2 2.4 plane 0\n")
+        (tmp_path / "dets").mkdir()
+        (tmp_path / "dets" / "Task1_ship.txt").write_text(TASK1_TEXT + "P1 0.3 0 0 2 0\n")
+        (tmp_path / "dets" / "Task1_plane.txt").write_text("P2 0.8 4 0 8 3 6.2 5.4 2.2 2.4\n")
+        fits = count_calls(monkeypatch, "from_corners", anglekit.io_formats)
+        gts = parse_annotation_dir(tmp_path / "gt", strict=False)
+        dets = parse_detections(tmp_path / "dets", strict=False)
+        assert (len(gts), len(dets)) == (3, 3)
+        assert fits[0] == len(gts) + len(dets)
 
 
 class TestParseDetections:

@@ -682,6 +682,31 @@ class TestRotatedNms:
         with pytest.raises(InvalidInputError, match="^NMS item box must be an OrientedBox"):
             rotated_nms(items, 0.5)
 
+    @pytest.mark.parametrize("item", [
+        (OrientedBox(0, 0, 2, 1, 0), 0.5),
+        (OrientedBox(0, 0, 2, 1, 0), 0.5, "a", "b"),
+        (OrientedBox(0, 0, 2, 1, 0), 0.5, ["a"]),
+        None,
+        3,
+    ], ids=["pair", "four", "unhashable-key", "None", "int"])
+    def test_item_is_a_triple_with_a_hashable_key(self, item):
+        items = [(OrientedBox(0, 0, 2, 1, 0), 0.9, "a"), item]
+        with pytest.raises(InvalidInputError) as info:
+            rotated_nms(items, 0.5)
+        assert str(info.value) == \
+            f"NMS item must be a (box, score, hashable key) triple, got {item!r}"
+
+    @pytest.mark.parametrize("items", [None, 3, "abc"])
+    def test_items_are_a_sequence(self, items):
+        with pytest.raises(InvalidInputError, match="^NMS items must be a flat sequence"):
+            rotated_nms(items, 0.5)
+
+    def test_items_are_read_once(self):
+        box = OrientedBox(0, 0, 2, 1, 0)
+        items = [(box, 0.5, "a"), (box, 0.9, "a"), (box, 0.7, "b")]
+        assert rotated_nms(iter(items), 0.5) == rotated_nms(items, 0.5) == [1, 2]
+        assert rotated_nms((item for item in ()), 0.5) == []
+
 
 class TestLongside:
     def test_swaps_short_first(self):
