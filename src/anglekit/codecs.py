@@ -143,6 +143,13 @@ class CodecConfig:
         return ((),)
 
     @cached_property
+    def _kernel(self) -> tuple:
+        # The codec kernel's constants, bound on first use: bin width, last bin
+        # and the (forward, inverse) fit pair, None without a regression part.
+        fits = _FITS[self.fit_function] if self.method in _REGRESSION_METHODS else None
+        return ANGLE_RANGE / self.c_theta, self.c_theta - 1, fits
+
+    @cached_property
     def _bin_of_code(self) -> dict:
         # DCL decoding: the inverse of the label table.
         return {label: k for k, label in enumerate(self._labels)}
@@ -178,31 +185,61 @@ def omega(config: CodecConfig) -> float:
     return ANGLE_RANGE / config.c_theta
 
 
+# The fits: a forward map from fit-space value v to degrees d in a bin of
+# width w, and its inverse. Named functions, so a config whose kernel table
+# holds them still pickles.
+
+def _square(v: float, w: float) -> float:
+    return v * v
+
+
+def _square_inverse(d: float, w: float) -> float:
+    return math.sqrt(d)
+
+
+def _linear(v: float, w: float) -> float:  # its own inverse
+    return v
+
+
+def _exp(v: float, w: float) -> float:
+    return max(math.exp(v) - 1.0, 0.0)
+
+
+def _exp_inverse(d: float, w: float) -> float:
+    return math.log1p(d)
+
+
+def _sigmoid(v: float, w: float) -> float:
+    return w / (1.0 + math.exp(-v))
+
+
 def _sigmoid_inverse(degrees: float, width: float) -> float:
     # Sigmoid saturates at the range ends; the clamp keeps the target finite.
     ratio = min(max(degrees / width, 1e-12), 1.0 - 1e-12)
     return math.log(ratio / (1.0 - ratio))
 
 
-# Each fit's (forward, inverse): fit-space value v -> degrees d in a bin of width w, and back.
 _FITS = {
-    FitFunction.SQUARE: (lambda v, w: v * v, lambda d, w: math.sqrt(d)),
-    FitFunction.LINEAR: (lambda v, w: v, lambda d, w: d),
-    FitFunction.EXP: (lambda v, w: max(math.exp(v) - 1.0, 0.0), lambda d, w: math.log1p(d)),
-    FitFunction.SIGMOID: (lambda v, w: w / (1.0 + math.exp(-v)), _sigmoid_inverse),
+    FitFunction.SQUARE: (_square, _square_inverse),
+    FitFunction.LINEAR: (_linear, _linear),
+    FitFunction.EXP: (_exp, _exp_inverse),
+    FitFunction.SIGMOID: (_sigmoid, _sigmoid_inverse),
 }
 
 
 # The codec kernel: three steps on Python scalars plus the config's label
-# table, shared by encode, decode, empirical_errors and multitask_loss.
+# and kernel tables, shared by encode, decode, empirical_errors and
+# multitask_loss.
 
 def _target(theta: float, config: CodecConfig) -> tuple[int, float | None]:
     # floor(theta / omega): an angle on a bin boundary starts that bin. The
     # residual target is None for a codec without a regression part.
-    width = omega(config)
-    k = min(int(theta // width), config.c_theta - 1)
-    if config.has_regression:
-        return k, _FITS[config.fit_function][1](max(theta - k * width, 0.0), width)
+    width, last, fits = config._kernel
+    k = int(theta // width)
+    if k > last:
+        k = last
+    if fits is not None:
+        return k, fits[1](max(theta - k * width, 0.0), width)
     return k, None
 
 
@@ -221,12 +258,13 @@ def _bin_from_scores(scores: Sequence[float], config: CodecConfig) -> int:
 def _angle(k: int, regression_output: float | None, config: CodecConfig) -> float:
     # Bin start plus fitted residual, or the bin midpoint without a regression
     # part. Only the final angle wraps; residual overflow past one bin stays.
-    width = omega(config)
-    if config.has_regression:
+    # A tiny negative sum whose reduction rounds up to the period is 0.0.
+    width, _, fits = config._kernel
+    if fits is not None:
         if regression_output is None:
             raise InvalidInputError(f"{config.method.value} decode requires a regression output")
         try:
-            residual = _FITS[config.fit_function][0](regression_output, width)
+            residual = fits[0](regression_output, width)
         except OverflowError:
             residual = math.inf
         if not _finite((residual,), "residual"):  # an int output squares past float range
@@ -237,7 +275,8 @@ def _angle(k: int, regression_output: float | None, config: CodecConfig) -> floa
             raise InvalidInputError(
                 f"{config.method.value} predictions carry no regression output")
         residual = 0.5 * width
-    return (k * width + residual) % ANGLE_RANGE
+    theta = (k * width + residual) % ANGLE_RANGE
+    return theta if theta < ANGLE_RANGE else 0.0
 
 
 def encode(theta_gt: float, config: CodecConfig) -> AngleTarget:
@@ -295,7 +334,9 @@ def empirical_errors(config: CodecConfig, grid_step: float) -> tuple[float, floa
     Runs the codec kernel that encode and decode wrap on the loss-free
     prediction: its logits are the class vector (for DCL, the 0/1 code bits,
     which the sigmoid rule maps to themselves) and its regression output is
-    the exact residual target. The decoded class depends on the bin alone,
+    the exact residual target. The kernel reads the bin width, last bin and
+    fit pair that the config binds once, so a grid point runs only the bin
+    rule, the fit and the wrap. The decoded class depends on the bin alone,
     so the class step runs once per bin, before the sweep; a codec without a
     regression part keeps each bin's decoded angle instead.
     """

@@ -348,23 +348,25 @@ def multitask_loss(samples: Sequence[AssignedSample], weights: LossWeights,
     if codec.method in _DCL_METHODS:
         raise InvalidInputError("multitask loss needs per-bin class logits; dcl codes unsupported")
 
+    code_length = codec.code_length
+    classification, regression = codec.has_classification, codec.has_regression
     loc, conf, cat, ang_c, ang_r = [], [], [], [], []
     for s in samples:
         conf.append(_focal(s.pred_confidence, s.objectness)[0])
         if not s.objectness:
             continue
         angle, gt = s.pred_angle, s.gt_box
-        if len(angle.class_logits) != codec.code_length:
-            raise InvalidInputError(f"{codec.method.value} expects {codec.code_length} angle "
+        if len(angle.class_logits) != code_length:
+            raise InvalidInputError(f"{codec.method.value} expects {code_length} angle "
                                     f"logits, got {len(angle.class_logits)}")
         pred_box = decode_box_deltas(s.pred_deltas, s.anchor)
         loc.append(_giou_areas(pred_box.cx, pred_box.cy, pred_box.w, pred_box.h,
                                gt.cx, gt.cy, gt.w, gt.h)[0])
         cat.append(_softmax_terms(s.pred_category_logits, s.gt_category)[0])
         k, residual_target = _target(gt.theta, codec)
-        if codec.has_classification:
+        if classification:
             ang_c.append(_softmax_terms(angle.class_logits, k)[0])
-        if codec.has_regression:
+        if regression:
             theta_pred = _angle(_bin_from_scores(angle.class_logits, codec),
                                 angle.regression_output, codec)
             pred_obb = longside(pred_box.cx, pred_box.cy, pred_box.w, pred_box.h, theta_pred)

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 import random
 import warnings
 
@@ -9,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anglekit.codecs
-from anglekit import (AnglePrediction, CodecConfig, FitFunction, InvalidInputError, Method,
+from anglekit import (AnchorBox, AnglePrediction, AssignedSample, BoxDeltas, CodecConfig,
+                      FitFunction, InvalidInputError, LossWeights, Method, OrientedBox,
                       analytic_errors, decode, empirical_errors, encode, head_thickness,
-                      ideal_prediction, omega)
+                      ideal_prediction, multitask_loss, omega)
 from anglekit.codecs import ANGLE_RANGE, C_THETA_CHOICES
 from helpers import count_calls, reference_empirical_errors
 
@@ -76,6 +79,31 @@ class TestConfig:
         for c_theta, bits in ((32, 5), (64, 6), (128, 7), (256, 8)):
             assert CodecConfig(Method.DCL_BINARY, c_theta).code_length == bits
             assert CodecConfig(Method.DCL_GRAY, c_theta).code_length == bits
+
+    @pytest.mark.parametrize("fit", list(FitFunction), ids=lambda fit: fit.value)
+    @pytest.mark.parametrize("method", list(Method), ids=lambda method: method.value)
+    def test_used_config_pickles_compares_and_hashes(self, method, fit):
+        # encode, decode, the sweep and the loss fill the config's cached
+        # tables; a used config still copies, compares and hashes by its fields.
+        config = CodecConfig(method, fit_function=fit)
+        before = hash(config)
+        target = encode(73.5, config)
+        theta = decode(ideal_prediction(target, config), config)
+        empirical_errors(config, 0.5)
+        if method not in (Method.DCL_BINARY, Method.DCL_GRAY):  # the loss takes no DCL code
+            gt = OrientedBox(0.0, 0.0, 6.0, 2.0, 73.5)
+            anchor = AnchorBox(0.0, 0.0, 6.0, 2.0)
+            sample = AssignedSample(objectness=1, anchor=anchor, pred_deltas=BoxDeltas(0, 0, 0, 0),
+                                    pred_confidence=1.0, pred_category_logits=[1.0, 0.0],
+                                    pred_angle=ideal_prediction(target, config), gt_box=gt,
+                                    gt_category=0)
+            multitask_loss([sample], LossWeights(), config)
+        assert "_kernel" in vars(config)
+        fresh = CodecConfig(method, fit_function=fit)
+        for twin in (pickle.loads(pickle.dumps(config)), copy.deepcopy(config)):
+            assert twin == config == fresh
+            assert hash(twin) == hash(config) == hash(fresh) == before
+            assert decode(ideal_prediction(encode(73.5, twin), twin), twin) == theta
 
 
 class TestGrayCode:
@@ -305,6 +333,20 @@ class TestDecode:
     def test_unexpected_residual_rejected(self):
         with pytest.raises(InvalidInputError):
             decode(AnglePrediction(np.zeros(180), 1.0), CodecConfig(Method.CSL))
+
+    @pytest.mark.parametrize("config, k, residual", [
+        (mgar(3, FitFunction.LINEAR), 0, -1e-20),
+        (CodecConfig(Method.REGRESSION, fit_function=FitFunction.LINEAR), None, -1e-15),
+        (mgar(3, FitFunction.LINEAR), 1, -60.00000000000001),
+    ], ids=["bin-0", "regression", "bin-1"])
+    def test_sum_that_rounds_up_to_the_period_decodes_to_zero(self, config, k, residual):
+        # The reduction of a tiny negative sum rounds up to 180.0, which is
+        # outside [0, 180); OrientedBox's rule stores it as 0.0.
+        assert ((k or 0) * omega(config) + residual) % ANGLE_RANGE == ANGLE_RANGE
+        logits = [] if k is None else [float(i == k) for i in range(config.c_theta)]
+        got = decode(AnglePrediction(logits, residual), config)
+        assert got == 0.0
+        assert math.copysign(1.0, got) == 1.0
 
     def test_fit_functions_roundtrip(self):
         for fit in FitFunction:

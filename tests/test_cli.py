@@ -535,6 +535,21 @@ class TestPinnedOutput:
         result = run_cli(capsys, "nms", "--detections", det, "--threshold", "0.5")
         assert result == (0, self.NMS_OUT[source], "")
 
+    # sha256 of `codec-report` stdout over every method at a 0.1-degree grid
+    # (the bench's codec-sweep argv, in its default method order).
+    CODEC_REPORT_SHA256 = {
+        "csv": "0d2642a9b753b1146903d25cfb7b592777bd6969e6f51b31c24815e13e02dcdc",
+        "json": "a665eeceeab12c5b0bb91b116991ebcc6e7cd11aa6e7d4f0786db1be6528c85e",
+    }
+
+    @pytest.mark.parametrize("out", ["csv", "json"])
+    def test_codec_report_bytes(self, capsys, out):
+        code, stdout, err = run_cli(capsys, "codec-report", "--methods",
+                                    "regression,csl,dcl-binary,dcl-gray,mgar",
+                                    "--grid-step", "0.1", "--out", out)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(stdout.encode()).hexdigest() == self.CODEC_REPORT_SHA256[out]
+
 
 class TestGradcheck:
     def test_passes_by_default(self, capsys):
