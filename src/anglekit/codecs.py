@@ -4,7 +4,9 @@ Five encodings of the box angle theta in [0, 180): direct regression,
 circular smooth labels (CSL), densely coded labels (DCL, binary or gray
 bits), and the joint coarse-class + fine-residual representation (MGAR).
 Also computes the closed-form and swept encoding errors of each codec and
-the per-anchor prediction-head thickness it requires.
+the per-anchor prediction-head thickness it requires. Each public call
+checks once that its config, prediction or target is of the built type,
+or raises InvalidInputError naming the argument; the kernels trust it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Sequence
 
-from .errors import InvalidInputError, _finite, _finite_floats, _integer, _shown
+from .errors import InvalidInputError, _check_box, _finite, _finite_floats, _integer, _shown
 
 ANGLE_RANGE = 180.0
 _MAX_SWEEP_POINTS = 10**7  # per codec in empirical_errors: a 1.8e-5 degree step
@@ -182,6 +184,7 @@ class AnglePrediction:
 
 def omega(config: CodecConfig) -> float:
     """Discretization granularity in degrees (angle range over bin count)."""
+    _check_box("config", config, kind=CodecConfig)
     return ANGLE_RANGE / config.c_theta
 
 
@@ -287,6 +290,7 @@ def encode(theta_gt: float, config: CodecConfig) -> AngleTarget:
     targets carry the fit-space residual; CSL and DCL targets carry only
     the class vector.
     """
+    _check_box("config", config, kind=CodecConfig)
     if not (_finite((theta_gt,), "angle") and 0.0 <= theta_gt < ANGLE_RANGE):
         raise InvalidInputError(f"angle must lie in [0, {ANGLE_RANGE}), got {_shown(theta_gt)}")
     k, residual_target = _target(theta_gt, config)
@@ -303,6 +307,8 @@ def decode(pred: AnglePrediction, config: CodecConfig) -> float:
     to the bin start. Only the final angle is wrapped into range; residual
     overflow past one bin is preserved.
     """
+    _check_box("pred", pred, kind=AnglePrediction)
+    _check_box("config", config, kind=CodecConfig)
     logits = pred.class_logits
     expected = config.code_length
     if len(logits) != expected:
@@ -313,6 +319,8 @@ def decode(pred: AnglePrediction, config: CodecConfig) -> float:
 
 def ideal_prediction(target: AngleTarget, config: CodecConfig) -> AnglePrediction:
     """Loss-free prediction: logits equal the target vector, residual exact."""
+    _check_box("target", target, kind=AngleTarget)
+    _check_box("config", config, kind=CodecConfig)
     return AnglePrediction(target.class_vector, target.residual_target)
 
 
@@ -322,9 +330,9 @@ def analytic_errors(config: CodecConfig) -> tuple[float, float]:
     Pure-classification codecs lose up to half a bin (mean: a quarter bin);
     codecs with a continuous residual encode exactly.
     """
+    width = omega(config)
     if config.has_regression:
         return (0.0, 0.0)
-    width = omega(config)
     return (width / 2.0, width / 4.0)
 
 
@@ -340,6 +348,7 @@ def empirical_errors(config: CodecConfig, grid_step: float) -> tuple[float, floa
     so the class step runs once per bin, before the sweep; a codec without a
     regression part keeps each bin's decoded angle instead.
     """
+    _check_box("config", config, kind=CodecConfig)
     finite = _finite((grid_step,), "grid_step")
     if not grid_step > 0:
         raise InvalidInputError(f"grid_step must be positive, got {_shown(grid_step)}")

@@ -67,6 +67,16 @@ def _sequence(values, name: str, length=None, of="numbers") -> tuple:
         f"{name} must be a flat sequence of {of}{size}, got {_shown(values, repr)}")
 
 
+def _check_box(name: str, *values, kind: type) -> tuple:
+    # The values, each of the built type whose checks the caller trusts (for
+    # an OrientedBox, the box rule), or an error naming the argument.
+    for item in values:
+        if not isinstance(item, kind):
+            a = "an" if kind.__name__[0] in "AEIOU" else "a"
+            raise InvalidInputError(f"{name} must be {a} {kind.__name__}, got {_shown(item, repr)}")
+    return values
+
+
 def _finite_floats(values, name: str) -> tuple[float, ...]:
     """A flat sequence of finite numbers as a tuple of floats."""
     values = _sequence(values, name)

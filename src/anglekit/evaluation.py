@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidInputError, _finite, _integer, _sequence, _shown
-from .obb import OrientedBox, _check_box, _overlaps
+from .errors import InvalidInputError, _check_box, _finite, _integer, _sequence, _shown
+from .obb import OrientedBox, _overlaps
 
 VOC07 = "voc07"
 VOC12 = "voc12"
@@ -33,7 +33,7 @@ class GroundTruthRecord:
     difficult: bool = False
 
     def __post_init__(self):
-        _check_box("ground truth box", self.box)
+        _check_box("ground truth box", self.box, kind=OrientedBox)
         if _integer(self.difficult, "difficult") not in (0, 1):
             raise InvalidInputError(f"difficult must be 0 or 1, got {_shown(self.difficult, repr)}")
 
@@ -48,7 +48,7 @@ class DetectionRecord:
     score: float
 
     def __post_init__(self):
-        _check_box("detection box", self.box)
+        _check_box("detection box", self.box, kind=OrientedBox)
         if not (_finite((self.score,), "score") and 0.0 <= self.score <= 1.0):
             raise InvalidInputError(f"score must lie in [0, 1], got {_shown(self.score)}")
 

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .codecs import _DCL_METHODS, AnglePrediction, CodecConfig, _angle, _bin_from_scores, _target
-from .errors import InvalidInputError, _finite, _finite_floats, _integer, _sequence, _shown
-from .obb import AxisAlignedBox, OrientedBox, _check_box, longside, rotated_iou
+from .errors import (InvalidInputError, _check_box, _finite, _finite_floats, _integer, _sequence,
+                     _shown)
+from .obb import AxisAlignedBox, OrientedBox, _axis_box, _box_rule, _long_side, _pair_iou, _prepare
 
 FOCAL_ALPHA = 0.25
 FOCAL_GAMMA = 2.0
@@ -126,12 +127,16 @@ def decode_box_deltas(deltas: BoxDeltas, anchor: AnchorBox) -> AxisAlignedBox:
     _check_box("deltas", deltas, kind=BoxDeltas)
     if not isinstance(anchor, AnchorBox):
         raise InvalidInputError(f"anchor must be an AnchorBox, got {_shown(anchor, repr)}")
+    return AxisAlignedBox(*_decoded(deltas, anchor))
+
+
+def _decoded(deltas: BoxDeltas, anchor: AnchorBox) -> tuple:
+    # (cx, cy, w, h) of built deltas on a built anchor, before AxisAlignedBox's rule.
     try:
         w, h = anchor.w * math.exp(deltas.dw), anchor.h * math.exp(deltas.dh)
     except OverflowError:
         raise InvalidInputError(f"box deltas overflow: dw={deltas.dw}, dh={deltas.dh}") from None
-    return AxisAlignedBox(cx=deltas.dx * anchor.w + anchor.cx,
-                          cy=deltas.dy * anchor.h + anchor.cy, w=w, h=h)
+    return deltas.dx * anchor.w + anchor.cx, deltas.dy * anchor.h + anchor.cy, w, h
 
 
 def _checked(names: str, *values) -> tuple:
@@ -279,11 +284,9 @@ def _axis_spans(pc: float, ps: float, tc: float, ts: float):
 
 def _giou_terms(pred: Sequence[float], target: Sequence[float]):
     # The _giou_areas of two (cx, cy, w, h) boxes, each read as a flat sequence
-    # of 4 numbers and checked first as an AxisAlignedBox, with its errors.
+    # of 4 numbers and checked first by AxisAlignedBox's rule, with its errors.
     pred, target = _sequence(pred, "pred box", 4), _sequence(target, "target box", 4)
-    AxisAlignedBox(*pred)
-    AxisAlignedBox(*target)
-    return _giou_areas(*pred, *target)
+    return _giou_areas(*_axis_box(*pred), *_axis_box(*target))
 
 
 def _giou_areas(*boxes: float):
@@ -338,11 +341,21 @@ def multitask_loss(samples: Sequence[AssignedSample], weights: LossWeights,
     the weights. The IoU feeding the residual term is the rotated IoU of
     the fully decoded prediction against the ground truth.
 
-    Inputs are checked once, when a sample is built. Its terms then go
-    through the same kernels as the public losses, encode and decode, with
-    only the checks a built sample can still fail, raising the same errors;
-    the decoded box meets the box rule as its OrientedBox is built.
+    samples is read once, as a sequence of AssignedSample; it, weights and
+    codec must be built values (a LossWeights, a CodecConfig), or
+    InvalidInputError names the argument. A sample's inputs are checked
+    when it is built. Its terms then go through the same kernels as the
+    public losses, encode and decode, with only the checks a built sample
+    can still fail, raising the same errors. The decoded box stays plain
+    numbers: it meets AxisAlignedBox's rule, then, in long-side form,
+    OrientedBox's box rule, the kernel that the constructor runs, and no
+    box object is built.
     """
+    samples = _check_box("samples entry",
+                         *_sequence(samples, "samples", of="AssignedSample entries"),
+                         kind=AssignedSample)
+    _check_box("weights", weights, kind=LossWeights)
+    _check_box("codec", codec, kind=CodecConfig)
     if not samples:
         raise InvalidInputError("sample list is empty")
     if codec.method in _DCL_METHODS:
@@ -359,9 +372,8 @@ def multitask_loss(samples: Sequence[AssignedSample], weights: LossWeights,
         if len(angle.class_logits) != code_length:
             raise InvalidInputError(f"{codec.method.value} expects {code_length} angle "
                                     f"logits, got {len(angle.class_logits)}")
-        pred_box = decode_box_deltas(s.pred_deltas, s.anchor)
-        loc.append(_giou_areas(pred_box.cx, pred_box.cy, pred_box.w, pred_box.h,
-                               gt.cx, gt.cy, gt.w, gt.h)[0])
+        cx, cy, w, h = _axis_box(*_decoded(s.pred_deltas, s.anchor))
+        loc.append(_giou_areas(cx, cy, w, h, gt.cx, gt.cy, gt.w, gt.h)[0])
         cat.append(_softmax_terms(s.pred_category_logits, s.gt_category)[0])
         k, residual_target = _target(gt.theta, codec)
         if classification:
@@ -369,8 +381,8 @@ def multitask_loss(samples: Sequence[AssignedSample], weights: LossWeights,
         if regression:
             theta_pred = _angle(_bin_from_scores(angle.class_logits, codec),
                                 angle.regression_output, codec)
-            pred_obb = longside(pred_box.cx, pred_box.cy, pred_box.w, pred_box.h, theta_pred)
-            iou = max(rotated_iou(pred_obb, gt), _IOU_FLOOR)
+            pred = _box_rule(cx, cy, *_long_side(w, h, theta_pred))[1]
+            iou = max(_pair_iou(pred, _prepare(gt)), _IOU_FLOOR)
             ang_r.append(_ifl(angle.regression_output, residual_target, iou)[0])
 
     n = len(samples)

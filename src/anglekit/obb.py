@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from .errors import DegenerateQuadError, InvalidInputError, _finite, _sequence, _shown
+from .errors import DegenerateQuadError, InvalidInputError, _check_box, _finite, _sequence, _shown
 
 Point = tuple[float, float]
 
@@ -36,7 +36,9 @@ class OrientedBox:
 
     Construction applies the IoU kernel's box rule, so every box can be
     scored: a finite extent and an area w * h from the smallest normal
-    float up to half the float maximum.
+    float up to half the float maximum. The rule is one kernel on the five
+    numbers, which the multi-task loss also runs on its decoded boxes
+    without building one.
     """
 
     cx: float
@@ -46,30 +48,45 @@ class OrientedBox:
     theta: float
 
     def __post_init__(self):
-        values = (self.cx, self.cy, self.w, self.h, self.theta)
-        if not _finite(values, "box parameter"):
-            raise InvalidInputError(f"non-finite box parameters: {_shown(values)}")
-        if self.w <= 0 or self.h <= 0:
-            raise InvalidInputError(f"box sides must be positive, got w={self.w}, h={self.h}")
-        if self.w < self.h:
-            raise InvalidInputError(f"long-side box requires w >= h, got w={self.w}, h={self.h}")
-        period = 90.0 if self.w == self.h else 180.0
-        theta = self.theta % period
-        object.__setattr__(self, "theta", theta if theta < period else 0.0)
-        # The box rule, on its area and AABB, with the messages its corners would give.
-        *_, area, x0, x1, y0, y1 = _prepare(self)
-        if not (-_INF < x0 and x1 < _INF and -_INF < y0 and y1 < _INF):
-            raise InvalidInputError("non-finite quad vertices")
-        if area < _FLOAT_MIN:
-            raise DegenerateQuadError("quad must be counter-clockwise with positive area")
-        if area == _INF:
-            raise InvalidInputError("quad area is not finite")
-        if area > _MAX_AREA:
-            raise InvalidInputError("box area exceeds half the float maximum")
+        theta, _ = _box_rule(self.cx, self.cy, self.w, self.h, self.theta)
+        object.__setattr__(self, "theta", theta)
 
     @property
     def area(self) -> float:
         return self.w * self.h
+
+
+def _box_rule(cx, cy, w, h, theta) -> tuple:
+    # OrientedBox's rule on its five numbers: (theta reduced by its period,
+    # the box's _prepare tuple), or the error its constructor raises.
+    values = (cx, cy, w, h, theta)
+    if not _finite(values, "box parameter"):
+        raise InvalidInputError(f"non-finite box parameters: {_shown(values)}")
+    if w <= 0 or h <= 0:
+        raise InvalidInputError(f"box sides must be positive, got w={w}, h={h}")
+    if w < h:
+        raise InvalidInputError(f"long-side box requires w >= h, got w={w}, h={h}")
+    period = 90.0 if w == h else 180.0
+    theta %= period
+    if not theta < period:
+        theta = 0.0
+    # The box rule, on its area and AABB, with the messages its corners would give.
+    prepared = _prepare_numbers(cx, cy, w, h, theta)
+    *_, area, x0, x1, y0, y1 = prepared
+    if not (-_INF < x0 and x1 < _INF and -_INF < y0 and y1 < _INF):
+        raise InvalidInputError("non-finite quad vertices")
+    if area < _FLOAT_MIN:
+        raise DegenerateQuadError("quad must be counter-clockwise with positive area")
+    if area == _INF:
+        raise InvalidInputError("quad area is not finite")
+    if area > _MAX_AREA:
+        raise InvalidInputError("box area exceeds half the float maximum")
+    return theta, prepared
+
+
+def _long_side(w, h, theta) -> tuple:
+    # (w, h, theta) with the sides swapped and theta advanced 90 degrees if w < h.
+    return (h, w, theta + 90.0) if w < h else (w, h, theta)
 
 
 @dataclass(frozen=True)
@@ -82,10 +99,16 @@ class AxisAlignedBox:
     h: float
 
     def __post_init__(self):
-        if not _finite((self.cx, self.cy, self.w, self.h), "box parameter"):
-            raise InvalidInputError("non-finite box parameters")
-        if self.w <= 0 or self.h <= 0:
-            raise InvalidInputError(f"box sides must be positive, got w={self.w}, h={self.h}")
+        _axis_box(self.cx, self.cy, self.w, self.h)
+
+
+def _axis_box(cx, cy, w, h) -> tuple:
+    # AxisAlignedBox's rule on its four numbers: them, or its constructor's error.
+    if not _finite((cx, cy, w, h), "box parameter"):
+        raise InvalidInputError("non-finite box parameters")
+    if w <= 0 or h <= 0:
+        raise InvalidInputError(f"box sides must be positive, got w={w}, h={h}")
+    return cx, cy, w, h
 
 
 def _signed_area(vertices: Sequence[Point]) -> float:
@@ -230,14 +253,12 @@ def longside(cx: float, cy: float, w: float, h: float, theta: float) -> Oriented
     If w < h the sides are swapped and theta advances by 90 degrees; the
     resulting box covers the identical point set.
     """
-    if w < h:
-        w, h, theta = h, w, theta + 90.0
-    return OrientedBox(cx, cy, w, h, theta)
+    return OrientedBox(cx, cy, *_long_side(w, h, theta))
 
 
 def to_corners(box: OrientedBox) -> QuadPolygon:
     """Corner polygon of a box, counter-clockwise."""
-    _check_box("to_corners box", box)
+    _check_box("to_corners box", box, kind=OrientedBox)
     cx, cy, hw, hh, _, c, s, *_ = _prepare(box)
     return QuadPolygon(_corners(cx, cy, hw * c, hw * s, -hh * s, hh * c))
 
@@ -329,15 +350,19 @@ def convex_intersection_area(a: QuadPolygon, b: QuadPolygon) -> float:
 
 
 def _prepare(box: OrientedBox) -> tuple:
+    # Everything to_corners and the pair kernel read of one built box.
+    return _prepare_numbers(box.cx, box.cy, box.w, box.h, box.theta)
+
+
+def _prepare_numbers(cx, cy, w, h, theta) -> tuple:
     # Everything the box rule, to_corners and the pair kernel read of one box:
     # centre, half sides, angle in radians with its cosine and sine, area, and
     # the AABB, taken from the half extents rather than from corners.
-    rad = math.radians(box.theta)
+    rad = math.radians(theta)
     c, s = math.cos(rad), math.sin(rad)
-    hw, hh = 0.5 * box.w, 0.5 * box.h
+    hw, hh = 0.5 * w, 0.5 * h
     ex, ey = hw * abs(c) + hh * abs(s), hw * abs(s) + hh * abs(c)
-    x0, x1, y0, y1 = box.cx - ex, box.cx + ex, box.cy - ey, box.cy + ey
-    return box.cx, box.cy, hw, hh, rad, c, s, box.w * box.h, x0, x1, y0, y1
+    return cx, cy, hw, hh, rad, c, s, w * h, cx - ex, cx + ex, cy - ey, cy + ey
 
 
 def _clip_step(poly: list, bound: float) -> list:
@@ -396,7 +421,7 @@ def rotated_iou(a: OrientedBox, b: OrientedBox) -> float:
     The pair is clipped in b's own frame, never in absolute coordinates, so
     boxes far from the origin keep the precision they have near it.
     """
-    _check_box("IoU box", a, b)
+    _check_box("IoU box", a, b, kind=OrientedBox)
     return _pair_iou(_prepare(a), _prepare(b))
 
 
@@ -405,15 +430,6 @@ def _overlaps(rows: Sequence[OrientedBox], cols: Sequence[OrientedBox]) -> list[
     prepared_cols = list(enumerate(map(_prepare, cols)))
     return [[(j, iou) for j, b in prepared_cols if (iou := _pair_iou(a, b)) > 0.0]
             for a in map(_prepare, rows)]
-
-
-def _check_box(name: str, *values, kind: type = OrientedBox) -> tuple:
-    # The values, each of the built type whose checks scoring trusts (an OrientedBox: the box rule).
-    for item in values:
-        if not isinstance(item, kind):
-            a = "an" if kind.__name__[0] in "AEIOU" else "a"
-            raise InvalidInputError(f"{name} must be {a} {kind.__name__}, got {_shown(item, repr)}")
-    return values
 
 
 def check_nms_threshold(iou_threshold: float) -> None:
@@ -431,7 +447,7 @@ def _nms_item(item) -> tuple:
     except (TypeError, ValueError):
         raise InvalidInputError("NMS item must be a (box, score, hashable key) triple, "
                                 f"got {_shown(item, repr)}") from None
-    _check_box("NMS item box", box)
+    _check_box("NMS item box", box, kind=OrientedBox)
     if not _finite((score,), "score"):
         raise InvalidInputError(f"non-finite score {_shown(score)}")
     return box, score, key

@@ -294,9 +294,9 @@ def count_calls(monkeypatch, name, module=anglekit.obb):
     calls = [0]
     original = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls

@@ -80,6 +80,22 @@ class TestConfig:
             assert CodecConfig(Method.DCL_BINARY, c_theta).code_length == bits
             assert CodecConfig(Method.DCL_GRAY, c_theta).code_length == bits
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda c, p: encode(10.0, "mgar"), "config must be a CodecConfig, got 'mgar'"),
+        (lambda c, p: decode(p, "mgar"), "config must be a CodecConfig, got 'mgar'"),
+        (lambda c, p: decode((1, 0, 0), c), "pred must be an AnglePrediction, got (1, 0, 0)"),
+        (lambda c, p: empirical_errors("mgar", 1.0), "config must be a CodecConfig, got 'mgar'"),
+        (lambda c, p: analytic_errors("mgar"), "config must be a CodecConfig, got 'mgar'"),
+        (lambda c, p: omega("mgar"), "config must be a CodecConfig, got 'mgar'"),
+        (lambda c, p: ideal_prediction(None, c), "target must be an AngleTarget, got None"),
+    ], ids=["encode", "decode-config", "decode-pred", "empirical_errors", "analytic_errors",
+            "omega", "ideal_prediction"])
+    def test_public_calls_take_built_arguments(self, call, message):
+        config = CodecConfig(Method.MGAR, 3)
+        with pytest.raises(InvalidInputError) as info:
+            call(config, AnglePrediction([1.0, 0.0, 0.0], 0.5))
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("fit", list(FitFunction), ids=lambda fit: fit.value)
     @pytest.mark.parametrize("method", list(Method), ids=lambda method: method.value)
     def test_used_config_pickles_compares_and_hashes(self, method, fit):

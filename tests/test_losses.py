@@ -381,37 +381,83 @@ class TestMultitaskLossOracle:
             assert multitask_loss(samples, self.WEIGHTS, codec) == \
                 reference_multitask_loss(samples, self.WEIGHTS, codec)
 
-    @pytest.mark.parametrize("codec, change", [
-        (CODEC, {"gt_category": 2}),
-        (CODEC, {"gt_category": -1}),
-        (CODEC, {"pred_angle": AnglePrediction([0.0, 1.0, 0.0, 0.0], 1.0)}),
+    @pytest.mark.parametrize("codec, change, message", [
+        (CODEC, {"gt_category": 2}, "target index 2 out of range for 2 logits"),
+        (CODEC, {"gt_category": -1}, "target index -1 out of range for 2 logits"),
+        (CODEC, {"pred_angle": AnglePrediction([0.0, 1.0, 0.0, 0.0], 1.0)},
+         "mgar expects 3 angle logits, got 4"),
         (CodecConfig(Method.MGAR, 3, fit_function=FitFunction.EXP),
-         {"pred_angle": AnglePrediction(np.zeros(3), 1000.0)}),
-        (CODEC, {"pred_deltas": BoxDeltas(0, 0, 710, 0)}),
-        (CODEC, {"pred_deltas": BoxDeltas(0, 0, 0, 710)}),
+         {"pred_angle": AnglePrediction(np.zeros(3), 1000.0)},
+         "regression output 1000.0 overflows the exp fit"),
+        (CODEC, {"pred_deltas": BoxDeltas(0, 0, 710, 0)}, "box deltas overflow: dw=710, dh=0"),
+        (CODEC, {"pred_deltas": BoxDeltas(0, 0, 0, 710)}, "box deltas overflow: dw=0, dh=710"),
+        # The decoded box's own rules, which the loss runs on plain numbers.
+        (CODEC, {"pred_deltas": BoxDeltas(0, 0, -800, 0)},
+         "box sides must be positive, got w=0.0, h=2.0"),
+        (CODEC, {"anchor": AnchorBox(0, 0, 1e300, 2), "pred_deltas": BoxDeltas(0, 0, 20, 0)},
+         "non-finite box parameters"),
+        (CODEC, {"anchor": AnchorBox(0, 0, 1e154, 1e154), "pred_deltas": BoxDeltas(0, 0, 0, 0)},
+         "box area exceeds half the float maximum"),
+        # An int centre past float range: not finite, where math.isfinite would
+        # raise a bare OverflowError.
+        (CODEC, {"anchor": AnchorBox(0, 0, 10**10, 2), "pred_deltas": BoxDeltas(10**300, 0, 0, 0)},
+         "non-finite box parameters"),
     ], ids=["category-too-large", "category-negative", "angle-logit-count",
-            "residual-fit-overflow", "dw-overflow", "dh-overflow"])
-    def test_raises_what_the_public_calls_raise(self, codec, change):
+            "residual-fit-overflow", "dw-overflow", "dh-overflow", "side-underflows",
+            "side-overflows", "area-above-half-max", "int-centre-past-float-range"])
+    def test_raises_what_the_public_calls_raise(self, codec, change, message):
         samples = [background_sample(), dataclasses.replace(perfect_positive_sample(), **change)]
         with pytest.raises(InvalidInputError) as expected:
             reference_multitask_loss(samples, self.WEIGHTS, codec)
         with pytest.raises(InvalidInputError) as got:
             multitask_loss(samples, self.WEIGHTS, codec)
-        assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+        assert (type(got.value), str(got.value)) == (type(expected.value), message)
+
+    @pytest.mark.parametrize("codec", [c for c in ORACLE_CODECS if c.has_regression],
+                             ids=lambda c: f"{c.method.value}-{c.c_theta}-{c.fit_function.value}")
+    def test_decoded_box_swapped_or_square_bit_for_bit(self, codec):
+        # A decoded w < h takes the long-side swap; w == h the 90-degree period.
+        rng = np.random.default_rng(ORACLE_CODECS.index(codec))
+        samples = []
+        for sides, deltas in [((2.0, 5.0), (0.0, 0.0)), ((4.5, 1.5), (-0.7, 0.4)),
+                              ((3.0, 3.0), (0.0, 0.0)), ((5, 5), (0.25, 0.25))]:
+            for theta in (0.0, 30.0, 89.5, 90.0, 135.0, 179.9):
+                gt = OrientedBox(*rng.uniform(-1, 1, size=2), 4.0, 3.0, theta)
+                residual = encode(theta, codec).residual_target + float(rng.normal(0, 0.5))
+                samples.append(AssignedSample(
+                    objectness=1, anchor=AnchorBox(0, 0, *sides),
+                    pred_deltas=BoxDeltas(*rng.normal(0, 0.1, size=2), *deltas),
+                    pred_confidence=float(rng.normal(0, 3)),
+                    pred_category_logits=rng.normal(0, 1, size=3),
+                    pred_angle=AnglePrediction(rng.normal(0, 2, size=codec.code_length), residual),
+                    gt_box=gt, gt_category=int(rng.integers(0, 3))))
+        decoded = [decode_box_deltas(s.pred_deltas, s.anchor) for s in samples]
+        assert sum(b.w < b.h for b in decoded) == sum(b.w == b.h for b in decoded) == 12
+        assert multitask_loss(samples, self.WEIGHTS, codec) == \
+            reference_multitask_loss(samples, self.WEIGHTS, codec)
 
     def test_runs_every_iou_and_no_logit_recheck(self, monkeypatch):
         rng = np.random.default_rng(31)
         samples = [noisy_positive_sample(rng) for _ in range(5)] + \
                   [background_sample(float(rng.normal())) for _ in range(4)]
-        prepared = count_calls(monkeypatch, "_prepare")
-        # The input checks of the public losses: the loss calls none of them.
+        # Counted through the names the loss calls, in its own module.
+        box_rules, prepared, pair_ious, type_checks = [
+            count_calls(monkeypatch, name, anglekit.losses)
+            for name in ("_box_rule", "_prepare", "_pair_iou", "_check_box")]
+        built = [count_calls(monkeypatch, "__post_init__", cls)
+                 for cls in (OrientedBox, AxisAlignedBox)]
+        # The input checks of the public losses: the loss reads the samples
+        # argument once and runs none of them per sample.
         rechecks = [count_calls(monkeypatch, name, anglekit.losses)
                     for name in ("_finite_floats", "_checked", "_sequence")]
         for calls in (1, 2):
             multitask_loss(samples, self.WEIGHTS, CODEC)
-            # Three per foreground sample, on every call, as nothing is cached:
-            # the predicted box as it is built, then both boxes of its IoU.
-            assert (prepared[0], [n[0] for n in rechecks]) == (3 * 5 * calls, [0, 0, 0])
+            # Two per foreground sample, on every call, as nothing is cached:
+            # the box rule on the decoded numbers and the GT's prepare, for one
+            # IoU. No box is built, and the arguments are checked per call.
+            assert [box_rules[0], prepared[0], pair_ious[0]] == [5 * calls] * 3
+            assert [n[0] for n in built] == [0, 0]
+            assert (type_checks[0], [n[0] for n in rechecks]) == (3 * calls, [0, 0, calls])
 
     def test_category_index_is_an_integer_from_build_on(self):
         positive = perfect_positive_sample()
@@ -552,6 +598,25 @@ class TestMultitaskLoss:
         assert b.total == pytest.approx(expected, abs=1e-12)
         for term in (b.location, b.confidence, b.category, b.angle_class, b.angle_reg):
             assert term >= 0.0
+
+    @pytest.mark.parametrize("arguments, message", [
+        ({"samples": [{}]}, "samples entry must be an AssignedSample, got {}"),
+        ({"samples": None},
+         "samples must be a flat sequence of AssignedSample entries, got None"),
+        ({"weights": (2, 2, 5, 2, 0.5)}, "weights must be a LossWeights, got (2, 2, 5, 2, 0.5)"),
+        ({"codec": "mgar"}, "codec must be a CodecConfig, got 'mgar'"),
+    ], ids=["dict-sample", "none-samples", "weights-tuple", "codec-str"])
+    def test_rejects_unbuilt_arguments(self, arguments, message):
+        call = {"samples": [background_sample()], "weights": self.WEIGHTS, "codec": CODEC}
+        with pytest.raises(InvalidInputError) as info:
+            multitask_loss(**{**call, **arguments})
+        assert str(info.value) == message
+
+    def test_reads_an_iterator_of_samples_once(self):
+        rng = np.random.default_rng(26)
+        samples = [noisy_positive_sample(rng), background_sample(0.3), noisy_positive_sample(rng)]
+        assert multitask_loss((s for s in samples), self.WEIGHTS, CODEC) == \
+            multitask_loss(samples, self.WEIGHTS, CODEC)
 
     def test_rejects_empty_and_dcl(self):
         with pytest.raises(InvalidInputError):
