@@ -9,7 +9,6 @@ output. Exit codes: 0 success, 1 check failure, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -124,6 +123,7 @@ def cmd_codec_report(args) -> int:
     if args.out == "json":
         _emit(rows)
         return 0
+    import csv  # only this output needs it, so eval, iou and nms never load it
     # csv writes a float as its repr, and anything else as its str.
     writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()

@@ -62,6 +62,15 @@ _REGRESSION_METHODS = (Method.REGRESSION, Method.MGAR)
 _DCL_METHODS = (Method.DCL_BINARY, Method.DCL_GRAY)
 
 
+def _member(kind: type, value, name: str):
+    # The member of the enum kind with this value, or an error naming the valid values.
+    try:
+        return kind(value)
+    except ValueError:
+        raise InvalidInputError(
+            f"{name} must be one of {', '.join(kind)}, got {_shown(value, repr)}") from None
+
+
 def _validate_c_theta(method: Method, c_theta: int, warn: bool = False) -> int:
     c_theta = _integer(c_theta, "c_theta")
     choices = C_THETA_CHOICES[method]
@@ -101,9 +110,10 @@ class CodecConfig:
     fit_function: FitFunction = FitFunction.SQUARE
 
     def __post_init__(self):
-        method = Method(self.method)
+        method = _member(Method, self.method, "method")
         object.__setattr__(self, "method", method)
-        object.__setattr__(self, "fit_function", FitFunction(self.fit_function))
+        object.__setattr__(self, "fit_function", _member(FitFunction, self.fit_function,
+                                                         "fit function"))
         finite = _finite((self.window_size,), "window_size")  # a number for every method
         if method is Method.CSL and not (finite and self.window_size > 0):  # only CSL reads it
             kind = "finite" if self.window_size > 0 else "positive"
@@ -377,7 +387,7 @@ def empirical_errors(config: CodecConfig, grid_step: float) -> tuple[float, floa
 
 def head_thickness(method: Method | str, c_theta: int, anchors: int) -> int:
     """Channel count of the angle prediction layer for one anchor set."""
-    method = Method(method)
+    method = _member(Method, method, "method")
     anchors = _integer(anchors, "anchor count")
     if anchors < 1:
         raise InvalidInputError(f"anchor count must be >= 1, got {_shown(anchors)}")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import InvalidInputError, ParseError, _finite
 from .evaluation import DetectionRecord, EvalReport, GroundTruthRecord, threshold_label
-from .obb import OrientedBox, QuadPolygon, _built_quad, _ccw, from_corners
+from .obb import OrientedBox, QuadPolygon, _ccw, from_corners
 
 _HEADER_PREFIXES = ("imagesource:", "gsd:")
 # The JSON type write_detections gives each field; a bool is not a number.
@@ -44,7 +44,7 @@ def _quad(tokens: list[str]) -> QuadPolygon:
     x0, y0, x1, y1, x2, y2, x3, y3 = xy = tuple(map(float, tokens))
     if not _finite(xy, "quad vertex"):
         raise InvalidInputError("non-finite quad vertices")
-    return _built_quad(_ccw(((x0, y0), (x1, y1), (x2, y2), (x3, y3))))
+    return _ccw(((x0, y0), (x1, y1), (x2, y2), (x3, y3)))
 
 
 def _ground_truth(stem: str, tokens: list[str]) -> GroundTruthRecord:

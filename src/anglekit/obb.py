@@ -17,8 +17,8 @@ from .errors import DegenerateQuadError, InvalidInputError, _check_box, _finite,
 
 Point = tuple[float, float]
 
-# Quads below this area (px^2), and intersections below this fraction of the
-# smaller quad's area, are numerical noise.
+# Numerical noise, as a fraction: a quad's area below this share of its spread
+# (see _quad_fault), or an intersection below this share of the smaller area.
 _SLIVER_AREA = 1e-12
 _INF = math.inf
 _FLOAT_MIN = sys.float_info.min  # the smallest normal float
@@ -138,15 +138,6 @@ def _overlap(inter: float, area_a: float, area_b: float) -> float:
 
 # Quad helpers, unrolled for four vertices.
 
-def _quad_convex(pts) -> bool:
-    # No clockwise turn at any vertex; a NaN turn counts as convex.
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
-    return not ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) < 0.0
-                or (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1) < 0.0
-                or (x3 - x2) * (y0 - y2) - (y3 - y2) * (x0 - x2) < 0.0
-                or (x0 - x3) * (y1 - y3) - (y0 - y3) * (x1 - x3) < 0.0)
-
-
 def _centred(pts) -> list:
     # The points about their centroid, where the area and turn checks carry no
     # rounding of coordinates far from the origin; quarters cannot overflow.
@@ -183,8 +174,10 @@ def _float_points(points, count_error: type, count_message: str) -> tuple:
 class QuadPolygon:
     """Convex quadrilateral with vertices in counter-clockwise order.
 
-    Construction checks the vertices once, about their centroid, so a quad
-    far from the origin passes or fails as it would near it.
+    Construction checks the order given about its centroid: four distinct
+    vertices, no clockwise turn, and a finite area of at least the smallest
+    normal float and 1e-12 times the spread, the sum of the squared centred
+    coordinates (w^2 + h^2 for a w x h rectangle): an aspect ratio of ~1e-12.
     """
 
     vertices: tuple[Point, Point, Point, Point]
@@ -193,13 +186,9 @@ class QuadPolygon:
         pts = _float_points(self.vertices, InvalidInputError, "quad requires exactly 4 vertices")
         object.__setattr__(self, "vertices", pts)
         centred = _centred(pts)
-        area = _signed_area(centred)
-        if area <= 0.0:
-            raise DegenerateQuadError("quad must be counter-clockwise with positive area")
-        if not _quad_convex(centred):
-            raise DegenerateQuadError("quad must be convex")
-        if not math.isfinite(area):
-            raise InvalidInputError("quad area is not finite")
+        fault = _quad_fault(pts, centred, _signed_area(centred))
+        if fault:
+            raise DegenerateQuadError(fault)
 
     @classmethod
     def from_points(cls, points: Sequence[Point]) -> "QuadPolygon":
@@ -208,20 +197,36 @@ class QuadPolygon:
         The points are tried in the order given, then in order of angle about
         their centroid; a clockwise order is reversed. Non-finite points, or an
         area that overflows, raise InvalidInputError; duplicate or collinear
-        points, or a sliver under 1e-12 px^2, raise DegenerateQuadError.
+        points, or a sliver (QuadPolygon's rule), raise DegenerateQuadError.
         """
-        pts = _float_points(points, DegenerateQuadError, "expected exactly 4 points")
-        return _built_quad(_ccw(pts), cls)
+        return _ccw(_float_points(points, DegenerateQuadError, "expected exactly 4 points"), cls)
 
 
-def _ccw(pts: tuple) -> tuple:
-    # from_points' order rule on four finite float pairs: the first usable of
-    # the given order and the order by angle, each reversed if clockwise.
+def _quad_fault(pts: tuple, centred: list, area: float) -> str:
+    # The usable-quad rule on four ordered points, the same points about their
+    # centroid and their shoelace area: "" or QuadPolygon's message for an order
+    # that fails it. A repeated vertex, or a non-finite area of an otherwise
+    # usable order, raises: no order mends it. The sliver test divides by the
+    # root of the spread, a hypot, so no term leaves the normal range.
     if len(set(pts)) < 4:
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if pts[i] == pts[j]:
-                    raise DegenerateQuadError(f"duplicate point {pts[i]}")
+        raise DegenerateQuadError(f"duplicate point {next(p for p in pts if pts.count(p) > 1)}")
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = centred
+    root = math.hypot(x0, y0, x1, y1, x2, y2, x3, y3)
+    if area < _FLOAT_MIN or area / root < _SLIVER_AREA * root:
+        return "quad must be counter-clockwise with positive area"
+    if ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) < 0.0  # a clockwise turn; NaN is none
+            or (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1) < 0.0
+            or (x3 - x2) * (y0 - y2) - (y3 - y2) * (x0 - x2) < 0.0
+            or (x0 - x3) * (y1 - y3) - (y0 - y3) * (x1 - x3) < 0.0):
+        return "quad must be convex"
+    if not area < _INF:  # inf, or nan
+        raise InvalidInputError("quad area is not finite")
+    return ""
+
+
+def _ccw(pts: tuple, cls: type = QuadPolygon) -> QuadPolygon:
+    # from_points' quad of four finite float pairs: the first of the given order
+    # and the order by angle, each reversed if clockwise, that _quad_fault passes.
     centred = _centred(pts)
     vertices, shifted = pts, centred
     for by_angle in (False, True):
@@ -233,18 +238,11 @@ def _ccw(pts: tuple) -> tuple:
         if area < 0.0:
             vertices, shifted = vertices[::-1], shifted[::-1]
             area = _signed_area(shifted)  # the reversed order rounds its own way
-        if not area < _SLIVER_AREA and _quad_convex(shifted):
-            if not math.isfinite(area):
-                raise InvalidInputError("quad area is not finite")
-            return vertices
+        if not _quad_fault(vertices, shifted, area):
+            quad = object.__new__(cls)  # no __post_init__: the rule has run
+            object.__setattr__(quad, "vertices", vertices)
+            return quad
     raise DegenerateQuadError("points do not form a convex quad")
-
-
-def _built_quad(vertices: tuple, cls: type = QuadPolygon) -> QuadPolygon:
-    # A quad of vertices _ccw returned; skips __post_init__, whose checks _ccw's include.
-    quad = object.__new__(cls)
-    object.__setattr__(quad, "vertices", vertices)
-    return quad
 
 
 def longside(cx: float, cy: float, w: float, h: float, theta: float) -> OrientedBox:
@@ -276,11 +274,8 @@ def from_corners(quad: QuadPolygon) -> OrientedBox:
     rest, best = quad.vertices[1:], None
     for px, py, qx, qy in ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x3, y3),
                            (x3, y3, x0, y0)):
-        ex, ey = qx - px, qy - py
-        norm = math.hypot(ex, ey)
-        if norm < 1e-12:
-            continue
-        ux, uy = ex / norm, ey / norm
+        norm = math.hypot(qx - px, qy - py)  # > 0: a quad's vertices are distinct
+        ux, uy = (qx - px) / norm, (qy - py) / norm
         # The least and greatest projection, replaced only on a strict < or >,
         # as min() and max() pick them.
         lo_u = hi_u = x0 * ux + y0 * uy
@@ -299,16 +294,10 @@ def from_corners(quad: QuadPolygon) -> OrientedBox:
         area = (hi_u - lo_u) * (hi_v - lo_v)
         if best is None or area < best[0]:
             best = (area, ux, uy, lo_u, hi_u, lo_v, hi_v)
-    if best is None:
-        raise DegenerateQuadError("quad has no usable edges")
     _, ux, uy, lo_u, hi_u, lo_v, hi_v = best
     cu, cv = 0.5 * (lo_u + hi_u), 0.5 * (lo_v + hi_v)
-    cx = cu * ux - cv * uy
-    cy = cu * uy + cv * ux
-    side_u = hi_u - lo_u
-    side_v = hi_v - lo_v
-    theta = math.degrees(math.atan2(uy, ux))
-    return longside(cx, cy, side_u, side_v, theta)
+    return longside(cu * ux - cv * uy, cu * uy + cv * ux, hi_u - lo_u, hi_v - lo_v,
+                    math.degrees(math.atan2(uy, ux)))
 
 
 def _clip_by_edge(subject: list[Point], ax: float, ay: float, bx: float, by: float) -> list[Point]:

@@ -96,6 +96,19 @@ class TestConfig:
             call(config, AnglePrediction([1.0, 0.0, 0.0], 0.5))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: CodecConfig("x"),
+         "method must be one of regression, csl, dcl-binary, dcl-gray, mgar, got 'x'"),
+        (lambda: CodecConfig(Method.MGAR, fit_function="cubic"),
+         "fit function must be one of linear, sigmoid, square, exp, got 'cubic'"),
+        (lambda: head_thickness("x", 3, 1),
+         "method must be one of regression, csl, dcl-binary, dcl-gray, mgar, got 'x'"),
+    ], ids=["config-method", "config-fit", "head_thickness"])
+    def test_unknown_names_are_rejected_with_the_valid_ones(self, call, message):
+        with pytest.raises(InvalidInputError) as info:
+            call()
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("fit", list(FitFunction), ids=lambda fit: fit.value)
     @pytest.mark.parametrize("method", list(Method), ids=lambda method: method.value)
     def test_used_config_pickles_compares_and_hashes(self, method, fit):

@@ -1,16 +1,17 @@
 import hashlib
 import math
 import random
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from anglekit import (DegenerateQuadError, InvalidInputError, OrientedBox, QuadPolygon,
-                      convex_intersection_area, from_corners, longside, rotated_iou, rotated_nms,
-                      to_corners)
+from anglekit import (AngleKitError, DegenerateQuadError, InvalidInputError, OrientedBox,
+                      ParseError, QuadPolygon, convex_intersection_area, from_corners, longside,
+                      parse_annotation_file, rotated_iou, rotated_nms, to_corners)
 from anglekit.obb import _overlaps, _signed_area
 from helpers import (brute_force_min_rect_area, count_calls, count_clipped_pairs,
                      exact_intersection_area, mc_intersection_fraction, random_longside_box,
@@ -222,8 +223,11 @@ class TestQuadValidation:
                      "non-finite quad vertices", id="inf"),
         pytest.param(((0, 0), (0, 1), (1, 1), (-INF, 0)), InvalidInputError,
                      "non-finite quad vertices", id="-inf-before-clockwise"),
-        pytest.param(((0, 0), (0, 0), (0, 0), (1, 1)), DegenerateQuadError, CCW_MESSAGE,
-                     id="duplicate"),
+        pytest.param(((0, 0), (0, 0), (0, 0), (1, 1)), DegenerateQuadError,
+                     "duplicate point (0.0, 0.0)", id="duplicate"),
+        pytest.param(((0, 0), (0, 0), (1, 0), (1, 1)), DegenerateQuadError,
+                     "duplicate point (0.0, 0.0)", id="triangle"),
+        pytest.param(SLIVER, DegenerateQuadError, CCW_MESSAGE, id="sliver"),
         pytest.param(((0, 0), (1, 1), (2, 2), (3, 3)), DegenerateQuadError, CCW_MESSAGE,
                      id="collinear"),
         pytest.param(((0, 0), (0, 1), (1, 1), (1, 0)), DegenerateQuadError, CCW_MESSAGE,
@@ -255,20 +259,20 @@ class TestQuadValidation:
 
         text = "\n".join(map(outcome, seeded_quads(0, 20_000)))
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "8befcfbe40915086bf95dbdf97626248c1735a9aaf43310af4d8c1721a3f847e"
+            "24308396053579d884a46b781e12d0f8152b08457ec1c0427723ded16eac7bb6"
 
-    # Near-degenerate zig-zags, passed and failed only about the centroid of
-    # the order by angle: the given order's centred points, re-ordered, round
-    # differently and give the opposite verdict.
+    # Zig-zags of rectangles at the sliver bound, passed and failed only about
+    # the centroid of the order by angle: the given order's centred points,
+    # re-ordered, round differently and give the opposite verdict.
     @pytest.mark.parametrize("points, expected", [
-        pytest.param([(63348098.22891704, 120803829.6429411),
-                      (-36176127.21714981, 16035907.562802952),
-                      (10297972.074521733, 64958617.50112851),
-                      (-849983.9426578274, 53223301.98246028)], (3, 1, 2, 0), id="passes"),
-        pytest.param([(-1396.467141381834, -396.2383854314469),
-                      (-2217.161561344495, -678.634185963068),
-                      (2529.9431784078793, 954.8147696795135),
-                      (-1729.5673893604114, -510.8560907516086)], None, id="fails"),
+        pytest.param([(-5468313.354316107, -86740508.82882895),
+                      (-53116683.29765124, -19372381.89110403),
+                      (-53116683.29758387, -19372381.891056385),
+                      (-5468313.35438347, -86740508.8288766)], (3, 0, 2, 1), id="passes"),
+        pytest.param([(13529142.187627578, 4349077.628078652),
+                      (-8317075.141703426, -30920407.522080544),
+                      (-8317075.141738695, -30920407.5220587),
+                      (13529142.18766285, 4349077.628056805)], None, id="fails"),
     ])
     def test_order_by_angle_is_measured_about_its_own_centroid(self, points, expected):
         if expected is None:
@@ -278,14 +282,14 @@ class TestQuadValidation:
         assert vertices == tuple(points[i] for i in expected)
         assert QuadPolygon(vertices).vertices == vertices
 
-    def test_constructor_keeps_slivers_that_from_points_rejects(self):
-        assert _signed_area(QuadPolygon(SLIVER).vertices) == pytest.approx(1e-13)
-
     @pytest.mark.parametrize("box, error, message", [
         pytest.param(OrientedBox(1e9, 1e9, 1e-7, 5e-8, 30.0), DegenerateQuadError,
-                     CCW_MESSAGE, id="collapse"),
-        pytest.param(OrientedBox(0.0, 0.0, 1e200, 1e100, 30.0), InvalidInputError,
-                     NOT_FINITE, id="nan-area"),
+                     "duplicate point (1000000000.0, 1000000000.0)", id="collapse"),
+        pytest.param(OrientedBox(0.0, 0.0, 1e200, 1e100, 30.0), DegenerateQuadError,
+                     "duplicate point (4.330127018922193e+199, 2.4999999999999995e+199)",
+                     id="thin-collapse"),
+        pytest.param(OrientedBox(0.0, 0.0, 1.0, 5e-13, 0.0), DegenerateQuadError,
+                     CCW_MESSAGE, id="sliver"),
     ])
     def test_to_corners_rejections(self, box, error, message):
         # Boxes the IoU kernel scores, whose absolute corners make no valid quad.
@@ -318,6 +322,106 @@ class TestQuadValidation:
         zigzag = (rolled[0], rolled[2], rolled[1], rolled[3])
         for points in (rolled[::-1], zigzag):
             assert QuadPolygon.from_points(points).vertices in turns
+
+
+def rectangle_corners(w, h):
+    # Counter-clockwise corners of a w x h rectangle about the origin.
+    return ((w / 2, h / 2), (-w / 2, h / 2), (-w / 2, -h / 2), (w / 2, -h / 2))
+
+
+def quad_verdicts(points, path, k=0):
+    """What each quad entry point makes of four points scaled by 2^k:
+    QuadPolygon(points), QuadPolygon.from_points(points), and the points as
+    a one-line annotation file parsed strictly. Each is the vertices or the
+    fitted box, scaled back, or the error's type and its message up to any
+    number it names."""
+    def verdict(call):
+        try:
+            return call()
+        except (AngleKitError, ParseError) as exc:
+            return type(exc).__name__, re.split(r" \(|, got", str(exc).split(": ")[-1])[0]
+
+    def back(*values):
+        return tuple(math.ldexp(c, -k) for c in values)
+
+    points = [(math.ldexp(x, k), math.ldexp(y, k)) for x, y in points]
+    path.write_text(" ".join(map(repr, (c for point in points for c in point))) + " ship 0\n")
+    return (verdict(lambda: tuple(back(*p) for p in QuadPolygon(points).vertices)),
+            verdict(lambda: tuple(back(*p) for p in QuadPolygon.from_points(points).vertices)),
+            verdict(lambda: [back(r.box.cx, r.box.cy, r.box.w, r.box.h) + (r.box.theta,)
+                             for r in parse_annotation_file(path, strict=True)]))
+
+
+THIN_RHOMBUS = ((0.0, -1.6e153), (1.6e154, 0.0), (0.0, 1.6e153), (-1.6e154, 0.0))  # 5.12e307 px^2
+
+
+class TestOneQuadRule:
+    """QuadPolygon, from_points, DOTA lines and to_corners share one quad rule:
+    distinct vertices, counter-clockwise and convex, and a finite area of at
+    least the smallest normal float and 1e-12 times the spread (w^2 + h^2)."""
+
+    # Four points, the (w, h) of the box OrientedBox(0, 0, w, h, 0) whose
+    # corners they are (None for the rhombus), whether the quad entry points
+    # accept them and whether the box entry points (that box's to_corners,
+    # and the DOTA line's fit) do. All agree but for one exception: a quad
+    # whose fitted box fails the box rule's own cap, an area of at most half
+    # the float maximum. A rectangle cannot be one, since its doubled area
+    # overflows the shoelace at that cap.
+    @pytest.mark.parametrize("points, box, accepted, box_accepted", [
+        pytest.param(rectangle_corners(1e-7, 1e-7), (1e-7, 1e-7), True, True, id="square-1e-7"),
+        pytest.param(rectangle_corners(2.0 ** -21, 2.0 ** -21), (2.0 ** -21, 2.0 ** -21),
+                     True, True, id="square-2^-21"),
+        pytest.param(rectangle_corners(1e-13, 1e-13), (1e-13, 1e-13), True, True,
+                     id="square-1e-13"),
+        pytest.param(rectangle_corners(1.0, 0.5e-12), (1.0, 0.5e-12), False, False,
+                     id="sliver-0.5x-1px"),
+        pytest.param(rectangle_corners(1.0, 2e-12), (1.0, 2e-12), True, True,
+                     id="sliver-2x-1px"),
+        pytest.param(rectangle_corners(1e6, 0.5e-6), (1e6, 0.5e-6), False, False,
+                     id="sliver-0.5x-1e6px"),
+        pytest.param(rectangle_corners(1e6, 2e-6), (1e6, 2e-6), True, True,
+                     id="sliver-2x-1e6px"),
+        pytest.param(rectangle_corners(1e150, 5e149), (1e150, 5e149), True, True,
+                     id="rect-1e150"),
+        pytest.param(rectangle_corners(1e155, 5e154), (1e155, 5e154), False, False,
+                     id="rect-1e155-inf-area"),
+        pytest.param(rectangle_corners(1.2e154, 1.2e154), (1.2e154, 1.2e154), False, False,
+                     id="square-over-box-cap"),
+        pytest.param(rectangle_corners(1.0, 0.0), (1.0, 0.0), False, False,
+                     id="repeated-vertex"),
+        pytest.param(THIN_RHOMBUS, None, True, False, id="fit-over-box-cap"),
+    ])
+    def test_entry_points_agree(self, tmp_path, points, box, accepted, box_accepted):
+        constructor, from_points, line = quad_verdicts(points, tmp_path / "P1.txt")
+        if accepted:
+            assert constructor == from_points == points
+        else:
+            assert constructor[0] == from_points[0] == "DegenerateQuadError" \
+                or constructor == from_points == ("InvalidInputError", "quad area is not finite")
+        if box is not None:
+            try:
+                corners = to_corners(OrientedBox(0.0, 0.0, *box, 0.0)).vertices
+            except InvalidInputError:
+                corners = None
+            assert corners == (points if box_accepted else None)
+        if not box_accepted:
+            assert line[0] == "ParseError"
+            return
+        # The fit of the corners is the box, within 1e-6 relative.
+        (cx, cy, w, h, _), = line
+        assert (w, h) == (pytest.approx(box[0], rel=1e-6), pytest.approx(box[1], rel=1e-6))
+        assert abs(cx) <= 1e-6 * w and abs(cy) <= 1e-6 * w
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(-60, 60))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_power_of_two_scale_moves_no_verdict(self, tmp_path_factory, seed, k):
+        # A seeded quad of 1e-3 to 1e6 px, scaled by 2^k: every float step of
+        # the rule and the fit is exact under the scale, so each entry point
+        # gives the same verdict, and the same vertices or box, scaled.
+        points = seeded_quads(seed, 1)[0]
+        assume(1e-3 <= max(max(c) - min(c) for c in zip(*points)) <= 1e6)
+        path = tmp_path_factory.getbasetemp() / "P1.txt"
+        assert quad_verdicts(points, path, k) == quad_verdicts(points, path)
 
 
 def near_parallel_pair(rng):
