@@ -34,8 +34,10 @@ class GroundTruthRecord:
 
     def __post_init__(self):
         _check_box("ground truth box", self.box, kind=OrientedBox)
-        if _integer(self.difficult, "difficult") not in (0, 1):
+        flag = _integer(self.difficult, "difficult")
+        if flag not in (0, 1):
             raise InvalidInputError(f"difficult must be 0 or 1, got {_shown(self.difficult, repr)}")
+        object.__setattr__(self, "difficult", flag == 1)
 
 
 @dataclass(frozen=True)

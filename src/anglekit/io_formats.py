@@ -40,7 +40,7 @@ def _fail_or_skip(strict: bool, path, line_no: int, message: str) -> None:
 
 
 def _quad(tokens: list[str]) -> QuadPolygon:
-    # The quad QuadPolygon.from_points builds of the 8 numbers, each converted once.
+    # The quad QuadPolygon builds of the 8 numbers, each converted once.
     x0, y0, x1, y1, x2, y2, x3, y3 = xy = tuple(map(float, tokens))
     if not _finite(xy, "quad vertex"):
         raise InvalidInputError("non-finite quad vertices")
@@ -48,10 +48,7 @@ def _quad(tokens: list[str]) -> QuadPolygon:
 
 
 def _ground_truth(stem: str, tokens: list[str]) -> GroundTruthRecord:
-    quad, difficult = _quad(tokens[:8]), int(tokens[9])
-    if difficult not in (0, 1):
-        raise InvalidInputError(f"difficult must be 0 or 1, got {difficult}")
-    return GroundTruthRecord(stem, from_corners(quad), tokens[8], difficult == 1)
+    return GroundTruthRecord(stem, from_corners(_quad(tokens[:8])), tokens[8], int(tokens[9]))
 
 
 def _task1_detection(stem: str, tokens: list[str]) -> DetectionRecord:

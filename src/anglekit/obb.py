@@ -147,10 +147,10 @@ def _centred(pts) -> list:
     return [(x0 - cx, y0 - cy), (x1 - cx, y1 - cy), (x2 - cx, y2 - cy), (x3 - cx, y3 - cy)]
 
 
-def _float_points(points, count_error: type, count_message: str) -> tuple:
+def _float_points(points) -> tuple:
     # Four (x, y) points of finite numbers as float pairs. Points that do not
     # unpack so, or a bytes point (which unpacks into ints), are read through
-    # _sequence for the error; another count raises count_error(count_message).
+    # _sequence for the error; another count is a DegenerateQuadError.
     try:
         p0, p1, p2, p3 = points
         (x0, y0), (x1, y1), (x2, y2), (x3, y3) = p0, p1, p2, p3
@@ -160,7 +160,7 @@ def _float_points(points, count_error: type, count_message: str) -> tuple:
     except (TypeError, ValueError):
         points = _sequence(points, "quad vertices", of="(x, y) points")
         if len(points) != 4:
-            raise count_error(count_message) from None
+            raise DegenerateQuadError("expected exactly 4 points") from None
         for point in points:
             _sequence(point, "quad vertex", 2)
         raise
@@ -174,72 +174,59 @@ def _float_points(points, count_error: type, count_message: str) -> tuple:
 class QuadPolygon:
     """Convex quadrilateral with vertices in counter-clockwise order.
 
-    Construction checks the order given about its centroid: four distinct
-    vertices, no clockwise turn, and a finite area of at least the smallest
-    normal float and 1e-12 times the spread, the sum of the squared centred
-    coordinates (w^2 + h^2 for a w x h rectangle): an aspect ratio of ~1e-12.
+    Built from 4 points in any winding: the order given, then the order by
+    angle about the centroid, each reversed if clockwise; the first to pass
+    the quad rule is kept. The rule, about the centroid: four distinct
+    vertices, convex, and a finite area of at least the smallest normal float
+    and 1e-12 times the spread, the sum of the squared centred coordinates
+    (w^2 + h^2 for a w x h rectangle): an aspect ratio of ~1e-12. Non-finite
+    points, or an area that overflows, raise InvalidInputError; a count other
+    than 4, a repeated vertex, or no usable order, DegenerateQuadError.
     """
 
     vertices: tuple[Point, Point, Point, Point]
 
     def __post_init__(self):
-        pts = _float_points(self.vertices, InvalidInputError, "quad requires exactly 4 vertices")
-        object.__setattr__(self, "vertices", pts)
-        centred = _centred(pts)
-        fault = _quad_fault(pts, centred, _signed_area(centred))
-        if fault:
-            raise DegenerateQuadError(fault)
-
-    @classmethod
-    def from_points(cls, points: Sequence[Point]) -> "QuadPolygon":
-        """Build a quad from 4 points in any winding, normalizing to CCW.
-
-        The points are tried in the order given, then in order of angle about
-        their centroid; a clockwise order is reversed. Non-finite points, or an
-        area that overflows, raise InvalidInputError; duplicate or collinear
-        points, or a sliver (QuadPolygon's rule), raise DegenerateQuadError.
-        """
-        return _ccw(_float_points(points, DegenerateQuadError, "expected exactly 4 points"), cls)
+        object.__setattr__(self, "vertices", _ccw(_float_points(self.vertices)).vertices)
 
 
-def _quad_fault(pts: tuple, centred: list, area: float) -> str:
-    # The usable-quad rule on four ordered points, the same points about their
-    # centroid and their shoelace area: "" or QuadPolygon's message for an order
-    # that fails it. A repeated vertex, or a non-finite area of an otherwise
+def _quad_fault(pts: tuple, centred: list, area: float) -> bool:
+    # Whether four ordered points, the same points about their centroid and
+    # their shoelace area fail the usable-quad rule; a clockwise turn fails, a
+    # NaN one does not. A repeated vertex, or a non-finite area of an otherwise
     # usable order, raises: no order mends it. The sliver test divides by the
     # root of the spread, a hypot, so no term leaves the normal range.
     if len(set(pts)) < 4:
         raise DegenerateQuadError(f"duplicate point {next(p for p in pts if pts.count(p) > 1)}")
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = centred
     root = math.hypot(x0, y0, x1, y1, x2, y2, x3, y3)
-    if area < _FLOAT_MIN or area / root < _SLIVER_AREA * root:
-        return "quad must be counter-clockwise with positive area"
-    if ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) < 0.0  # a clockwise turn; NaN is none
+    if (area < _FLOAT_MIN or area / root < _SLIVER_AREA * root
+            or (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) < 0.0
             or (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1) < 0.0
             or (x3 - x2) * (y0 - y2) - (y3 - y2) * (x0 - x2) < 0.0
             or (x0 - x3) * (y1 - y3) - (y0 - y3) * (x1 - x3) < 0.0):
-        return "quad must be convex"
+        return True
     if not area < _INF:  # inf, or nan
         raise InvalidInputError("quad area is not finite")
-    return ""
+    return False
 
 
-def _ccw(pts: tuple, cls: type = QuadPolygon) -> QuadPolygon:
-    # from_points' quad of four finite float pairs: the first of the given order
-    # and the order by angle, each reversed if clockwise, that _quad_fault passes.
+def _ccw(pts: tuple) -> QuadPolygon:
+    # QuadPolygon's quad of four finite float pairs, built without a second
+    # run of the rule: the first order that passes _quad_fault.
     centred = _centred(pts)
     vertices, shifted = pts, centred
     for by_angle in (False, True):
         if by_angle:  # sorted only now: most quads come in a usable order
             order = sorted(range(4), key=lambda i: math.atan2(centred[i][1], centred[i][0]))
             vertices = tuple(pts[i] for i in order)
-            shifted = _centred(vertices)  # its own centroid, as QuadPolygon would use
+            shifted = _centred(vertices)  # its own centroid: kept, it passes again
         area = _signed_area(shifted)
         if area < 0.0:
             vertices, shifted = vertices[::-1], shifted[::-1]
             area = _signed_area(shifted)  # the reversed order rounds its own way
         if not _quad_fault(vertices, shifted, area):
-            quad = object.__new__(cls)  # no __post_init__: the rule has run
+            quad = object.__new__(QuadPolygon)  # no __post_init__: the rule has run
             object.__setattr__(quad, "vertices", vertices)
             return quad
     raise DegenerateQuadError("points do not form a convex quad")

@@ -321,7 +321,7 @@ def count_clipped_pairs(monkeypatch):
     return pairs
 
 
-# Seeded quads of the kinds that reach QuadPolygon.from_points. Only float
+# Seeded quads of the kinds that reach QuadPolygon, in every winding. Only float
 # arithmetic that IEEE 754 rounds exactly is used (no trig, no float pow), so
 # a seed gives the same points on every platform.
 

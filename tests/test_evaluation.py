@@ -47,10 +47,14 @@ class TestRecords:
             gt("im1", BOX_A, difficult=difficult)
 
     @pytest.mark.parametrize("difficult, num_gt, ap", [
-        (False, 2, 0.5), (0, 2, 0.5), (0.0, 2, 0.5), (True, 1, 1.0), (1, 1, 1.0), (1.0, 1, 1.0)])
+        (False, 2, 0.5), (0, 2, 0.5), (0.0, 2, 0.5), (np.int64(0), 2, 0.5),
+        (True, 1, 1.0), (1, 1, 1.0), (1.0, 1, 1.0), (np.int64(1), 1, 1.0)])
     def test_difficult_flags_score_as_bools(self, difficult, num_gt, ap):
-        # BOX_B is found; BOX_A is missed, which costs recall unless difficult.
-        report = evaluate([gt("im1", BOX_A, difficult=difficult), gt("im1", BOX_B)],
+        # The record stores the flag as a bool. BOX_B is found; BOX_A is
+        # missed, which costs recall unless difficult.
+        record = gt("im1", BOX_A, difficult=difficult)
+        assert record.difficult is (num_gt == 1)
+        report = evaluate([record, gt("im1", BOX_B)],
                           [det("im1", BOX_B, 0.9)], [0.5], mode=VOC12)
         assert report.categories["ship"][0.5].num_gt == num_gt
         assert report.map_by_threshold[0.5] == ap

@@ -84,8 +84,6 @@ SEQUENCES = [
     ("finite_diff_grad_check", "point",
      lambda s: finite_diff_grad_check(lambda p: 0.0, lambda p: [0.0] * len(p), s)),
     ("QuadPolygon", "quad vert", lambda s: QuadPolygon((s[:2], *SQUARE[1:]))),
-    ("QuadPolygon.from_points", "quad vert",
-     lambda s: QuadPolygon.from_points([s[:2], *SQUARE[1:]])),
     ("canonical_thresholds", "iou threshold", canonical_thresholds),
     ("evaluate", "iou threshold",
      lambda s: evaluate([GroundTruthRecord("im", BOX, "ship")], [], s)),
@@ -155,12 +153,10 @@ def test_fixed_length_argument_is_a_flat_sequence_of_that_length(name, call, val
         call(value)
 
 
-@pytest.mark.parametrize("build", [QuadPolygon, QuadPolygon.from_points],
-                         ids=["QuadPolygon", "from_points"])
 @pytest.mark.parametrize("points", NOT_PAIRS.values(), ids=NOT_PAIRS)
-def test_quad_points_are_xy_pairs(build, points):
+def test_quad_points_are_xy_pairs(points):
     with pytest.raises(InvalidInputError, match="^quad vert(ex|ices) must be a flat sequence"):
-        build(points)
+        QuadPolygon(points)
 
 
 @pytest.mark.parametrize("name, call, value, rule", [
@@ -231,8 +227,8 @@ def test_other_number_types_give_what_floats_give(kind):
     assert decode(AnglePrediction([zero, one, zero], one), MGAR3) == \
         decode(AnglePrediction([0.0, 1.0, 0.0], 1.0), MGAR3)
     assert encode(one, MGAR3).residual_target == encode(1.0, MGAR3).residual_target
-    assert QuadPolygon.from_points([(zero, zero), (one, zero), (one, one), (zero, one)]) == \
-        QuadPolygon.from_points([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    assert QuadPolygon([(zero, zero), (one, zero), (one, one), (zero, one)]) == \
+        QuadPolygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 
 
 def test_one_dimensional_arrays_are_flat_sequences():
