@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import anglekit.io_formats
 from anglekit import (AngleKitError, DegenerateQuadError, InvalidInputError, OrientedBox,
                       ParseError, QuadPolygon, convex_intersection_area, from_corners, longside,
-                      parse_annotation_file, rotated_iou, rotated_nms, to_corners)
+                      parse_annotation_file, parse_detections, rotated_iou, rotated_nms,
+                      to_corners)
 from anglekit.obb import _overlaps, _signed_area
 from helpers import (brute_force_min_rect_area, count_calls, count_clipped_pairs,
                      exact_intersection_area, mc_intersection_fraction, random_longside_box,
@@ -198,51 +199,71 @@ def rejection(call, *args):
     return type(info.value), str(info.value)
 
 
+# Points QuadPolygon rejects, with the error's type and message.
+QUAD_REJECTIONS = [
+    pytest.param([(0, 0), (1, 0), (1, 1)], DegenerateQuadError,
+                 "expected exactly 4 points", id="three"),
+    pytest.param([(0, 0), (1, 0), (1, 1), (0, 1), (2, 2)], DegenerateQuadError,
+                 "expected exactly 4 points", id="five"),
+    pytest.param([(0, 0), (1, 0), (1, 1), (NAN, 1)], InvalidInputError,
+                 "non-finite quad vertices", id="nan"),
+    pytest.param([(0, 0), (1, 0), (1, 1), (INF, 1)], InvalidInputError,
+                 "non-finite quad vertices", id="inf"),
+    pytest.param([(0, 0), (1, 0), (1, -INF), (0, 1)], InvalidInputError,
+                 "non-finite quad vertices", id="-inf"),
+    pytest.param([(INF, 0), (INF, 0), (1, 0), (1, 1)], InvalidInputError,
+                 "non-finite quad vertices", id="non-finite-before-duplicate"),
+    pytest.param([(0, 0), (1, 0), (0, 0), (1, 1)], DegenerateQuadError,
+                 "duplicate point (0.0, 0.0)", id="duplicate"),
+    pytest.param([(0, 0), (1, 1), (1, 1), (3, 3)], DegenerateQuadError,
+                 "duplicate point (1.0, 1.0)", id="duplicate-before-collinear"),
+    pytest.param([(0, 0), (1, 1), (2, 2), (3, 3)], DegenerateQuadError, NOT_CONVEX,
+                 id="collinear"),
+    pytest.param(list(SLIVER), DegenerateQuadError, NOT_CONVEX, id="sliver"),
+    pytest.param(list(SLIVER[::-1]), DegenerateQuadError, NOT_CONVEX, id="clockwise-sliver"),
+    pytest.param(list(DART), DegenerateQuadError, NOT_CONVEX, id="non-convex"),
+    pytest.param(list(DART[::-1]), DegenerateQuadError, NOT_CONVEX,
+                 id="clockwise-non-convex"),
+    pytest.param(list(HUGE), InvalidInputError, NOT_FINITE, id="inf-area"),
+    pytest.param(list(HUGE[::-1]), InvalidInputError, NOT_FINITE, id="clockwise-inf-area"),
+    pytest.param(list(DIAMOND), InvalidInputError, NOT_FINITE, id="nan-area"),
+    pytest.param(list(HUGE_DART), DegenerateQuadError, NOT_CONVEX,
+                 id="non-convex-before-inf-area"),
+    pytest.param(((0, 0), (1, 0), (1, 1), (0, NAN)), InvalidInputError,
+                 "non-finite quad vertices", id="nan-last"),
+    pytest.param(((0, 0), (1, 0), (INF, 1), (0, 1)), InvalidInputError,
+                 "non-finite quad vertices", id="inf-third"),
+    pytest.param(((0, 0), (0, 1), (1, 1), (-INF, 0)), InvalidInputError,
+                 "non-finite quad vertices", id="-inf-before-clockwise"),
+    pytest.param(((0, 0), (0, 0), (0, 0), (1, 1)), DegenerateQuadError,
+                 "duplicate point (0.0, 0.0)", id="thrice"),
+    pytest.param(((0, 0), (0, 0), (1, 0), (1, 1)), DegenerateQuadError,
+                 "duplicate point (0.0, 0.0)", id="triangle"),
+]
+
+
 class TestQuadValidation:
     """Which check rejects a quad, with which type and message, in which order."""
 
-    @pytest.mark.parametrize("points, error, message", [
-        pytest.param([(0, 0), (1, 0), (1, 1)], DegenerateQuadError,
-                     "expected exactly 4 points", id="three"),
-        pytest.param([(0, 0), (1, 0), (1, 1), (0, 1), (2, 2)], DegenerateQuadError,
-                     "expected exactly 4 points", id="five"),
-        pytest.param([(0, 0), (1, 0), (1, 1), (NAN, 1)], InvalidInputError,
-                     "non-finite quad vertices", id="nan"),
-        pytest.param([(0, 0), (1, 0), (1, 1), (INF, 1)], InvalidInputError,
-                     "non-finite quad vertices", id="inf"),
-        pytest.param([(0, 0), (1, 0), (1, -INF), (0, 1)], InvalidInputError,
-                     "non-finite quad vertices", id="-inf"),
-        pytest.param([(INF, 0), (INF, 0), (1, 0), (1, 1)], InvalidInputError,
-                     "non-finite quad vertices", id="non-finite-before-duplicate"),
-        pytest.param([(0, 0), (1, 0), (0, 0), (1, 1)], DegenerateQuadError,
-                     "duplicate point (0.0, 0.0)", id="duplicate"),
-        pytest.param([(0, 0), (1, 1), (1, 1), (3, 3)], DegenerateQuadError,
-                     "duplicate point (1.0, 1.0)", id="duplicate-before-collinear"),
-        pytest.param([(0, 0), (1, 1), (2, 2), (3, 3)], DegenerateQuadError, NOT_CONVEX,
-                     id="collinear"),
-        pytest.param(list(SLIVER), DegenerateQuadError, NOT_CONVEX, id="sliver"),
-        pytest.param(list(SLIVER[::-1]), DegenerateQuadError, NOT_CONVEX, id="clockwise-sliver"),
-        pytest.param(list(DART), DegenerateQuadError, NOT_CONVEX, id="non-convex"),
-        pytest.param(list(DART[::-1]), DegenerateQuadError, NOT_CONVEX,
-                     id="clockwise-non-convex"),
-        pytest.param(list(HUGE), InvalidInputError, NOT_FINITE, id="inf-area"),
-        pytest.param(list(HUGE[::-1]), InvalidInputError, NOT_FINITE, id="clockwise-inf-area"),
-        pytest.param(list(DIAMOND), InvalidInputError, NOT_FINITE, id="nan-area"),
-        pytest.param(list(HUGE_DART), DegenerateQuadError, NOT_CONVEX,
-                     id="non-convex-before-inf-area"),
-        pytest.param(((0, 0), (1, 0), (1, 1), (0, NAN)), InvalidInputError,
-                     "non-finite quad vertices", id="nan-last"),
-        pytest.param(((0, 0), (1, 0), (INF, 1), (0, 1)), InvalidInputError,
-                     "non-finite quad vertices", id="inf-third"),
-        pytest.param(((0, 0), (0, 1), (1, 1), (-INF, 0)), InvalidInputError,
-                     "non-finite quad vertices", id="-inf-before-clockwise"),
-        pytest.param(((0, 0), (0, 0), (0, 0), (1, 1)), DegenerateQuadError,
-                     "duplicate point (0.0, 0.0)", id="thrice"),
-        pytest.param(((0, 0), (0, 0), (1, 0), (1, 1)), DegenerateQuadError,
-                     "duplicate point (0.0, 0.0)", id="triangle"),
-    ])
+    @pytest.mark.parametrize("points, error, message", QUAD_REJECTIONS)
     def test_constructor_rejections(self, points, error, message):
         assert rejection(QuadPolygon, points) == (error, message)
+
+    @pytest.mark.parametrize("points, error, message",
+                             [case for case in QUAD_REJECTIONS if len(case.values[0]) == 4])
+    def test_dota_lines_give_the_constructor_message(self, tmp_path, points, error, message):
+        # Both DOTA line kinds run the constructor's quad rule on the same
+        # four points, so a strict parse fails at the line with its message.
+        xy = " ".join(repr(c) for point in points for c in point)
+        annotation = tmp_path / "P1.txt"
+        annotation.write_text(f"{xy} ship 0\n")
+        detections = tmp_path / "Task1_ship.txt"
+        detections.write_text(f"P1 0.9 {xy}\n")
+        for parse, path, file in ((parse_annotation_file, annotation, annotation),
+                                  (parse_detections, tmp_path, detections)):
+            with pytest.raises(ParseError) as info:
+                parse(path, strict=True)
+            assert str(info.value) == f"{file}:1: {message}"
 
     def test_from_points_results_are_pinned(self):
         # The vertices under float.hex, or the error's type and message, for
