@@ -9,6 +9,7 @@ ties break by image id, then input order.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -162,8 +163,9 @@ def _match(gts: Sequence[GroundTruthRecord], order: Sequence[int],
 def average_precision(recall: Sequence[float], precision: Sequence[float], mode: str) -> float:
     """Average precision of a PR curve with every value in [0, 1].
 
-    VOC07 averages the best precision at recall levels 0, 0.1, ..., 1.0;
-    VOC12 integrates the monotone envelope of the full curve.
+    Both modes read one monotone envelope, the best precision at each recall
+    or beyond: VOC07 averages it at recall levels 0, 0.1, ..., 1.0 (0 past
+    the last recall); VOC12 integrates it over the full curve.
     """
     rec, prec = _sequence(recall, "recall"), _sequence(precision, "precision")
     finite = _finite(rec + prec, "recall or precision")
@@ -178,16 +180,15 @@ def average_precision(recall: Sequence[float], precision: Sequence[float], mode:
     if not rec:
         return 0.0
 
-    # fsum keeps the result independent of accumulation order
-    if mode == VOC07:
-        # i / 10 is the closest double to each exact recall level
-        return math.fsum(max((p for r, p in zip(rec, prec) if r >= i / 10.0), default=0.0)
-                         for i in range(11)) / 11.0
-
-    mrec = [0.0, *rec, 1.0]
+    # mpre[k + 1] is the first of the greatest precisions from rec[k] on, and
+    # the padded 0.0 past the end; fsum keeps the result independent of order.
     mpre = [0.0, *prec, 0.0]
     for i in range(len(mpre) - 1, 0, -1):
         mpre[i - 1] = max(mpre[i - 1], mpre[i])
+    if mode == VOC07:
+        # i / 10 is the closest double to each exact recall level
+        return math.fsum(mpre[bisect_left(rec, i / 10.0) + 1] for i in range(11)) / 11.0
+    mrec = [0.0, *rec, 1.0]
     return math.fsum((mrec[i + 1] - mrec[i]) * mpre[i + 1]
                      for i in range(len(mrec) - 1) if mrec[i + 1] != mrec[i])
 

@@ -9,7 +9,9 @@ read. Writers are byte-deterministic.
 from __future__ import annotations
 
 import json
+import os
 import re
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 from .errors import InvalidInputError, ParseError, _finite
@@ -85,6 +87,14 @@ def _read_dota(path: Path, strict: bool, build, headers: bool = False) -> list:
     return records
 
 
+def _files(root: Path, pattern: str) -> list[Path]:
+    # A directory's own entries matching pattern that are not directories, in
+    # name order: what sorted(root.glob(pattern)) gives, less its subdirectories.
+    with os.scandir(root) as entries:
+        names = sorted(e.name for e in entries if fnmatchcase(e.name, pattern) and not e.is_dir())
+    return [root / name for name in names]
+
+
 def parse_annotation_file(path, strict: bool = True) -> list[GroundTruthRecord]:
     """Parse one annotation file: optional header lines, which are skipped,
     then one object per line as "x1 y1 x2 y2 x3 y3 x4 y4 category difficulty".
@@ -94,15 +104,15 @@ def parse_annotation_file(path, strict: bool = True) -> list[GroundTruthRecord]:
 
 
 def parse_annotation_dir(path, strict: bool = True) -> list[GroundTruthRecord]:
-    """Parse a directory's own *.txt files, not its subdirectories', into records.
+    """Parse a directory's own *.txt files, never a subdirectory, into records.
 
-    Files are read in path-sorted order, so the result is deterministic.
+    Files are read in name order, so the result is deterministic.
     """
     root = Path(path)
     if not root.is_dir():
         raise InvalidInputError(f"not a directory: {root}")
-    return [rec for file in sorted(root.glob("*.txt"))
-            for rec in parse_annotation_file(file, strict)]
+    return [rec for file in _files(root, "*.txt")
+            for rec in _read_dota(file, strict, _ground_truth, headers=True)]
 
 
 def _parse_detection_json(path: Path, strict: bool) -> list[DetectionRecord]:
@@ -138,7 +148,8 @@ def _parse_detection_json(path: Path, strict: bool) -> list[DetectionRecord]:
 
 
 def parse_detections(path, strict: bool = True) -> list[DetectionRecord]:
-    """Parse detections from a Task1_<category>.txt directory or a JSON file.
+    """Parse detections from a directory's own Task1_<category>.txt files, in
+    name order (a subdirectory is never read), or from a JSON file.
 
     Text lines read "image_id score x1 y1 ... y4"; quads are fitted to
     long-side boxes. The JSON format is the canonical normalized form
@@ -148,7 +159,7 @@ def parse_detections(path, strict: bool = True) -> list[DetectionRecord]:
     """
     path = Path(path)
     if path.is_dir():
-        files = sorted(path.glob("Task1_*.txt"))
+        files = _files(path, "Task1_*.txt")
         if not files:
             raise InvalidInputError(f"no Task1_*.txt files under {path}")
         return [rec for f in files for rec in _read_dota(f, strict, _task1_detection)]

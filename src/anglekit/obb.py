@@ -147,29 +147,6 @@ def _centred(pts) -> list:
     return [(x0 - cx, y0 - cy), (x1 - cx, y1 - cy), (x2 - cx, y2 - cy), (x3 - cx, y3 - cy)]
 
 
-def _float_points(points) -> tuple:
-    # Four (x, y) points of finite numbers as float pairs. Points that do not
-    # unpack so, or a bytes point (which unpacks into ints), are read through
-    # _sequence for the error; another count is a DegenerateQuadError.
-    try:
-        p0, p1, p2, p3 = points
-        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = p0, p1, p2, p3
-        if isinstance(p0, bytes) or isinstance(p1, bytes) or isinstance(p2, bytes) \
-                or isinstance(p3, bytes):
-            raise TypeError
-    except (TypeError, ValueError):
-        points = _sequence(points, "quad vertices", of="(x, y) points")
-        if len(points) != 4:
-            raise DegenerateQuadError("expected exactly 4 points") from None
-        for point in points:
-            _sequence(point, "quad vertex", 2)
-        raise
-    if not _finite((x0, y0, x1, y1, x2, y2, x3, y3), "quad vertex"):
-        raise InvalidInputError("non-finite quad vertices")
-    return ((float(x0), float(y0)), (float(x1), float(y1)),
-            (float(x2), float(y2)), (float(x3), float(y3)))
-
-
 @dataclass(frozen=True)
 class QuadPolygon:
     """Convex quadrilateral with vertices in counter-clockwise order.
@@ -187,7 +164,16 @@ class QuadPolygon:
     vertices: tuple[Point, Point, Point, Point]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", _ccw(_float_points(self.vertices)).vertices)
+        # Four (x, y) points, read by the number rule, as float pairs.
+        points = _sequence(self.vertices, "quad vertices", of="(x, y) points")
+        if len(points) != 4:
+            raise DegenerateQuadError("expected exactly 4 points")
+        xy = tuple(c for point in points for c in _sequence(point, "quad vertex", 2))
+        if not _finite(xy, "quad vertex"):
+            raise InvalidInputError("non-finite quad vertices")
+        x0, y0, x1, y1, x2, y2, x3, y3 = map(float, xy)
+        object.__setattr__(self, "vertices",
+                           _ccw(((x0, y0), (x1, y1), (x2, y2), (x3, y3))).vertices)
 
 
 def _quad_fault(pts: tuple, centred: list, area: float) -> bool:

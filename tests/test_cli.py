@@ -535,6 +535,16 @@ class TestPinnedOutput:
         result = run_cli(capsys, "nms", "--detections", det, "--threshold", "0.5")
         assert result == (0, self.NMS_OUT[source], "")
 
+    def test_a_subdirectory_named_like_an_input_file_is_skipped(self, capsys, tmp_path):
+        gt_dir, _, task1_dir = pinned_fixture(tmp_path)
+        (gt_dir / "sub.txt").mkdir()
+        (task1_dir / "Task1_x.txt").mkdir()
+        result = run_cli(capsys, "eval", "--gt", str(gt_dir), "--det", str(task1_dir),
+                         "--nms", "0.5")
+        assert result == (0, self.EVAL_OUT, "")
+        result = run_cli(capsys, "nms", "--detections", str(task1_dir), "--threshold", "0.5")
+        assert result == (0, self.NMS_OUT["task1"], "")
+
     # sha256 of `codec-report` stdout over every method at a 0.1-degree grid
     # (the bench's codec-sweep argv, in its default method order).
     CODEC_REPORT_SHA256 = {

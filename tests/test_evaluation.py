@@ -1,4 +1,5 @@
 import math
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -211,6 +212,26 @@ class TestMatchThresholdRule:
         assert match_detections(*exact, 1.004).tp == (True,)
 
 
+def rescanned_voc07(rec, prec):
+    # VOC07 as a rescan of the whole curve at each recall level, the form
+    # average_precision took before both modes read one envelope.
+    return math.fsum(max((p for r, p in zip(rec, prec) if r >= i / 10.0), default=0.0)
+                     for i in range(11)) / 11.0
+
+
+def seeded_curves(seed=40, count=3000):
+    # PR curves of 0-59 points. About 30% hold recalls rounded to one decimal,
+    # so points sit on the levels, and precisions repeat, -0.0 included.
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(60)
+        rec = sorted(rng.random() for _ in range(n))
+        if rng.random() < 0.3:
+            rec = [round(r, 1) for r in rec]
+        yield rec, [rng.choice((0.0, -0.0, 0.5, 1.0)) if rng.random() < 0.4 else rng.random()
+                    for _ in range(n)]
+
+
 class TestAveragePrecision:
     def test_perfect_detector(self):
         assert average_precision([1.0], [1.0], VOC07) == pytest.approx(1.0)
@@ -251,6 +272,18 @@ class TestAveragePrecision:
     def test_unit_interval_ends_are_accepted(self):
         assert average_precision([0.0, 1.0], [1.0, 0.0], VOC12) == 0.0
         assert average_precision([0.0, 1.0], [1.0, 0.0], VOC07) == pytest.approx(1 / 11)
+
+    def test_voc07_reads_the_envelope_bit_for_bit_as_a_rescan(self):
+        for rec, prec in seeded_curves():
+            assert average_precision(rec, prec, VOC07).hex() == rescanned_voc07(rec, prec).hex()
+
+    @pytest.mark.parametrize("mode", [VOC07, VOC12])
+    @pytest.mark.parametrize("rec, prec", [
+        ([0.5, 1.0], [-0.0, -0.0]), ([1.0], [-0.0]), ([0.2, 0.6], [-0.0, 0.0]),
+        ([0.2, 0.6], [0.0, -0.0]), ([0.0, 0.0], [-0.0, 0.0]), ([0.3, 0.3], [0.0, -0.0]),
+    ])
+    def test_negative_zero_precisions_score_plus_zero(self, rec, prec, mode):
+        assert average_precision(rec, prec, mode).hex() == "0x0.0p+0"
 
 
 def three_category_fixture(seed=51, n_images=4):

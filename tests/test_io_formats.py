@@ -288,6 +288,37 @@ class TestParseDetections:
             parse_detections(path)
 
 
+class TestDirectoryListing:
+    """A parser reads its directory's own files whose names match, in name
+    order; a subdirectory is never read, whatever its name."""
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_a_subdirectory_named_like_a_file_changes_no_record(self, tmp_path, strict):
+        gt, dets = tmp_path / "gt", tmp_path / "dets"
+        for root, name, text in ((gt, "P1.txt", ANNOTATION_TEXT), (gt, "P2.txt", ANNOTATION_TEXT),
+                                 (dets, "Task1_ship.txt", TASK1_TEXT)):
+            root.mkdir(exist_ok=True)
+            (root / name).write_text(text)
+        before = parse_annotation_dir(gt, strict), parse_detections(dets, strict)
+        for sub in (gt / "P15.txt", gt / "sub.txt", dets / "Task1_plane.txt"):
+            sub.mkdir()
+            (sub / "P3.txt").write_text(ANNOTATION_TEXT)
+            (sub / "Task1_ship.txt").write_text(TASK1_TEXT)
+        assert (parse_annotation_dir(gt, strict), parse_detections(dets, strict)) == before
+        assert [r.image_id for r in before[0]] == ["P1", "P1", "P2", "P2"]
+
+    def test_names_match_as_a_case_sensitive_glob_that_takes_dotfiles(self, tmp_path):
+        for name in ("b.txt", ".a.txt", "c.TXT", "a.txt.bak", "Task1_x.txt", "A.txt"):
+            (tmp_path / name).write_text("0 0 2 0 2 1 0 1 ship 0\n")
+        assert [r.image_id for r in parse_annotation_dir(tmp_path)] == \
+            [".a", "A", "Task1_x", "b"]
+
+    def test_a_task1_directory_of_directories_has_no_task1_files(self, tmp_path):
+        (tmp_path / "Task1_ship.txt").mkdir()
+        with pytest.raises(InvalidInputError, match="^no Task1_\\*.txt files under"):
+            parse_detections(tmp_path)
+
+
 
 ANNOTATION_TEXT = "gsd:0.5\n0 0 2 0 2 1 0 1 ship 0\n10 0 14 0 14 2 10 2 ship 0\n"
 TASK1_TEXT = "P1 0.9 0 0 2 0 2 1 0 1\nP1 0.4 10 0 14 0 14 2 10 2\n"

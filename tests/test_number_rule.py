@@ -109,6 +109,35 @@ NOT_PAIRS = {"three-coordinates": [(0, 0, 0), *SQUARE[1:]], "one-coordinate": [(
              "bytes-point": [b"\x00\x00", *SQUARE[1:]]}
 NOT_NUMBERS = {"str": "0.5", "bytes": b"0.5", "None": None, "str-in-list": ["0.5"],
                "numbers-in-list": [0.5, 0.5]}
+# Inputs QuadPolygon reads, each made fresh (a generator or iterator reads
+# once), with its vertices or its error's type and message. A str point is
+# text, not a sequence of two numbers, as a bytes point is.
+FLOAT_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+NOT_A_PAIR = "quad vertex must be a flat sequence of numbers of length 2, got "
+NOT_POINTS = "quad vertices must be a flat sequence of (x, y) points, got "
+QUAD_INPUTS = {
+    "tuple": (lambda: SQUARE, FLOAT_SQUARE),
+    "list": (lambda: [list(p) for p in SQUARE], FLOAT_SQUARE),
+    "generator": (lambda: (p for p in SQUARE), FLOAT_SQUARE),
+    "numpy-array": (lambda: np.array(SQUARE, dtype=float), FLOAT_SQUARE),
+    "numpy-scalars": (lambda: [tuple(map(np.float64, p)) for p in SQUARE], FLOAT_SQUARE),
+    "fraction": (lambda: [tuple(map(Fraction, p)) for p in SQUARE], FLOAT_SQUARE),
+    "bools": (lambda: [tuple(map(bool, p)) for p in SQUARE], FLOAT_SQUARE),
+    "dict-of-points": (lambda: dict.fromkeys(SQUARE), FLOAT_SQUARE),
+    "iterator-points": (lambda: [iter(p) for p in SQUARE], FLOAT_SQUARE),
+    "bytes-point": (lambda: [b"\x00\x00", *SQUARE[1:]], NOT_A_PAIR + "b'\\x00\\x00'"),
+    "str-point": (lambda: ["ab", *SQUARE[1:]], NOT_A_PAIR + "'ab'"),
+    "text": (lambda: "abcd", NOT_POINTS + "'abcd'"),
+    "None": (lambda: None, NOT_POINTS + "None"),
+    "int": (lambda: 4, NOT_POINTS + "4"),
+    "one-coordinate": (lambda: [(0,), *SQUARE[1:]], NOT_A_PAIR + "(0,)"),
+    "three-coordinates": (lambda: [(0, 0, 0), *SQUARE[1:]], NOT_A_PAIR + "(0, 0, 0)"),
+    "nested-coordinate": (lambda: [((0,), 0), *SQUARE[1:]],
+                          "quad vertex must be a number, got (0,)"),
+    "str-element": (lambda: [("0", 0), *SQUARE[1:]], "quad vertex must be a number, got '0'"),
+    "1e400": (lambda: [(10**400, 0), *SQUARE[1:]], "non-finite quad vertices"),
+    "complex": (lambda: [(1j, 0), *SQUARE[1:]], "quad vertex must be a number, got 1j"),
+}
 # Ints past float range; an integer argument takes a positive one as an integer.
 HUGE = {"1e400": 10**400, "-1e400": -10**400, "1e5000": 10**5000}
 # None means no regression output, or the default bin count.
@@ -157,6 +186,17 @@ def test_fixed_length_argument_is_a_flat_sequence_of_that_length(name, call, val
 def test_quad_points_are_xy_pairs(points):
     with pytest.raises(InvalidInputError, match="^quad vert(ex|ices) must be a flat sequence"):
         QuadPolygon(points)
+
+
+@pytest.mark.parametrize("make, expected", QUAD_INPUTS.values(), ids=QUAD_INPUTS)
+def test_quad_input_reads_as_pinned(make, expected):
+    if isinstance(expected, str):  # an error message
+        with pytest.raises(InvalidInputError) as info:
+            QuadPolygon(make())
+        assert (type(info.value), str(info.value)) == (InvalidInputError, expected)
+    else:
+        vertices = QuadPolygon(make()).vertices
+        assert vertices == expected and {type(c) for p in vertices for c in p} == {float}
 
 
 @pytest.mark.parametrize("name, call, value, rule", [
