@@ -8,8 +8,8 @@ __version__ = "0.1.0"
 # from its home on first use (PEP 562), so `import anglekit.obb` loads no loss code.
 _HOMES = {
     "errors": "AngleKitError DegenerateQuadError InvalidInputError ParseError",
-    "obb": "AxisAlignedBox OrientedBox QuadPolygon convex_intersection_area from_corners "
-           "longside rotated_iou rotated_nms to_corners",
+    "obb": "OrientedBox QuadPolygon convex_intersection_area from_corners longside rotated_iou "
+           "rotated_nms to_corners",
     "codecs": "AnglePrediction AngleTarget CodecConfig FitFunction Method analytic_errors "
               "decode empirical_errors encode head_thickness ideal_prediction omega",
     "losses": "AnchorBox AssignedSample BoxDeltas LossBreakdown LossWeights cross_entropy "
@@ -19,8 +19,7 @@ _HOMES = {
     "evaluation": "COCO_THRESHOLDS VOC07 VOC12 CategoryThresholdResult DetectionRecord "
                   "EvalReport GroundTruthRecord MatchResult average_precision evaluate "
                   "match_detections",
-    "io_formats": "parse_annotation_dir parse_annotation_file parse_detections "
-                  "write_detections write_report",
+    "io_formats": "parse_annotation_dir parse_detections write_detections write_report",
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names.split()}
 __all__ = list(_HOME_OF)

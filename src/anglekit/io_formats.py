@@ -95,18 +95,14 @@ def _files(root: Path, pattern: str) -> list[Path]:
     return [root / name for name in names]
 
 
-def parse_annotation_file(path, strict: bool = True) -> list[GroundTruthRecord]:
-    """Parse one annotation file: optional header lines, which are skipped,
-    then one object per line as "x1 y1 x2 y2 x3 y3 x4 y4 category difficulty".
-
-    The image id is the file stem; quads are fitted to long-side boxes."""
-    return _read_dota(Path(path), strict, _ground_truth, headers=True)
-
-
 def parse_annotation_dir(path, strict: bool = True) -> list[GroundTruthRecord]:
     """Parse a directory's own *.txt files, never a subdirectory, into records.
 
-    Files are read in name order, so the result is deterministic.
+    Each file is one image, whose id is the file stem. Blank lines and
+    header lines (starting imagesource: or gsd:, in any case) are skipped;
+    every other line is one object, "x1 y1 x2 y2 x3 y3 x4 y4 category
+    difficulty", its quad fitted to a long-side box. Files are read in name
+    order, so the result is deterministic.
     """
     root = Path(path)
     if not root.is_dir():

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from .codecs import _DCL_METHODS, AnglePrediction, CodecConfig, _angle, _bin_from_scores, _target
 from .errors import (InvalidInputError, _check_box, _finite, _finite_floats, _integer, _sequence,
                      _shown)
-from .obb import AxisAlignedBox, OrientedBox, _axis_box, _box_rule, _long_side, _pair_iou, _prepare
+from .obb import OrientedBox, _box_rule, _long_side, _pair_iou, _prepare
 
 FOCAL_ALPHA = 0.25
 FOCAL_GAMMA = 2.0
@@ -30,8 +30,27 @@ _IOU_FLOOR = 1e-6
 # Central-difference step of the gradient checker.
 _FD_STEP = 1e-6
 
-# The prior box the deltas are regressed against.
-AnchorBox = AxisAlignedBox
+
+@dataclass(frozen=True)
+class AnchorBox:
+    """Axis-aligned prior box, center plus width/height, that deltas are regressed against."""
+
+    cx: float
+    cy: float
+    w: float
+    h: float
+
+    def __post_init__(self):
+        _axis_box(self.cx, self.cy, self.w, self.h)
+
+
+def _axis_box(cx, cy, w, h) -> tuple:
+    # AnchorBox's rule on its four numbers: them, or its constructor's error.
+    if not _finite((cx, cy, w, h), "box parameter"):
+        raise InvalidInputError("non-finite box parameters")
+    if w <= 0 or h <= 0:
+        raise InvalidInputError(f"box sides must be positive, got w={w}, h={h}")
+    return cx, cy, w, h
 
 
 @dataclass(frozen=True)
@@ -122,16 +141,16 @@ def encode_box_deltas(box: OrientedBox | AnchorBox, anchor: AnchorBox) -> BoxDel
     )
 
 
-def decode_box_deltas(deltas: BoxDeltas, anchor: AnchorBox) -> AxisAlignedBox:
+def decode_box_deltas(deltas: BoxDeltas, anchor: AnchorBox) -> AnchorBox:
     """Exact inverse of encode_box_deltas; log-scales that overflow are an input error."""
     _check_box("deltas", deltas, kind=BoxDeltas)
     if not isinstance(anchor, AnchorBox):
         raise InvalidInputError(f"anchor must be an AnchorBox, got {_shown(anchor, repr)}")
-    return AxisAlignedBox(*_decoded(deltas, anchor))
+    return AnchorBox(*_decoded(deltas, anchor))
 
 
 def _decoded(deltas: BoxDeltas, anchor: AnchorBox) -> tuple:
-    # (cx, cy, w, h) of built deltas on a built anchor, before AxisAlignedBox's rule.
+    # (cx, cy, w, h) of built deltas on a built anchor, before AnchorBox's rule.
     try:
         w, h = anchor.w * math.exp(deltas.dw), anchor.h * math.exp(deltas.dh)
     except OverflowError:
@@ -284,7 +303,7 @@ def _axis_spans(pc: float, ps: float, tc: float, ts: float):
 
 def _giou_terms(pred: Sequence[float], target: Sequence[float]):
     # The _giou_areas of two (cx, cy, w, h) boxes, each read as a flat sequence
-    # of 4 numbers and checked first by AxisAlignedBox's rule, with its errors.
+    # of 4 numbers and checked first by AnchorBox's rule, with its errors.
     pred, target = _sequence(pred, "pred box", 4), _sequence(target, "target box", 4)
     return _giou_areas(*_axis_box(*pred), *_axis_box(*target))
 
@@ -347,7 +366,7 @@ def multitask_loss(samples: Sequence[AssignedSample], weights: LossWeights,
     when it is built. Its terms then go through the same kernels as the
     public losses, encode and decode, with only the checks a built sample
     can still fail, raising the same errors. The decoded box stays plain
-    numbers: it meets AxisAlignedBox's rule, then, in long-side form,
+    numbers: it meets AnchorBox's rule, then, in long-side form,
     OrientedBox's box rule, the kernel that the constructor runs, and no
     box object is built.
     """

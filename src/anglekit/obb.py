@@ -89,28 +89,6 @@ def _long_side(w, h, theta) -> tuple:
     return (h, w, theta + 90.0) if w < h else (w, h, theta)
 
 
-@dataclass(frozen=True)
-class AxisAlignedBox:
-    """Axis-aligned box as center plus width/height."""
-
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        _axis_box(self.cx, self.cy, self.w, self.h)
-
-
-def _axis_box(cx, cy, w, h) -> tuple:
-    # AxisAlignedBox's rule on its four numbers: them, or its constructor's error.
-    if not _finite((cx, cy, w, h), "box parameter"):
-        raise InvalidInputError("non-finite box parameters")
-    if w <= 0 or h <= 0:
-        raise InvalidInputError(f"box sides must be positive, got w={w}, h={h}")
-    return cx, cy, w, h
-
-
 def _signed_area(vertices: Sequence[Point]) -> float:
     # Shoelace sum from the closing edge on; one or two vertices give exactly 0.
     total = 0.0

@@ -620,8 +620,8 @@ def test_star_import_binds_no_module():
 # Each module anglekit exports from, and its public names in `__all__` order.
 PUBLIC_HOMES = {
     "errors": ["AngleKitError", "DegenerateQuadError", "InvalidInputError", "ParseError"],
-    "obb": ["AxisAlignedBox", "OrientedBox", "QuadPolygon", "convex_intersection_area",
-            "from_corners", "longside", "rotated_iou", "rotated_nms", "to_corners"],
+    "obb": ["OrientedBox", "QuadPolygon", "convex_intersection_area", "from_corners",
+            "longside", "rotated_iou", "rotated_nms", "to_corners"],
     "codecs": ["AnglePrediction", "AngleTarget", "CodecConfig", "FitFunction", "Method",
                "analytic_errors", "decode", "empirical_errors", "encode", "head_thickness",
                "ideal_prediction", "omega"],
@@ -633,8 +633,8 @@ PUBLIC_HOMES = {
     "evaluation": ["COCO_THRESHOLDS", "VOC07", "VOC12", "CategoryThresholdResult",
                    "DetectionRecord", "EvalReport", "GroundTruthRecord", "MatchResult",
                    "average_precision", "evaluate", "match_detections"],
-    "io_formats": ["parse_annotation_dir", "parse_annotation_file", "parse_detections",
-                   "write_detections", "write_report"],
+    "io_formats": ["parse_annotation_dir", "parse_detections", "write_detections",
+                   "write_report"],
 }
 
 
@@ -654,6 +654,16 @@ class TestNamespace:
             anglekit.nope
         with pytest.raises(ImportError, match="nope"):
             from anglekit import nope  # noqa: F401
+
+    # Names retired with no alias: AnchorBox is the one anchor-box class, and
+    # parse_annotation_dir the one annotation reader.
+    @pytest.mark.parametrize("module, name", [
+        ("anglekit", "AxisAlignedBox"), ("anglekit.obb", "AxisAlignedBox"),
+        ("anglekit.obb", "_axis_box"), ("anglekit", "parse_annotation_file"),
+        ("anglekit.io_formats", "parse_annotation_file")])
+    def test_retired_names_raise(self, module, name):
+        with pytest.raises(AttributeError, match=f"'{name}'"):
+            getattr(importlib.import_module(module), name)
 
     def test_modules_resolve_after_a_bare_import(self):
         proc = run_python(

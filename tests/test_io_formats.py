@@ -11,8 +11,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from anglekit import (DetectionRecord, GroundTruthRecord, InvalidInputError, OrientedBox,
-                      ParseError, evaluate, parse_annotation_dir, parse_annotation_file,
-                      parse_detections, rotated_iou, to_corners, write_detections, write_report)
+                      ParseError, evaluate, parse_annotation_dir, parse_detections,
+                      rotated_iou, to_corners, write_detections, write_report)
 import anglekit.io_formats
 from helpers import count_calls, seeded_quads
 
@@ -85,7 +85,7 @@ class TestParseAnnotations:
     def test_axis_aligned_line(self, tmp_path):
         path = tmp_path / "P1.txt"
         path.write_text("0 0 2 0 2 1 0 1 ship 0\n")
-        records = parse_annotation_file(path)
+        records = parse_annotation_dir(tmp_path)
         assert len(records) == 1
         assert records[0].image_id == "P1"
         assert records[0].category == "ship"
@@ -94,7 +94,7 @@ class TestParseAnnotations:
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "P2.txt"
         path.write_text("imagesource:GoogleEarth\ngsd:1.2\n")
-        assert parse_annotation_file(path) == []
+        assert parse_annotation_dir(tmp_path) == []
 
     def test_fixture_directory_matches_manifest(self, annotation_dir):
         records = parse_annotation_dir(annotation_dir)
@@ -115,32 +115,33 @@ class TestParseAnnotations:
         path = tmp_path / "bad.txt"
         path.write_text("0 0 2 0 2 1 0 1 ship\n")
         with pytest.raises(ParseError) as info:
-            parse_annotation_file(path, strict=True)
+            parse_annotation_dir(tmp_path, strict=True)
         assert "bad.txt" in str(info.value)
         assert ":1:" in str(info.value)
 
     def test_malformed_line_lenient_skips(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("junk line\n0 0 2 0 2 1 0 1 ship 0\nnot enough fields\n")
-        assert len(parse_annotation_file(path, strict=False)) == 1
+        assert len(parse_annotation_dir(tmp_path, strict=False)) == 1
 
     def test_degenerate_quad_reports_location(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 0 1 1 2 2 3 3 ship 0\n")
         with pytest.raises(ParseError) as info:
-            parse_annotation_file(path)
+            parse_annotation_dir(tmp_path)
         assert "bad.txt:1:" in str(info.value)
 
     def test_whitespace_tolerant(self, tmp_path):
         path = tmp_path / "P3.txt"
         path.write_text("0  0\t2 0 2   1 0 1\tship\t0\n")
-        assert len(parse_annotation_file(path)) == 1
+        assert len(parse_annotation_dir(tmp_path)) == 1
 
-    @pytest.mark.parametrize("parse", [parse_annotation_file, parse_annotation_dir])
-    def test_unfittable_quad_strict_names_its_line(self, overflow_dir, parse):
-        target = overflow_dir / "P1.txt" if parse is parse_annotation_file else overflow_dir
+    @pytest.mark.parametrize("one_file", [True, False], ids=["one-file", "two-files"])
+    def test_unfittable_quad_strict_names_its_line(self, overflow_dir, one_file):
+        if one_file:
+            (overflow_dir / "P2.txt").unlink()
         with pytest.raises(ParseError) as info:
-            parse(target, strict=True)
+            parse_annotation_dir(overflow_dir, strict=True)
         assert "P1.txt:2:" in str(info.value)
         assert "box area exceeds half the float maximum" in str(info.value)
 
@@ -154,9 +155,9 @@ class TestParseAnnotations:
         path = tmp_path / "P1.txt"
         path.write_text("0 0 2 0 2 1 0 1 ship 0\n0 0 1e200 0 1e200 1e200 0 1e200 plane 0\n")
         with pytest.raises(ParseError) as info:
-            parse_annotation_file(path)
+            parse_annotation_dir(tmp_path)
         assert str(info.value).endswith("P1.txt:2: quad area is not finite")
-        assert [r.category for r in parse_annotation_file(path, strict=False)] == ["ship"]
+        assert [r.category for r in parse_annotation_dir(tmp_path, strict=False)] == ["ship"]
         assert "P1.txt:2: quad area is not finite (skipped)" in caplog.text
 
     def test_not_a_directory(self, tmp_path):
@@ -169,9 +170,9 @@ class TestParseAnnotations:
         path.write_text(f"0 0 2 0 2 1 0 1 ship 1\n0 0 2 0 2 1 0 1 ship {flag}\n"
                         "0 0 2 0 2 1 0 1 ship 0\n")
         with pytest.raises(ParseError) as info:
-            parse_annotation_file(path)
+            parse_annotation_dir(tmp_path)
         assert str(info.value).endswith(f"P1.txt:2: difficult must be 0 or 1, got {flag}")
-        records = parse_annotation_file(path, strict=False)
+        records = parse_annotation_dir(tmp_path, strict=False)
         assert [r.difficult for r in records] == [True, False]
         assert all(type(r.difficult) is bool for r in records)
         assert f"P1.txt:2: difficult must be 0 or 1, got {flag} (skipped)" in caplog.text
@@ -334,9 +335,9 @@ class TestLineEndingsAndBytes:
     @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
     def test_dota_text_files_end_lines_at_cr_and_crlf(self, tmp_path, newline):
         def parse_both(root, newline):
-            gt = write_bytes(root, "P1.txt", ANNOTATION_TEXT.replace("\n", newline).encode())
             write_bytes(root, "Task1_ship.txt", TASK1_TEXT.replace("\n", newline).encode())
-            return parse_annotation_file(gt), parse_detections(root)
+            gt = write_bytes(root / "gt", "P1.txt", ANNOTATION_TEXT.replace("\n", newline).encode())
+            return parse_annotation_dir(gt.parent), parse_detections(root)
 
         lf = parse_both(tmp_path / "lf", "\n")
         other = parse_both(tmp_path / "other", newline)
@@ -352,9 +353,9 @@ class TestLineEndingsAndBytes:
         data = data.replace(b"gsd:0.5", b"gsd:0.5\xb5m")
         path = write_bytes(tmp_path, "P1.txt", data)
         with pytest.raises(ParseError) as info:
-            parse_annotation_file(path)
+            parse_annotation_dir(tmp_path)
         assert str(info.value).endswith("P1.txt:2: byte 0xff is not UTF-8")
-        assert [r.box.cx for r in parse_annotation_file(path, strict=False)] == [12.0]
+        assert [r.box.cx for r in parse_annotation_dir(tmp_path, strict=False)] == [12.0]
         assert "P1.txt:2: byte 0xff is not UTF-8 (skipped)" in caplog.text
 
     def test_task1_line_that_is_not_utf8_is_located(self, tmp_path, caplog):

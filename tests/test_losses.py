@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import anglekit.losses
-from anglekit import (AnchorBox, AnglePrediction, AssignedSample, AxisAlignedBox, BoxDeltas,
+from anglekit import (AnchorBox, AnglePrediction, AssignedSample, BoxDeltas,
                       CodecConfig, FitFunction, InvalidInputError, LossWeights, Method,
                       OrientedBox, cross_entropy, cross_entropy_grad,
                       decode_box_deltas, encode, encode_box_deltas, finite_diff_grad_check,
@@ -20,11 +20,11 @@ class TestBoxDeltas:
     ANCHOR = AnchorBox(10.0, 20.0, 4.0, 2.0)
 
     def test_identity(self):
-        deltas = encode_box_deltas(AxisAlignedBox(10.0, 20.0, 4.0, 2.0), self.ANCHOR)
+        deltas = encode_box_deltas(AnchorBox(10.0, 20.0, 4.0, 2.0), self.ANCHOR)
         assert (deltas.dx, deltas.dy, deltas.dw, deltas.dh) == (0.0, 0.0, 0.0, 0.0)
 
     def test_log_scale(self):
-        deltas = encode_box_deltas(AxisAlignedBox(10.0, 20.0, 4.0 * math.e, 2.0), self.ANCHOR)
+        deltas = encode_box_deltas(AnchorBox(10.0, 20.0, 4.0 * math.e, 2.0), self.ANCHOR)
         assert deltas.dw == pytest.approx(1.0, abs=1e-12)
 
     def test_accepts_oriented_boxes(self):
@@ -36,7 +36,7 @@ class TestBoxDeltas:
         rng = np.random.default_rng(4)
         for _ in range(100):
             anchor = AnchorBox(*rng.uniform(-5, 5, size=2), *rng.uniform(0.5, 6, size=2))
-            box = AxisAlignedBox(*rng.uniform(-5, 5, size=2), *rng.uniform(0.5, 6, size=2))
+            box = AnchorBox(*rng.uniform(-5, 5, size=2), *rng.uniform(0.5, 6, size=2))
             back = decode_box_deltas(encode_box_deltas(box, anchor), anchor)
             assert back.cx == pytest.approx(box.cx, abs=1e-10)
             assert back.cy == pytest.approx(box.cy, abs=1e-10)
@@ -53,14 +53,11 @@ class TestBoxDeltas:
         with pytest.raises(InvalidInputError, match="box deltas overflow"):
             decode_box_deltas(deltas, AnchorBox(0, 0, 4, 2))
 
-    def test_anchor_is_the_axis_aligned_box(self):
-        assert AnchorBox is AxisAlignedBox
-
     @pytest.mark.parametrize("value", [(10, 20, 4, 2), None,
                                        SimpleNamespace(cx=0, cy=0, w=0, h=1)],
                              ids=["tuple", "None", "zero-width-fields"])
     def test_take_built_boxes_only(self, value):
-        box = AxisAlignedBox(10.0, 20.0, 4.0, 2.0)
+        box = AnchorBox(10.0, 20.0, 4.0, 2.0)
         with pytest.raises(InvalidInputError, match="^box must be an OrientedBox or AnchorBox"):
             encode_box_deltas(value, self.ANCHOR)
         with pytest.raises(InvalidInputError, match="^anchor must be an AnchorBox"):
@@ -445,7 +442,7 @@ class TestMultitaskLossOracle:
             count_calls(monkeypatch, name, anglekit.losses)
             for name in ("_box_rule", "_prepare", "_pair_iou", "_check_box")]
         built = [count_calls(monkeypatch, "__post_init__", cls)
-                 for cls in (OrientedBox, AxisAlignedBox)]
+                 for cls in (OrientedBox, AnchorBox)]
         # The input checks of the public losses: the loss reads the samples
         # argument once and runs none of them per sample.
         rechecks = [count_calls(monkeypatch, name, anglekit.losses)
@@ -658,7 +655,7 @@ class TestMultitaskLoss:
 
     @pytest.mark.parametrize("change", [
         {"pred_angle": ((0.0, 0.0, 0.0), 1.0)},
-        {"gt_box": AxisAlignedBox(10.0, 20.0, 6.0, 2.0)},
+        {"gt_box": AnchorBox(10.0, 20.0, 6.0, 2.0)},
     ], ids=["angle-tuple", "axis-aligned-gt"])
     def test_rejects_untyped_angle_or_ground_truth(self, change):
         with pytest.raises(InvalidInputError, match="pred_angle must be an AnglePrediction"):

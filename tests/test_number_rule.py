@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from anglekit import (AnchorBox, AnglePrediction, AssignedSample, AxisAlignedBox, BoxDeltas,
+from anglekit import (AnchorBox, AnglePrediction, AssignedSample, BoxDeltas,
                       CodecConfig, DetectionRecord, GroundTruthRecord, InvalidInputError,
                       LossWeights, OrientedBox, QuadPolygon, average_precision, cross_entropy,
                       decode, empirical_errors, encode, evaluate, finite_diff_grad_check,
@@ -57,7 +57,7 @@ FLAGS = [
 # and in one test whole.
 SCALARS = LOSS_SCALARS + FLAGS + [
     ("OrientedBox", "box parameter", lambda v: OrientedBox(0, v, 2, 1, 0)),
-    ("AxisAlignedBox", "box parameter", lambda v: AxisAlignedBox(0, 0, v, 1)),
+    ("AnchorBox", "box parameter", lambda v: AnchorBox(0, 0, v, 1)),
     ("BoxDeltas", "box delta", lambda v: BoxDeltas(0, 0, v, 0)),
     ("LossWeights", "loss weight", lambda v: LossWeights(angle_reg=v)),
     ("AssignedSample.pred_confidence", "confidence logit", lambda v: sample(confidence=v)),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import anglekit.io_formats
 from anglekit import (AngleKitError, DegenerateQuadError, InvalidInputError, OrientedBox,
                       ParseError, QuadPolygon, convex_intersection_area, from_corners, longside,
-                      parse_annotation_file, parse_detections, rotated_iou, rotated_nms,
+                      parse_annotation_dir, parse_detections, rotated_iou, rotated_nms,
                       to_corners)
 from anglekit.obb import _overlaps, _signed_area
 from helpers import (brute_force_min_rect_area, count_calls, count_clipped_pairs,
@@ -255,11 +255,12 @@ class TestQuadValidation:
         # Both DOTA line kinds run the constructor's quad rule on the same
         # four points, so a strict parse fails at the line with its message.
         xy = " ".join(repr(c) for point in points for c in point)
-        annotation = tmp_path / "P1.txt"
+        (tmp_path / "gt").mkdir()
+        annotation = tmp_path / "gt" / "P1.txt"
         annotation.write_text(f"{xy} ship 0\n")
         detections = tmp_path / "Task1_ship.txt"
         detections.write_text(f"P1 0.9 {xy}\n")
-        for parse, path, file in ((parse_annotation_file, annotation, annotation),
+        for parse, path, file in ((parse_annotation_dir, annotation.parent, annotation),
                                   (parse_detections, tmp_path, detections)):
             with pytest.raises(ParseError) as info:
                 parse(path, strict=True)
@@ -349,11 +350,12 @@ def rectangle_corners(w, h):
     return ((w / 2, h / 2), (-w / 2, h / 2), (-w / 2, -h / 2), (w / 2, -h / 2))
 
 
-def quad_verdicts(points, path, k=0):
+def quad_verdicts(points, root, k=0):
     """What each quad entry point makes of four points scaled by 2^k:
-    QuadPolygon(points), and the points as a one-line annotation file parsed
-    strictly. Each is the vertices or the fitted box, scaled back, or the
-    error's type and its message up to any number it names."""
+    QuadPolygon(points), and the points as the one-line annotation file of
+    directory root parsed strictly. Each is the vertices or the fitted box,
+    scaled back, or the error's type and its message up to any number it
+    names."""
     def verdict(call):
         try:
             return call()
@@ -364,10 +366,11 @@ def quad_verdicts(points, path, k=0):
         return tuple(math.ldexp(c, -k) for c in values)
 
     points = [(math.ldexp(x, k), math.ldexp(y, k)) for x, y in points]
-    path.write_text(" ".join(map(repr, (c for point in points for c in point))) + " ship 0\n")
+    (root / "P1.txt").write_text(" ".join(map(repr, (c for point in points for c in point)))
+                                 + " ship 0\n")
     return (verdict(lambda: tuple(back(*p) for p in QuadPolygon(points).vertices)),
             verdict(lambda: [back(r.box.cx, r.box.cy, r.box.w, r.box.h) + (r.box.theta,)
-                             for r in parse_annotation_file(path, strict=True)]))
+                             for r in parse_annotation_dir(root, strict=True)]))
 
 
 THIN_RHOMBUS = ((0.0, -1.6e153), (1.6e154, 0.0), (0.0, 1.6e153), (-1.6e154, 0.0))  # 5.12e307 px^2
@@ -422,7 +425,7 @@ class TestOneQuadRule:
         fitted = []  # the vertices of each quad the DOTA parser fits
         monkeypatch.setattr(anglekit.io_formats, "from_corners",
                             lambda quad: fitted.append(quad.vertices) or from_corners(quad))
-        constructor, line = quad_verdicts(points, tmp_path / "P1.txt")
+        constructor, line = quad_verdicts(points, tmp_path)
         if kept:
             assert constructor == tuple(points[i] for i in kept)
             assert fitted == [constructor]
@@ -452,8 +455,9 @@ class TestOneQuadRule:
         # gives the same verdict, and the same vertices or box, scaled.
         points = seeded_quads(seed, 1)[0]
         assume(1e-3 <= max(max(c) - min(c) for c in zip(*points)) <= 1e6)
-        path = tmp_path_factory.getbasetemp() / "P1.txt"
-        assert quad_verdicts(points, path, k) == quad_verdicts(points, path)
+        root = tmp_path_factory.getbasetemp() / "verdicts"
+        root.mkdir(exist_ok=True)
+        assert quad_verdicts(points, root, k) == quad_verdicts(points, root)
 
 
 def near_parallel_pair(rng):
