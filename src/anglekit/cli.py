@@ -103,9 +103,9 @@ def cmd_thickness(args) -> int:
 
 
 def cmd_codec_report(args) -> int:
-    methods = _comma_list(args.methods, Method, "method") if args.methods else list(Method)
+    methods = _comma_list(args.methods, Method, "method") if args.methods else Method
     rows = []
-    for method in methods:
+    for method in dict.fromkeys(methods):  # each method once, in the order first named
         for c_theta in C_THETA_CHOICES[method]:
             config = CodecConfig(method=method, c_theta=c_theta)
             a_max, a_mean = analytic_errors(config)

@@ -156,10 +156,10 @@ class CodecConfig:
 
     @cached_property
     def _kernel(self) -> tuple:
-        # The codec kernel's constants, bound on first use: bin width, last bin
-        # and the (forward, inverse) fit pair, None without a regression part.
+        # The codec kernel's constants, bound on first use: bin width and the
+        # (forward, inverse) fit pair, None without a regression part.
         fits = _FITS[self.fit_function] if self.method in _REGRESSION_METHODS else None
-        return ANGLE_RANGE / self.c_theta, self.c_theta - 1, fits
+        return ANGLE_RANGE / self.c_theta, fits
 
     @cached_property
     def _bin_of_code(self) -> dict:
@@ -247,13 +247,10 @@ _FITS = {
 def _target(theta: float, config: CodecConfig) -> tuple[int, float | None]:
     # floor(theta / omega): an angle on a bin boundary starts that bin. The
     # residual target is None for a codec without a regression part.
-    width, last, fits = config._kernel
+    # Exact: c_theta divides 180 or is a power of two, so k < c_theta and residual >= 0.
+    width, fits = config._kernel
     k = int(theta // width)
-    if k > last:
-        k = last
-    if fits is not None:
-        return k, fits[1](max(theta - k * width, 0.0), width)
-    return k, None
+    return k, fits[1](theta - k * width, width) if fits is not None else None
 
 
 def _bin_from_scores(scores: Sequence[float], config: CodecConfig) -> int:
@@ -272,7 +269,7 @@ def _angle(k: int, regression_output: float | None, config: CodecConfig) -> floa
     # Bin start plus fitted residual, or the bin midpoint without a regression
     # part. Only the final angle wraps; residual overflow past one bin stays.
     # A tiny negative sum whose reduction rounds up to the period is 0.0.
-    width, _, fits = config._kernel
+    width, fits = config._kernel
     if fits is not None:
         if regression_output is None:
             raise InvalidInputError(f"{config.method.value} decode requires a regression output")
@@ -352,10 +349,10 @@ def empirical_errors(config: CodecConfig, grid_step: float) -> tuple[float, floa
     Runs the codec kernel that encode and decode wrap on the loss-free
     prediction: its logits are the class vector (for DCL, the 0/1 code bits,
     which the sigmoid rule maps to themselves) and its regression output is
-    the exact residual target. The kernel reads the bin width, last bin and
-    fit pair that the config binds once, so a grid point runs only the bin
-    rule, the fit and the wrap. The decoded class depends on the bin alone,
-    so the class step runs once per bin, before the sweep; a codec without a
+    the exact residual target. The kernel reads the bin width and fit pair
+    that the config binds once, so a grid point runs only the bin rule, the
+    fit and the wrap. The decoded class depends on the bin alone, so the
+    class step runs once per bin, before the sweep; a codec without a
     regression part keeps each bin's decoded angle instead.
     """
     _check_box("config", config, kind=CodecConfig)

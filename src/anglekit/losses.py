@@ -131,8 +131,7 @@ def encode_box_deltas(box: OrientedBox | AnchorBox, anchor: AnchorBox) -> BoxDel
     """Anchor-relative deltas of a built box's center and sides."""
     if not isinstance(box, (OrientedBox, AnchorBox)):
         raise InvalidInputError(f"box must be an OrientedBox or AnchorBox, got {_shown(box, repr)}")
-    if not isinstance(anchor, AnchorBox):  # whose sides, the divisors, are positive
-        raise InvalidInputError(f"anchor must be an AnchorBox, got {_shown(anchor, repr)}")
+    _check_box("anchor", anchor, kind=AnchorBox)  # whose sides, the divisors, are positive
     return BoxDeltas(
         dx=(box.cx - anchor.cx) / anchor.w,
         dy=(box.cy - anchor.cy) / anchor.h,
@@ -144,8 +143,7 @@ def encode_box_deltas(box: OrientedBox | AnchorBox, anchor: AnchorBox) -> BoxDel
 def decode_box_deltas(deltas: BoxDeltas, anchor: AnchorBox) -> AnchorBox:
     """Exact inverse of encode_box_deltas; log-scales that overflow are an input error."""
     _check_box("deltas", deltas, kind=BoxDeltas)
-    if not isinstance(anchor, AnchorBox):
-        raise InvalidInputError(f"anchor must be an AnchorBox, got {_shown(anchor, repr)}")
+    _check_box("anchor", anchor, kind=AnchorBox)
     return AnchorBox(*_decoded(deltas, anchor))
 
 

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -257,6 +258,31 @@ class TestEncode:
         assert 0 <= target.class_index < c_theta
         residual = target.residual_target ** 2
         assert 0.0 <= residual < width + 1e-9
+
+    @pytest.mark.filterwarnings("ignore:mgar c_theta=.* is outside the recommended set")
+    @pytest.mark.parametrize("method, c_theta", [
+        *((Method.MGAR, c) for c in range(1, 181) if 180 % c == 0),
+        *((m, c) for m in (Method.DCL_BINARY, Method.DCL_GRAY) for c in (32, 64, 128, 256)),
+        (Method.CSL, 180), (Method.REGRESSION, 1)])
+    def test_bin_and_residual_are_the_exact_floor_and_remainder(self, method, c_theta):
+        # Oracle in rationals: k = floor(theta / width) and the linear fit's
+        # residual is theta - k * width, exactly, at every bin boundary, the
+        # floats on either side of it, and the largest angle below 180.
+        config = CodecConfig(method, c_theta, fit_function="linear")
+        width = Fraction(180, c_theta)
+        edges = [float(k * width) for k in range(c_theta)]
+        angles = {math.nextafter(180.0, 0.0), *edges, *(math.nextafter(e, 180.0) for e in edges),
+                  *(math.nextafter(e, 0.0) for e in edges[1:])}
+        for theta in sorted(angles):
+            target = encode(theta, config)
+            k = math.floor(Fraction(theta) / width)
+            assert target.class_index == k < c_theta
+            if method in (Method.MGAR, Method.REGRESSION):
+                assert target.residual_target == float(Fraction(theta) - k * width)
+            else:
+                assert target.residual_target is None
+        if method is Method.MGAR:  # the residual of -0.0 keeps its sign
+            assert math.copysign(1.0, encode(-0.0, config).residual_target) == -1.0
 
     def test_class_index_in_range_for_every_method(self):
         rng = np.random.default_rng(14)

@@ -204,6 +204,14 @@ class TestCodecReport:
         assert out_a == out_b
         assert out_a.splitlines()[0].startswith("method,c_theta,omega")
 
+    @pytest.mark.parametrize("repeated, once", [("mgar,mgar", "mgar"),
+                                                ("csl,mgar,csl", "csl,mgar")])
+    def test_a_repeated_method_prints_its_rows_once(self, capsys, repeated, once):
+        argv = ["codec-report", "--grid-step", "1"]
+        code, out, _ = run_cli(capsys, *argv, "--methods", repeated)
+        assert code == 0
+        assert out == run_cli(capsys, *argv, "--methods", once)[1]
+
     def test_csv_holds_the_json_rows(self, capsys):
         argv = ["codec-report", "--grid-step", "0.5"]
         _, out_json, _ = run_cli(capsys, *argv, "--out", "json")
@@ -304,6 +312,14 @@ class TestEval:
         with pytest.raises(SystemExit) as info:
             main(["eval", "--det", str(det_path)])
         assert info.value.code == 2
+
+    def test_detection_json_that_is_not_a_list_exits_2(self, capsys, tmp_path, eval_fixture):
+        gt_dir, _ = eval_fixture
+        det_path = tmp_path / "object.json"
+        det_path.write_text("{}\n")
+        code, out, err = run_cli(capsys, "eval", "--gt", str(gt_dir), "--det", str(det_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {det_path}:1: detection JSON must be a list of records\n"
 
     def test_empty_ground_truth_exits_3(self, capsys, tmp_path, eval_fixture):
         _, det_path = eval_fixture

@@ -259,6 +259,34 @@ class TestParseDetections:
         assert [r.box.cx for r in parse_detections(path, strict=False)] == [0.0]
         assert "record 2: int too large to convert to float (skipped)" in caplog.text
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_invalid_json_fails_at_the_line_of_its_fault(self, tmp_path, strict):
+        path = tmp_path / "dets.json"
+        path.write_text('[\n  {"image_id": "a",\n   "score": 0.5,,\n')
+        with pytest.raises(ParseError) as info:
+            parse_detections(path, strict=strict)
+        assert info.value.line_no == 3
+        assert str(info.value).startswith(f"{path}:3: ")
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_json_that_is_not_a_list_fails_at_line_1(self, tmp_path, strict):
+        path = tmp_path / "dets.json"
+        path.write_text('{"image_id": "a"}\n')
+        with pytest.raises(ParseError) as info:
+            parse_detections(path, strict=strict)
+        assert str(info.value) == f"{path}:1: detection JSON must be a list of records"
+
+    def test_json_record_that_is_not_an_object_is_located(self, tmp_path, caplog):
+        record = {"image_id": "a", "category": "ship", "score": 0.5,
+                  "cx": 0, "cy": 0, "w": 2, "h": 1, "theta": 0}
+        path = tmp_path / "dets.json"
+        path.write_text(json.dumps([[1, 2], record]))
+        with pytest.raises(ParseError) as info:
+            parse_detections(path)
+        assert str(info.value) == f"{path}:1: record 1: record must be an object"
+        assert [r.image_id for r in parse_detections(path, strict=False)] == ["a"]
+        assert f"{path}:1: record 1: record must be an object (skipped)" in caplog.text
+
     def test_score_out_of_range_rejected(self, tmp_path):
         root = tmp_path / "dets"
         root.mkdir()

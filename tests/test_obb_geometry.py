@@ -607,6 +607,13 @@ class TestRotatedIoU:
         box = OrientedBox(1e10, 0, 1e-10, 1e-10, 0)
         assert rotated_iou(box, box) == 1.0
 
+    def test_an_overlap_below_the_sliver_share_scores_zero(self):
+        # A 1e-13 x 1 strip is 5e-14 of the smaller box: a sliver. A 1e-9
+        # strip is not, and keeps its IoU of about 2.5e-10.
+        box = OrientedBox(0, 0, 2, 1, 0)
+        assert rotated_iou(box, OrientedBox(2 - 1e-13, 0, 2, 1, 0)) == 0.0
+        assert rotated_iou(box, OrientedBox(2 - 1e-9, 0, 2, 1, 0)) > 0.0
+
     @pytest.mark.parametrize("boxes, error, message", [
         pytest.param([(0, 0, 1e200, 1e200, 0)], InvalidInputError, NOT_FINITE,
                      id="area-overflows"),
