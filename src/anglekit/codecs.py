@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Sequence
 
-from .errors import InvalidInputError, _check_box, _finite, _finite_floats, _integer, _shown
+from .errors import (InvalidInputError, _check_box, _finite, _finite_floats, _integer, _Record,
+                     _set, _shown)
 
 ANGLE_RANGE = 180.0
 _MAX_SWEEP_POINTS = 10**7  # per codec in empirical_errors: a 1.8e-5 degree step
@@ -95,8 +95,7 @@ def _code_length(method: Method, c_theta: int) -> int:
     return c_theta
 
 
-@dataclass(frozen=True)
-class CodecConfig:
+class CodecConfig(_Record):
     """Immutable codec configuration over the fixed ANGLE_RANGE of 180 degrees.
 
     c_theta=0 selects the per-method default. window_size applies to CSL
@@ -104,22 +103,22 @@ class CodecConfig:
     regression), defaulting to the square fit.
     """
 
-    method: Method
-    c_theta: int = 0
-    window_size: float = 6.0
-    fit_function: FitFunction = FitFunction.SQUARE
+    # No __slots__: the cached properties below live in the instance __dict__.
+    __match_args__ = ("method", "c_theta", "window_size", "fit_function")
+    c_theta, window_size, fit_function = 0, 6.0, FitFunction.SQUARE  # the defaults the CLI reads
 
-    def __post_init__(self):
-        method = _member(Method, self.method, "method")
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "fit_function", _member(FitFunction, self.fit_function,
-                                                         "fit function"))
-        finite = _finite((self.window_size,), "window_size")  # a number for every method
-        if method is Method.CSL and not (finite and self.window_size > 0):  # only CSL reads it
-            kind = "finite" if self.window_size > 0 else "positive"
-            raise InvalidInputError(f"window_size must be {kind}, got {_shown(self.window_size)}")
-        c_theta = _validate_c_theta(method, self.c_theta or DEFAULT_C_THETA[method], warn=True)
-        object.__setattr__(self, "c_theta", c_theta)
+    def __init__(self, method: Method | str, c_theta: int = c_theta,
+                 window_size: float = window_size, fit_function: FitFunction | str = fit_function):
+        method = _member(Method, method, "method")
+        _set(self, "method", method)
+        _set(self, "fit_function", _member(FitFunction, fit_function, "fit function"))
+        _set(self, "window_size", window_size)
+        finite = _finite((window_size,), "window_size")  # a number for every method
+        if method is Method.CSL and not (finite and window_size > 0):  # only CSL reads it
+            kind = "finite" if window_size > 0 else "positive"
+            raise InvalidInputError(f"window_size must be {kind}, got {_shown(window_size)}")
+        c_theta = _validate_c_theta(method, c_theta or DEFAULT_C_THETA[method], warn=True)
+        _set(self, "c_theta", c_theta)
 
     @property
     def has_classification(self) -> bool:
@@ -167,29 +166,31 @@ class CodecConfig:
         return {label: k for k, label in enumerate(self._labels)}
 
 
-@dataclass(frozen=True, eq=False)
-class AngleTarget:
+class AngleTarget(_Record):
     """Encoded training target for one ground-truth angle."""
 
-    class_index: int
-    class_vector: tuple[float, ...]
-    residual_target: float | None
-    raw_angle: float
+    __slots__ = __match_args__ = ("class_index", "class_vector", "residual_target", "raw_angle")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity, not by the fields
+
+    def __init__(self, class_index: int, class_vector: tuple[float, ...],
+                 residual_target: float | None, raw_angle: float):
+        _set(self, "class_index", class_index)
+        _set(self, "class_vector", class_vector)
+        _set(self, "residual_target", residual_target)
+        _set(self, "raw_angle", raw_angle)
 
 
-@dataclass(frozen=True, eq=False)
-class AnglePrediction:
+class AnglePrediction(_Record):
     """Raw network-style prediction: class logits plus fit-space residual."""
 
-    class_logits: tuple[float, ...] = ()
-    regression_output: float | None = None
+    __slots__ = __match_args__ = ("class_logits", "regression_output")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity, not by the fields
 
-    def __post_init__(self):
-        object.__setattr__(self, "class_logits",
-                           _finite_floats(self.class_logits, "class logits"))
-        out = self.regression_output
-        if out is not None and not _finite((out,), "regression output"):
-            raise InvalidInputError(f"non-finite regression output {_shown(out)}")
+    def __init__(self, class_logits: Sequence[float] = (), regression_output: float | None = None):
+        _set(self, "class_logits", _finite_floats(class_logits, "class logits"))
+        _set(self, "regression_output", regression_output)
+        if regression_output is not None and not _finite((regression_output,), "regression output"):
+            raise InvalidInputError(f"non-finite regression output {_shown(regression_output)}")
 
 
 def omega(config: CodecConfig) -> float:
@@ -223,7 +224,11 @@ def _exp_inverse(d: float, w: float) -> float:
 
 
 def _sigmoid(v: float, w: float) -> float:
-    return w / (1.0 + math.exp(-v))
+    # Where exp(-v) overflows, the limit w * exp(v), which underflows to 0.0.
+    try:
+        return w / (1.0 + math.exp(-v))
+    except OverflowError:
+        return w * math.exp(v)
 
 
 def _sigmoid_inverse(degrees: float, width: float) -> float:

@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and its one number rule: a
-number is a value float arithmetic takes (value + 0.0 is a float), so a str,
-bytes, None, sequence, array, complex or Decimal is not one, whole or as an
-element. An int past float range is a number that is not finite.
+"""Exception types shared across the package, the private base of its
+records, and its one number rule: a number is a value float arithmetic takes
+(value + 0.0 is a float), so a str, bytes, None, sequence, array, complex or
+Decimal is not one, whole or as an element. An int past float range is a
+number that is not finite.
 """
 
 import math
@@ -26,6 +27,52 @@ class ParseError(AngleKitError):
         self.path = str(path)
         self.line_no = line_no
         super().__init__(f"{self.path}:{line_no}: {message}")
+
+
+_set = object.__setattr__  # how a record's __init__ sets a field past its frozen __setattr__
+
+
+class _Record:
+    """Private base of the package's immutable records.
+
+    A record names its fields, in order, in `__match_args__` (and, unless it
+    keeps a `__dict__`, in `__slots__`); its `__init__` checks its arguments
+    and sets each field with `_set`. The base gives what a frozen dataclass
+    gave: its repr, `==` and hash over the fields (NotImplemented for another
+    type), an AttributeError on any assignment or deletion, and its pickle
+    state, a dict of the fields, which copy and pickle restore past the frozen
+    `__setattr__`.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in self.__match_args__}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            _set(self, name, value)
 
 
 def _shown(value, convert=str) -> str:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidInputError, _check_box, _finite, _integer, _sequence, _shown
+from .errors import (InvalidInputError, _check_box, _finite, _integer, _Record, _sequence, _set,
+                     _shown)
 from .obb import OrientedBox, _overlaps
 
 VOC07 = "voc07"
@@ -24,49 +24,50 @@ MODES = (VOC07, VOC12)
 COCO_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 
 
-@dataclass(frozen=True)
-class GroundTruthRecord:
+class GroundTruthRecord(_Record):
     """One annotated object tied to an image id."""
 
-    image_id: str
-    box: OrientedBox
-    category: str
-    difficult: bool = False
+    __slots__ = __match_args__ = ("image_id", "box", "category", "difficult")
 
-    def __post_init__(self):
-        _check_box("ground truth box", self.box, kind=OrientedBox)
-        flag = _integer(self.difficult, "difficult")
+    def __init__(self, image_id: str, box: OrientedBox, category: str, difficult: bool = False):
+        _set(self, "image_id", image_id)
+        _set(self, "box", box)
+        _set(self, "category", category)
+        _check_box("ground truth box", box, kind=OrientedBox)
+        flag = _integer(difficult, "difficult")
         if flag not in (0, 1):
-            raise InvalidInputError(f"difficult must be 0 or 1, got {_shown(self.difficult, repr)}")
-        object.__setattr__(self, "difficult", flag == 1)
+            raise InvalidInputError(f"difficult must be 0 or 1, got {_shown(difficult, repr)}")
+        _set(self, "difficult", flag == 1)
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
+class DetectionRecord(_Record):
     """One scored prediction tied to an image id."""
 
-    image_id: str
-    box: OrientedBox
-    category: str
-    score: float
+    __slots__ = __match_args__ = ("image_id", "box", "category", "score")
 
-    def __post_init__(self):
-        _check_box("detection box", self.box, kind=OrientedBox)
-        if not (_finite((self.score,), "score") and 0.0 <= self.score <= 1.0):
-            raise InvalidInputError(f"score must lie in [0, 1], got {_shown(self.score)}")
+    def __init__(self, image_id: str, box: OrientedBox, category: str, score: float):
+        _set(self, "image_id", image_id)
+        _set(self, "box", box)
+        _set(self, "category", category)
+        _set(self, "score", score)
+        _check_box("detection box", box, kind=OrientedBox)
+        if not (_finite((score,), "score") and 0.0 <= score <= 1.0):
+            raise InvalidInputError(f"score must lie in [0, 1], got {_shown(score)}")
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(_Record):
     """Flags aligned with the input record order.
 
     A detection with neither flag set was absorbed by a difficult ground
     truth and is ignored by the PR accumulation.
     """
 
-    tp: tuple[bool, ...]
-    fp: tuple[bool, ...]
-    gt_matched: tuple[bool, ...]
+    __slots__ = __match_args__ = ("tp", "fp", "gt_matched")
+
+    def __init__(self, tp: tuple[bool, ...], fp: tuple[bool, ...], gt_matched: tuple[bool, ...]):
+        _set(self, "tp", tp)
+        _set(self, "fp", fp)
+        _set(self, "gt_matched", gt_matched)
 
 
 def _check_mode(mode: str) -> None:
@@ -193,25 +194,33 @@ def average_precision(recall: Sequence[float], precision: Sequence[float], mode:
                      for i in range(len(mrec) - 1) if mrec[i + 1] != mrec[i])
 
 
-@dataclass(frozen=True)
-class CategoryThresholdResult:
+class CategoryThresholdResult(_Record):
     """PR curve and counts for one (category, threshold) cell."""
 
-    ap: float
-    recall: tuple[float, ...]
-    precision: tuple[float, ...]
-    tp: int
-    fp: int
-    num_gt: int
+    __slots__ = __match_args__ = ("ap", "recall", "precision", "tp", "fp", "num_gt")
+
+    def __init__(self, ap: float, recall: tuple[float, ...], precision: tuple[float, ...],
+                 tp: int, fp: int, num_gt: int):
+        _set(self, "ap", ap)
+        _set(self, "recall", recall)
+        _set(self, "precision", precision)
+        _set(self, "tp", tp)
+        _set(self, "fp", fp)
+        _set(self, "num_gt", num_gt)
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    mode: str
-    thresholds: tuple[float, ...]
-    categories: dict[str, dict[float, CategoryThresholdResult]]
-    map_by_threshold: dict[float, float]
-    map_50_95: float | None
+class EvalReport(_Record):
+    __slots__ = __match_args__ = ("mode", "thresholds", "categories", "map_by_threshold",
+                                  "map_50_95")
+
+    def __init__(self, mode: str, thresholds: tuple[float, ...],
+                 categories: dict[str, dict[float, CategoryThresholdResult]],
+                 map_by_threshold: dict[float, float], map_50_95: float | None):
+        _set(self, "mode", mode)
+        _set(self, "thresholds", thresholds)
+        _set(self, "categories", categories)
+        _set(self, "map_by_threshold", map_by_threshold)
+        _set(self, "map_50_95", map_50_95)
 
 
 def evaluate(gts: Sequence[GroundTruthRecord], dets: Sequence[DetectionRecord],

@@ -49,18 +49,18 @@ def _quad(tokens: list[str]) -> QuadPolygon:
     return _ccw(((x0, y0), (x1, y1), (x2, y2), (x3, y3)))
 
 
-def _ground_truth(stem: str, tokens: list[str]) -> GroundTruthRecord:
-    return GroundTruthRecord(stem, from_corners(_quad(tokens[:8])), tokens[8], int(tokens[9]))
+def _ground_truth(image_id: str, tokens: list[str]) -> GroundTruthRecord:
+    return GroundTruthRecord(image_id, from_corners(_quad(tokens[:8])), tokens[8], int(tokens[9]))
 
 
-def _task1_detection(stem: str, tokens: list[str]) -> DetectionRecord:
+def _task1_detection(category: str, tokens: list[str]) -> DetectionRecord:
     score = float(tokens[1])
-    return DetectionRecord(tokens[0], from_corners(_quad(tokens[2:])),
-                           stem[len("Task1_"):], score)
+    return DetectionRecord(tokens[0], from_corners(_quad(tokens[2:])), category, score)
 
 
-def _read_dota(path: Path, strict: bool, build, headers: bool = False) -> list:
-    """Records of one DOTA text file, each built by `build(path.stem, tokens)`.
+def _read_dota(path: Path, strict: bool, build, name: str, headers: bool = False) -> list:
+    """Records of one DOTA text file, each built by `build(name, tokens)`, so
+    every record of the file shares the one string `name`.
 
     Blank lines are skipped, and so are imagesource:/gsd: lines when
     `headers` is set (annotation files). A line without 10 fields, or one
@@ -68,7 +68,7 @@ def _read_dota(path: Path, strict: bool, build, headers: bool = False) -> list:
     byte that is not UTF-8, raises ParseError at path:line when strict, and
     is logged and skipped otherwise.
     """
-    records, stem = [], path.stem
+    records = []
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -81,7 +81,7 @@ def _read_dota(path: Path, strict: bool, build, headers: bool = False) -> list:
                     raise InvalidInputError(bad[0])
                 if len(tokens) != 10:
                     raise InvalidInputError(f"expected 10 fields, got {len(tokens)}")
-                records.append(build(stem, tokens))
+                records.append(build(name, tokens))
             except ValueError as exc:
                 _fail_or_skip(strict, path, line_no, str(exc))
     return records
@@ -108,7 +108,7 @@ def parse_annotation_dir(path, strict: bool = True) -> list[GroundTruthRecord]:
     if not root.is_dir():
         raise InvalidInputError(f"not a directory: {root}")
     return [rec for file in _files(root, "*.txt")
-            for rec in _read_dota(file, strict, _ground_truth, headers=True)]
+            for rec in _read_dota(file, strict, _ground_truth, file.stem, headers=True)]
 
 
 def _parse_detection_json(path: Path, strict: bool) -> list[DetectionRecord]:
@@ -158,7 +158,8 @@ def parse_detections(path, strict: bool = True) -> list[DetectionRecord]:
         files = _files(path, "Task1_*.txt")
         if not files:
             raise InvalidInputError(f"no Task1_*.txt files under {path}")
-        return [rec for f in files for rec in _read_dota(f, strict, _task1_detection)]
+        return [rec for f in files
+                for rec in _read_dota(f, strict, _task1_detection, f.stem[len("Task1_"):])]
     if path.suffix.lower() == ".json":
         return _parse_detection_json(path, strict)
     raise InvalidInputError(f"detections must be a directory or a .json file: {path}")

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .codecs import _DCL_METHODS, AnglePrediction, CodecConfig, _angle, _bin_from_scores, _target
-from .errors import (InvalidInputError, _check_box, _finite, _finite_floats, _integer, _sequence,
-                     _shown)
+from .errors import (InvalidInputError, _check_box, _finite, _finite_floats, _integer, _Record,
+                     _sequence, _set, _shown)
 from .obb import OrientedBox, _box_rule, _long_side, _pair_iou, _prepare
 
 FOCAL_ALPHA = 0.25
@@ -31,17 +30,17 @@ _IOU_FLOOR = 1e-6
 _FD_STEP = 1e-6
 
 
-@dataclass(frozen=True)
-class AnchorBox:
+class AnchorBox(_Record):
     """Axis-aligned prior box, center plus width/height, that deltas are regressed against."""
 
-    cx: float
-    cy: float
-    w: float
-    h: float
+    __slots__ = __match_args__ = ("cx", "cy", "w", "h")
 
-    def __post_init__(self):
-        _axis_box(self.cx, self.cy, self.w, self.h)
+    def __init__(self, cx: float, cy: float, w: float, h: float):
+        _set(self, "cx", cx)
+        _set(self, "cy", cy)
+        _set(self, "w", w)
+        _set(self, "h", h)
+        _axis_box(cx, cy, w, h)
 
 
 def _axis_box(cx, cy, w, h) -> tuple:
@@ -53,78 +52,85 @@ def _axis_box(cx, cy, w, h) -> tuple:
     return cx, cy, w, h
 
 
-@dataclass(frozen=True)
-class BoxDeltas:
+class BoxDeltas(_Record):
     """Dimensionless anchor-relative offsets (dx, dy) and log-scales (dw, dh)."""
 
-    dx: float
-    dy: float
-    dw: float
-    dh: float
+    __slots__ = __match_args__ = ("dx", "dy", "dw", "dh")
 
-    def __post_init__(self):
-        if not _finite((self.dx, self.dy, self.dw, self.dh), "box delta"):
+    def __init__(self, dx: float, dy: float, dw: float, dh: float):
+        _set(self, "dx", dx)
+        _set(self, "dy", dy)
+        _set(self, "dw", dw)
+        _set(self, "dh", dh)
+        if not _finite((dx, dy, dw, dh), "box delta"):
             raise InvalidInputError("non-finite box deltas")
 
 
-@dataclass(frozen=True)
-class LossWeights:
+class LossWeights(_Record):
     """Per-term weights of the multi-task loss, defaulting to (2, 2, 5, 2, 0.5)."""
 
-    location: float = 2.0
-    confidence: float = 2.0
-    category: float = 5.0
-    angle_class: float = 2.0
-    angle_reg: float = 0.5
+    __slots__ = __match_args__ = ("location", "confidence", "category", "angle_class", "angle_reg")
 
-    def __post_init__(self):
-        values = (self.location, self.confidence, self.category, self.angle_class, self.angle_reg)
+    def __init__(self, location: float = 2.0, confidence: float = 2.0, category: float = 5.0,
+                 angle_class: float = 2.0, angle_reg: float = 0.5):
+        _set(self, "location", location)
+        _set(self, "confidence", confidence)
+        _set(self, "category", category)
+        _set(self, "angle_class", angle_class)
+        _set(self, "angle_reg", angle_reg)
+        values = (location, confidence, category, angle_class, angle_reg)
         if not _finite(values, "loss weight") or any(v < 0 for v in values):
             raise InvalidInputError(f"loss weights must be non-negative, got {_shown(values)}")
 
 
-@dataclass(frozen=True, eq=False)
-class AssignedSample:
+class AssignedSample(_Record):
     """One pre-assigned anchor with its predictions and (if foreground) targets."""
 
-    objectness: int
-    anchor: AnchorBox
-    pred_deltas: BoxDeltas
-    pred_confidence: float
-    pred_category_logits: tuple[float, ...]
-    pred_angle: AnglePrediction
-    gt_box: OrientedBox | None = None
-    gt_category: int | None = None
+    __slots__ = __match_args__ = ("objectness", "anchor", "pred_deltas", "pred_confidence",
+                                  "pred_category_logits", "pred_angle", "gt_box", "gt_category")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity, not by the fields
 
-    def __post_init__(self):
-        if _integer(self.objectness, "objectness") not in (0, 1):
-            raise InvalidInputError(f"objectness must be 0 or 1, got {_shown(self.objectness)}")
-        if not _finite((self.pred_confidence,), "confidence logit"):
-            raise InvalidInputError(f"non-finite confidence logit {_shown(self.pred_confidence)}")
-        object.__setattr__(self, "pred_category_logits",
-                           _finite_floats(self.pred_category_logits, "category logits"))
-        if self.objectness == 1 and (self.gt_box is None or self.gt_category is None):
+    def __init__(self, objectness: int, anchor: AnchorBox, pred_deltas: BoxDeltas,
+                 pred_confidence: float, pred_category_logits: Sequence[float],
+                 pred_angle: AnglePrediction, gt_box: OrientedBox | None = None,
+                 gt_category: int | None = None):
+        _set(self, "objectness", objectness)
+        _set(self, "anchor", anchor)
+        _set(self, "pred_deltas", pred_deltas)
+        _set(self, "pred_confidence", pred_confidence)
+        _set(self, "pred_angle", pred_angle)
+        _set(self, "gt_box", gt_box)
+        if _integer(objectness, "objectness") not in (0, 1):
+            raise InvalidInputError(f"objectness must be 0 or 1, got {_shown(objectness)}")
+        if not _finite((pred_confidence,), "confidence logit"):
+            raise InvalidInputError(f"non-finite confidence logit {_shown(pred_confidence)}")
+        _set(self, "pred_category_logits", _finite_floats(pred_category_logits, "category logits"))
+        if objectness == 1 and (gt_box is None or gt_category is None):
             raise InvalidInputError("foreground samples need gt_box and gt_category")
-        if self.gt_category is not None:
-            object.__setattr__(self, "gt_category", _integer(self.gt_category, "gt_category"))
+        _set(self, "gt_category", gt_category if gt_category is None
+             else _integer(gt_category, "gt_category"))
         # The loss trusts what these types checked when they were built.
-        if not (isinstance(self.anchor, AnchorBox) and isinstance(self.pred_deltas, BoxDeltas)
-                and isinstance(self.pred_angle, AnglePrediction)
-                and isinstance(self.gt_box, (OrientedBox, type(None)))):
+        if not (isinstance(anchor, AnchorBox) and isinstance(pred_deltas, BoxDeltas)
+                and isinstance(pred_angle, AnglePrediction)
+                and isinstance(gt_box, (OrientedBox, type(None)))):
             raise InvalidInputError("pred_angle must be an AnglePrediction, gt_box an OrientedBox, "
                                     "anchor an AnchorBox, pred_deltas a BoxDeltas")
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
+class LossBreakdown(_Record):
     """Unweighted per-term means plus the weighted total."""
 
-    location: float
-    confidence: float
-    category: float
-    angle_class: float
-    angle_reg: float
-    total: float
+    __slots__ = __match_args__ = ("location", "confidence", "category", "angle_class", "angle_reg",
+                                  "total")
+
+    def __init__(self, location: float, confidence: float, category: float, angle_class: float,
+                 angle_reg: float, total: float):
+        _set(self, "location", location)
+        _set(self, "confidence", confidence)
+        _set(self, "category", category)
+        _set(self, "angle_class", angle_class)
+        _set(self, "angle_reg", angle_reg)
+        _set(self, "total", total)
 
 
 def encode_box_deltas(box: OrientedBox | AnchorBox, anchor: AnchorBox) -> BoxDeltas:
@@ -437,10 +443,12 @@ def finite_diff_grad_check(fn: Callable[[list[float]], float],
     return worst
 
 
-@dataclass(frozen=True)
-class GradCheckResult:
-    max_relative_error: float
-    worst_point: tuple[float, ...]
+class GradCheckResult(_Record):
+    __slots__ = __match_args__ = ("max_relative_error", "worst_point")
+
+    def __init__(self, max_relative_error: float, worst_point: tuple[float, ...]):
+        _set(self, "max_relative_error", max_relative_error)
+        _set(self, "worst_point", worst_point)
 
 
 def _draw_giou(rng: random.Random) -> tuple[tuple[list[float]], list[float]]:

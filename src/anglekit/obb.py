@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from .errors import DegenerateQuadError, InvalidInputError, _check_box, _finite, _sequence, _shown
+from .errors import (DegenerateQuadError, InvalidInputError, _check_box, _finite, _Record,
+                     _sequence, _set, _shown)
 
 Point = tuple[float, float]
 
@@ -25,8 +25,7 @@ _FLOAT_MIN = sys.float_info.min  # the smallest normal float
 _MAX_AREA = 0.5 * sys.float_info.max  # two such areas still have a finite union
 
 
-@dataclass(frozen=True)
-class OrientedBox:
+class OrientedBox(_Record):
     """Five-parameter long-side box: center, long side w, short side h, theta.
 
     theta is the angle (degrees) between the long side and the x axis,
@@ -41,15 +40,14 @@ class OrientedBox:
     without building one.
     """
 
-    cx: float
-    cy: float
-    w: float
-    h: float
-    theta: float
+    __slots__ = __match_args__ = ("cx", "cy", "w", "h", "theta")
 
-    def __post_init__(self):
-        theta, _ = _box_rule(self.cx, self.cy, self.w, self.h, self.theta)
-        object.__setattr__(self, "theta", theta)
+    def __init__(self, cx: float, cy: float, w: float, h: float, theta: float):
+        _set(self, "cx", cx)
+        _set(self, "cy", cy)
+        _set(self, "w", w)
+        _set(self, "h", h)
+        _set(self, "theta", _box_rule(cx, cy, w, h, theta)[0])
 
     @property
     def area(self) -> float:
@@ -125,8 +123,7 @@ def _centred(pts) -> list:
     return [(x0 - cx, y0 - cy), (x1 - cx, y1 - cy), (x2 - cx, y2 - cy), (x3 - cx, y3 - cy)]
 
 
-@dataclass(frozen=True)
-class QuadPolygon:
+class QuadPolygon(_Record):
     """Convex quadrilateral with vertices in counter-clockwise order.
 
     Built from 4 points in any winding: the order given, then the order by
@@ -139,19 +136,18 @@ class QuadPolygon:
     than 4, a repeated vertex, or no usable order, DegenerateQuadError.
     """
 
-    vertices: tuple[Point, Point, Point, Point]
+    __slots__ = __match_args__ = ("vertices",)
 
-    def __post_init__(self):
+    def __init__(self, vertices: Sequence[Point]):
         # Four (x, y) points, read by the number rule, as float pairs.
-        points = _sequence(self.vertices, "quad vertices", of="(x, y) points")
+        points = _sequence(vertices, "quad vertices", of="(x, y) points")
         if len(points) != 4:
             raise DegenerateQuadError("expected exactly 4 points")
         xy = tuple(c for point in points for c in _sequence(point, "quad vertex", 2))
         if not _finite(xy, "quad vertex"):
             raise InvalidInputError("non-finite quad vertices")
         x0, y0, x1, y1, x2, y2, x3, y3 = map(float, xy)
-        object.__setattr__(self, "vertices",
-                           _ccw(((x0, y0), (x1, y1), (x2, y2), (x3, y3))).vertices)
+        _set(self, "vertices", _ccw(((x0, y0), (x1, y1), (x2, y2), (x3, y3))).vertices)
 
 
 def _quad_fault(pts: tuple, centred: list, area: float) -> bool:
@@ -190,8 +186,8 @@ def _ccw(pts: tuple) -> QuadPolygon:
             vertices, shifted = vertices[::-1], shifted[::-1]
             area = _signed_area(shifted)  # the reversed order rounds its own way
         if not _quad_fault(vertices, shifted, area):
-            quad = object.__new__(QuadPolygon)  # no __post_init__: the rule has run
-            object.__setattr__(quad, "vertices", vertices)
+            quad = object.__new__(QuadPolygon)  # no __init__: the rule has run
+            _set(quad, "vertices", vertices)
             return quad
     raise DegenerateQuadError("points do not form a convex quad")
 

@@ -62,6 +62,12 @@ class TestEncodeDecode:
         assert code == 0
         assert json.loads(out)["theta"] == pytest.approx(73.5)
 
+    def test_decode_sigmoid_overflow(self, capsys):
+        # exp(-v) overflows below v = -709.78, where the bounded fit's limit is
+        # 0: the angle is the start of bin 1.
+        assert run_cli(capsys, "decode", "--method", "mgar", "--logits=0,1,0", "--fit", "sigmoid",
+                       "--treg=-1000") == (0, '{"theta": 60.0}\n', "")
+
 
 class TestGeometryCommands:
     def test_iou(self, capsys):
@@ -88,8 +94,6 @@ class TestGeometryCommands:
         (["gradcheck", "--seed", "-1"], "seed"),
         (["decode", "--method", "mgar", "--logits=0,1,0", "--fit", "exp", "--treg", "1000"],
          "regression output"),
-        (["decode", "--method", "mgar", "--logits=0,1,0", "--fit", "sigmoid", "--treg=-1000"],
-         "regression output"),
         (["decode", "--method", "regression", "--treg", "1e200"], "regression output"),
         (["encode", "--method", "csl", "--window", "inf", "--angle", "10"], "window_size"),
         (["iou", "--box-a", "0,0,1e200,1e200,0", "--box-b", "0,0,1e200,1e200,0"],
@@ -98,7 +102,7 @@ class TestGeometryCommands:
             "threshold-rounds-to-0", "method-token", "grid-step-500", "grid-step-inf",
             "grid-step-1e-320", "grid-step-5e-324", "grid-step-1e-300", "nms-threshold",
             "gradcheck-points-0", "gradcheck-points-negative", "gradcheck-seed-negative",
-            "decode-exp-overflow", "decode-sigmoid-overflow", "decode-square-overflow",
+            "decode-exp-overflow", "decode-square-overflow",
             "csl-window-inf", "iou-area-overflow"])
     def test_iou_bad_box_exits_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -691,7 +695,8 @@ class TestNamespace:
         assert proc.stdout.split() == ["1.0", *(f"anglekit.{m}" for m in PUBLIC_HOMES)]
 
     def test_each_import_loads_only_what_it_names(self):
-        # Submodules, logging and csv loaded by each line, in one fresh interpreter.
+        # Submodules, logging, csv, dataclasses and inspect loaded by each line, in one
+        # fresh interpreter.
         proc = run_python(LOAD_SETS)
         assert (proc.returncode, proc.stderr) == (0, "")
         steps = json.loads(proc.stdout)
@@ -701,12 +706,13 @@ class TestNamespace:
         setup = steps["from anglekit import CodecConfig, Method, parse_annotation_dir, "
                       "parse_detections"]
         assert "anglekit.io_formats" in setup
-        assert not {"anglekit.losses", "logging", "csv"} & set(setup)
+        assert not {"anglekit.losses", "logging", "csv", "dataclasses", "inspect"} & set(setup)
         # benches/tracer.py reads these modules from sys.modules after importing the CLI.
         assert {"anglekit.obb", "anglekit.codecs", "anglekit.losses", "anglekit.evaluation",
                 "anglekit.io_formats"} <= set(steps["import anglekit.cli"])
-        # Only codec-report's CSV output loads csv, inside the command.
-        assert "csv" not in steps["import anglekit.cli"]
+        # Only codec-report's CSV output loads csv, inside the command. The records
+        # are plain classes, so no CLI run pays for dataclasses and what it loads.
+        assert not {"csv", "dataclasses", "inspect"} & set(steps["import anglekit.cli"])
 
 
 LOAD_SETS = """
@@ -717,7 +723,8 @@ for line in ["import anglekit", "from anglekit import rotated_iou, rotated_nms",
              "import anglekit.cli"]:
     exec(line)
     steps[line] = sorted(m for m in set(sys.modules) - before
-                         if m.startswith("anglekit.") or m in ("logging", "csv"))
+                         if m.startswith("anglekit.")
+                         or m in ("logging", "csv", "dataclasses", "inspect"))
 print(json.dumps(steps))
 """
 
