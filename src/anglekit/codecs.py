@@ -71,19 +71,14 @@ def _member(kind: type, value, name: str):
             f"{name} must be one of {', '.join(kind)}, got {_shown(value, repr)}") from None
 
 
-def _validate_c_theta(method: Method, c_theta: int, warn: bool = False) -> int:
+def _validate_c_theta(method: Method, c_theta: int) -> int:
     c_theta = _integer(c_theta, "c_theta")
-    choices = C_THETA_CHOICES[method]
-    if method is not Method.MGAR:
-        if c_theta not in choices:
-            raise InvalidInputError(
-                f"{method.value} supports c_theta in {choices}, got {_shown(c_theta)}")
-        return c_theta
-    if c_theta < 1 or 180 % c_theta != 0:
-        raise InvalidInputError(f"mgar requires c_theta to divide 180, got {_shown(c_theta)}")
-    if warn and c_theta not in choices:
-        warnings.warn(f"mgar c_theta={c_theta} is outside the recommended set {choices}",
-                      UserWarning, stacklevel=3)
+    if method is Method.MGAR:
+        if c_theta < 1 or 180 % c_theta != 0:
+            raise InvalidInputError(f"mgar requires c_theta to divide 180, got {_shown(c_theta)}")
+    elif c_theta not in C_THETA_CHOICES[method]:
+        raise InvalidInputError(f"{method.value} supports c_theta in "
+                                f"{C_THETA_CHOICES[method]}, got {_shown(c_theta)}")
     return c_theta
 
 
@@ -117,7 +112,10 @@ class CodecConfig(_Record):
         if method is Method.CSL and not (finite and window_size > 0):  # only CSL reads it
             kind = "finite" if window_size > 0 else "positive"
             raise InvalidInputError(f"window_size must be {kind}, got {_shown(window_size)}")
-        c_theta = _validate_c_theta(method, c_theta or DEFAULT_C_THETA[method], warn=True)
+        c_theta = _validate_c_theta(method, c_theta or DEFAULT_C_THETA[method])
+        if c_theta not in C_THETA_CHOICES[method]:  # only an mgar divisor of 180 gets here
+            warnings.warn(f"mgar c_theta={c_theta} is outside the recommended set "
+                          f"{C_THETA_CHOICES[method]}", UserWarning, stacklevel=2)
         _set(self, "c_theta", c_theta)
 
     @property

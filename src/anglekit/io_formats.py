@@ -14,7 +14,7 @@ import re
 from fnmatch import fnmatchcase
 from pathlib import Path
 
-from .errors import InvalidInputError, ParseError, _finite
+from .errors import InvalidInputError, ParseError, _check_box, _finite, _sequence
 from .evaluation import DetectionRecord, EvalReport, GroundTruthRecord, threshold_label
 from .obb import OrientedBox, QuadPolygon, _ccw, from_corners
 
@@ -168,6 +168,8 @@ def parse_detections(path, strict: bool = True) -> list[DetectionRecord]:
 def write_detections(records, path) -> None:
     """Write detections as normalized JSON; parsing it back is a fixed point
     for every record the parsers return."""
+    records = _check_box("records entry", *_sequence(records, "records", of="records"),
+                         kind=DetectionRecord)
     payload = [{"image_id": r.image_id, "category": r.category, "score": r.score,
                 "cx": r.box.cx, "cy": r.box.cy, "w": r.box.w, "h": r.box.h, "theta": r.box.theta}
                for r in records]
@@ -211,6 +213,7 @@ def write_report(report: EvalReport, path) -> None:
     case, else to JSON (full precision).
 
     Output is byte-identical across runs for identical reports."""
+    _check_box("report", report, kind=EvalReport)
     if Path(path).suffix.lower() != ".csv":
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(_report_dict(report), fh, sort_keys=True, indent=2)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 from .codecs import _DCL_METHODS, AnglePrediction, CodecConfig, _angle, _bin_from_scores, _target
 from .errors import (InvalidInputError, _check_box, _finite, _finite_floats, _integer, _Record,
                      _sequence, _set, _shown)
-from .obb import OrientedBox, _box_rule, _long_side, _pair_iou, _prepare
+from .obb import OrientedBox, _box_rule, _long_side, _pair_iou, _prepare, _prepare_numbers
 
 FOCAL_ALPHA = 0.25
 FOCAL_GAMMA = 2.0
@@ -404,7 +404,8 @@ def multitask_loss(samples: Sequence[AssignedSample], weights: LossWeights,
         if regression:
             theta_pred = _angle(_bin_from_scores(angle.class_logits, codec),
                                 angle.regression_output, codec)
-            pred = _box_rule(cx, cy, *_long_side(w, h, theta_pred))[1]
+            w, h, theta = _long_side(w, h, theta_pred)
+            pred = _prepare_numbers(cx, cy, w, h, _box_rule(cx, cy, w, h, theta))
             iou = max(_pair_iou(pred, _prepare(gt)), _IOU_FLOOR)
             ang_r.append(_ifl(angle.regression_output, residual_target, iou)[0])
 

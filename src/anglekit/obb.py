@@ -23,6 +23,7 @@ _SLIVER_AREA = 1e-12
 _INF = math.inf
 _FLOAT_MIN = sys.float_info.min  # the smallest normal float
 _MAX_AREA = 0.5 * sys.float_info.max  # two such areas still have a finite union
+_MAX_REACH = 2.0 ** 1000  # so no coordinate the pair kernel forms comes near the float maximum
 
 
 class OrientedBox(_Record):
@@ -34,10 +35,10 @@ class OrientedBox(_Record):
     angle whose reduction rounds up to the period is stored as 0.0.
 
     Construction applies the IoU kernel's box rule, so every box can be
-    scored: a finite extent and an area w * h from the smallest normal
-    float up to half the float maximum. The rule is one kernel on the five
-    numbers, which the multi-task loss also runs on its decoded boxes
-    without building one.
+    scored: finite numbers, 0 < h <= w, an area w * h from the smallest normal
+    float up to half the float maximum, and max(|cx|, |cy|) + w at most 2**1000.
+    The rule reads no angle; the multi-task loss also runs it on its decoded
+    boxes without building one. A failing box raises InvalidInputError.
     """
 
     __slots__ = __match_args__ = ("cx", "cy", "w", "h", "theta")
@@ -47,16 +48,16 @@ class OrientedBox(_Record):
         _set(self, "cy", cy)
         _set(self, "w", w)
         _set(self, "h", h)
-        _set(self, "theta", _box_rule(cx, cy, w, h, theta)[0])
+        _set(self, "theta", _box_rule(cx, cy, w, h, theta))
 
     @property
     def area(self) -> float:
         return self.w * self.h
 
 
-def _box_rule(cx, cy, w, h, theta) -> tuple:
-    # OrientedBox's rule on its five numbers: (theta reduced by its period,
-    # the box's _prepare tuple), or the error its constructor raises.
+def _box_rule(cx, cy, w, h, theta) -> float:
+    # OrientedBox's rule on its five numbers, at every angle (w bounds the half
+    # diagonal): theta reduced by its period, or the error its constructor raises.
     values = (cx, cy, w, h, theta)
     if not _finite(values, "box parameter"):
         raise InvalidInputError(f"non-finite box parameters: {_shown(values)}")
@@ -64,22 +65,14 @@ def _box_rule(cx, cy, w, h, theta) -> tuple:
         raise InvalidInputError(f"box sides must be positive, got w={w}, h={h}")
     if w < h:
         raise InvalidInputError(f"long-side box requires w >= h, got w={w}, h={h}")
+    if max(abs(cx), abs(cy)) + w > _MAX_REACH:
+        raise InvalidInputError(f"box reaches past 2**1000, got cx={cx}, cy={cy}, w={w}")
+    if not _FLOAT_MIN <= w * h <= _MAX_AREA:
+        raise InvalidInputError("box area w * h must lie between the smallest normal float "
+                                f"and half the float maximum, got w={w}, h={h}")
     period = 90.0 if w == h else 180.0
     theta %= period
-    if not theta < period:
-        theta = 0.0
-    # The box rule, on its area and AABB, with the messages its corners would give.
-    prepared = _prepare_numbers(cx, cy, w, h, theta)
-    *_, area, x0, x1, y0, y1 = prepared
-    if not (-_INF < x0 and x1 < _INF and -_INF < y0 and y1 < _INF):
-        raise InvalidInputError("non-finite quad vertices")
-    if area < _FLOAT_MIN:
-        raise DegenerateQuadError("quad must be counter-clockwise with positive area")
-    if area == _INF:
-        raise InvalidInputError("quad area is not finite")
-    if area > _MAX_AREA:
-        raise InvalidInputError("box area exceeds half the float maximum")
-    return theta, prepared
+    return theta if theta < period else 0.0
 
 
 def _long_side(w, h, theta) -> tuple:
@@ -217,6 +210,7 @@ def from_corners(quad: QuadPolygon) -> OrientedBox:
     v0 -> v1, and the first with the least area wins a tie; the vertices are
     projected in absolute coordinates.
     """
+    _check_box("from_corners quad", quad, kind=QuadPolygon)
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = quad.vertices
     rest, best = quad.vertices[1:], None
     for px, py, qx, qy in ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x3, y3),
@@ -273,6 +267,7 @@ def convex_intersection_area(a: QuadPolygon, b: QuadPolygon) -> float:
 
     Both quads are moved so that b's first vertex is the origin, so small
     quads far from the origin keep their area."""
+    _check_box("intersection quad", a, b, kind=QuadPolygon)
     ox, oy = b.vertices[0]
     poly = [(x - ox, y - oy) for x, y in a.vertices]
     clip = [(x - ox, y - oy) for x, y in b.vertices]
@@ -291,7 +286,7 @@ def _prepare(box: OrientedBox) -> tuple:
 
 
 def _prepare_numbers(cx, cy, w, h, theta) -> tuple:
-    # Everything the box rule, to_corners and the pair kernel read of one box:
+    # Everything to_corners and the pair kernel read of one box:
     # centre, half sides, angle in radians with its cosine and sine, area, and
     # the AABB, taken from the half extents rather than from corners.
     rad = math.radians(theta)
@@ -343,9 +338,6 @@ def _pair_iou(a: tuple, b: tuple) -> float:
     if inter == 0.0:
         return 0.0
     union = area_a + area_b - inter
-    # A NaN intersection fails here too, so no IoU is ever NaN.
-    if not math.isfinite(union):
-        raise InvalidInputError("union area is not finite")
     # inter <= smaller and area_a + area_b >= 2 * smaller, so union >= inter
     # and union > 0: the ratio lies in [0, 1] without a clamp.
     return inter / union

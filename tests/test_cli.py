@@ -97,13 +97,17 @@ class TestGeometryCommands:
         (["decode", "--method", "regression", "--treg", "1e200"], "regression output"),
         (["encode", "--method", "csl", "--window", "inf", "--angle", "10"], "window_size"),
         (["iou", "--box-a", "0,0,1e200,1e200,0", "--box-b", "0,0,1e200,1e200,0"],
-         "quad area is not finite"),
+         "box area w * h must lie between the smallest normal float and half the float maximum"),
+        # Each box's area is 1.6e8, but together they would span past the float
+        # maximum: the box rule rejects box a for its reach, not the pair's union.
+        (["iou", "--box-a", "8e307,0,1.6e308,1e-300,0", "--box-b=-8e307,0,1.6e308,1e-300,0"],
+         "box reaches past 2**1000, got cx=8e+307, cy=0.0, w=1.6e+308"),
     ], ids=["short-box", "box-token", "logit-token", "threshold-token", "threshold-range",
             "threshold-rounds-to-0", "method-token", "grid-step-500", "grid-step-inf",
             "grid-step-1e-320", "grid-step-5e-324", "grid-step-1e-300", "nms-threshold",
             "gradcheck-points-0", "gradcheck-points-negative", "gradcheck-seed-negative",
             "decode-exp-overflow", "decode-square-overflow",
-            "csl-window-inf", "iou-area-overflow"])
+            "csl-window-inf", "iou-area-overflow", "iou-reach-overflow"])
     def test_iou_bad_box_exits_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -360,7 +364,9 @@ class TestEval:
         path.write_text(first + overflow + second)
         code, out, _ = run_cli(capsys, "eval", "--gt", str(gt_dir), "--det", str(det_path))
         assert (code, out) == (0, clean)
-        assert "im1.txt:2: box area exceeds half the float maximum" in caplog.text
+        assert "im1.txt:2: box area w * h must lie between the smallest normal float and " \
+            "half the float maximum, got w=3.184119008671965e+154, " \
+            "h=3.1841190086719654e+153 (skipped)" in caplog.text
 
     @pytest.mark.parametrize("box", [{"cx": 10.0, "cy": 10.0, "w": 1e-200, "h": 1e-200}])
     def test_collapsed_json_detection_is_skipped(self, capsys, caplog, eval_fixture, box):
@@ -373,7 +379,8 @@ class TestEval:
         det_path.write_text(json.dumps(records))
         code, out, _ = run_cli(capsys, *argv)
         assert (code, out) == (0, clean)
-        assert "dets.json:2: record 2: quad must be counter-clockwise" in caplog.text
+        assert "dets.json:2: record 2: box area w * h must lie between the smallest normal " \
+            "float and half the float maximum, got w=1e-200, h=1e-200 (skipped)" in caplog.text
 
     def test_json_detections_whose_union_overflows_are_skipped(self, capsys, caplog,
                                                                tmp_path):
@@ -388,7 +395,8 @@ class TestEval:
                                  "--threshold", "0.5")
         assert (code, json.loads(out), err) == (0, {"kept": [], "total": 0}, "")
         for i in (1, 2):
-            assert f"d.json:{i}: record {i}: box area exceeds half the float maximum " \
+            assert f"d.json:{i}: record {i}: box area w * h must lie between the smallest " \
+                   "normal float and half the float maximum, got w=1.2e+154, h=1.2e+154 " \
                    "(skipped)" in caplog.text
 
     def test_tiny_json_detection_far_from_the_origin_is_scored(self, capsys, caplog,

@@ -143,13 +143,17 @@ class TestParseAnnotations:
         with pytest.raises(ParseError) as info:
             parse_annotation_dir(overflow_dir, strict=True)
         assert "P1.txt:2:" in str(info.value)
-        assert "box area exceeds half the float maximum" in str(info.value)
+        assert "box area w * h must lie between the smallest normal float and half the float " \
+            "maximum, got w=3.184119008671965e+154, h=3.1841190086719654e+153" \
+            in str(info.value)
 
     def test_unfittable_quad_lenient_skips_only_its_line(self, overflow_dir, caplog):
         records = parse_annotation_dir(overflow_dir, strict=False)
         assert [(r.image_id, r.category, r.difficult) for r in records] == [
             ("P1", "ship", False), ("P1", "plane", True), ("P2", "ship", False)]
-        assert "P1.txt:2: box area exceeds half the float maximum" in caplog.text
+        assert "P1.txt:2: box area w * h must lie between the smallest normal float and half " \
+            "the float maximum, got w=3.184119008671965e+154, h=3.1841190086719654e+153 " \
+            "(skipped)" in caplog.text
 
     def test_quad_with_overflowing_area_is_located(self, tmp_path, caplog):
         path = tmp_path / "P1.txt"
@@ -220,6 +224,17 @@ class TestParseDetections:
         write_detections(second, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == out.read_bytes()
 
+    def test_write_takes_only_detection_records(self, tmp_path):
+        # Checked before the file is opened, so an existing file keeps its bytes.
+        out = tmp_path / "dets.json"
+        out.write_bytes(b"[]\n")
+        gt = GroundTruthRecord("P0001", OrientedBox(0, 0, 2, 1, 0), "ship")
+        for records, shown in (([1], "1"), ([gt], repr(gt))):
+            with pytest.raises(InvalidInputError) as info:
+                write_detections(records, out)
+            assert str(info.value) == f"records entry must be a DetectionRecord, got {shown}"
+        assert out.read_bytes() == b"[]\n"
+
     def test_json_roundtrip_of_a_tiny_negative_angle(self, tmp_path):
         first = [DetectionRecord("P0001", OrientedBox(0, 0, 2, 1, -1e-20), "ship", 0.5),
                  DetectionRecord("P0001", OrientedBox(5, 5, 1, 1, -1e-20), "ship", 0.4)]
@@ -244,9 +259,11 @@ class TestParseDetections:
         path.write_text(json.dumps([record, {**record, "w": 1e200, "h": 1e200}]))
         with pytest.raises(ParseError) as info:
             parse_detections(path)
-        assert str(info.value).endswith("dets.json:2: record 2: quad area is not finite")
+        area_rule = ("box area w * h must lie between the smallest normal float and half the "
+                     "float maximum, got w=1e+200, h=1e+200")
+        assert str(info.value).endswith(f"dets.json:2: record 2: {area_rule}")
         assert [r.box.w for r in parse_detections(path, strict=False)] == [2.0]
-        assert "record 2: quad area is not finite (skipped)" in caplog.text
+        assert f"record 2: {area_rule} (skipped)" in caplog.text
 
     def test_json_integer_beyond_float_range_is_skipped(self, tmp_path, caplog):
         record = {"image_id": "a", "category": "ship", "score": 0.5,
@@ -586,6 +603,16 @@ class TestWriteReport:
         assert lines[1].startswith("plane,0.50,1.000000")
         assert any(line.startswith("mAP,0.50,") for line in lines)
 
+    @pytest.mark.parametrize("name", ["r.json", "r.csv"])
+    def test_takes_only_a_report_and_keeps_the_file(self, tmp_path, name):
+        # Checked before the file is opened, so a bad call leaves an existing
+        # report as it was.
+        path = tmp_path / name
+        path.write_bytes(b"previous")
+        with pytest.raises(InvalidInputError, match="^report must be an EvalReport, got None$"):
+            write_report(None, path)
+        assert path.read_bytes() == b"previous"
+
     def test_empty_category_report(self, tmp_path):
         report = evaluate([], [], [0.5])
         path = tmp_path / "empty.csv"
@@ -646,4 +673,4 @@ class TestIngestIsPinned:
         assert hashlib.sha256(fields.encode()).hexdigest() == \
             "766723075ee92bbd3eb48b9325d6bac740c37ff23ffb98c2ac6b7e00c55c8668"
         assert hashlib.sha256(skips.encode()).hexdigest() == \
-            "8311f6d329d7072852f47be5a204306b1ebff1f79289857985d3a65d351ddfba"
+            "357f1176cf9a7d11e80022ac3354300c700eb9c762b3454d065bb8d6e95c17af"

@@ -397,7 +397,8 @@ class TestMultitaskLossOracle:
         (CODEC, {"anchor": AnchorBox(0, 0, 1e300, 2), "pred_deltas": BoxDeltas(0, 0, 20, 0)},
          "non-finite box parameters"),
         (CODEC, {"anchor": AnchorBox(0, 0, 1e154, 1e154), "pred_deltas": BoxDeltas(0, 0, 0, 0)},
-         "box area exceeds half the float maximum"),
+         "box area w * h must lie between the smallest normal float and half the float "
+         "maximum, got w=1e+154, h=1e+154"),
         # An int centre past float range: not finite, where math.isfinite would
         # raise a bare OverflowError.
         (CODEC, {"anchor": AnchorBox(0, 0, 10**10, 2), "pred_deltas": BoxDeltas(10**300, 0, 0, 0)},

@@ -181,12 +181,13 @@ class TestFromCorners:
 
 
 NAN, INF = math.nan, math.inf
-CCW_MESSAGE = "quad must be counter-clockwise with positive area"
 NOT_CONVEX = "points do not form a convex quad"
 DART = ((0, 0), (4, 0), (1, 1), (0, 4))  # counter-clockwise, reflex at (1, 1)
 SLIVER = ((0, 0), (1, 0), (1, 1e-13), (0, 1e-13))  # counter-clockwise, 1e-13 px^2
 NOT_FINITE = "quad area is not finite"
-OVER_HALF_MAX = "box area exceeds half the float maximum"
+AREA_RULE = ("box area w * h must lie between the smallest normal float and half the float "
+             "maximum, got w={}, h={}")
+REACH_RULE = "box reaches past 2**1000, got cx={}, cy={}, w={}"
 HUGE = ((0, 0), (1e200, 0), (1e200, 1e200), (0, 1e200))  # counter-clockwise, area inf
 # Counter-clockwise; its shoelace subtracts inf from inf, so the area is nan.
 DIAMOND = ((2e200, 1e200), (1e200, 2e200), (0, 1e200), (1e200, 0))
@@ -318,13 +319,13 @@ class TestQuadValidation:
 
     @pytest.mark.parametrize("box, error, message", [
         pytest.param((1.7e308, 0.0, 1.7e308, 1.0, 0.0), InvalidInputError,
-                     "non-finite quad vertices", id="overflow"),
-        pytest.param((0.0, 0.0, 1e200, 1e200, 0.0), InvalidInputError, NOT_FINITE,
-                     id="inf-area"),
+                     REACH_RULE.format(1.7e308, 0.0, 1.7e308), id="overflow"),
+        pytest.param((0.0, 0.0, 1e200, 1e200, 0.0), InvalidInputError,
+                     AREA_RULE.format(1e200, 1e200), id="inf-area"),
     ])
     def test_box_rule_rejects_what_to_corners_would(self, box, error, message):
-        # The box rule gives a box the messages its corner quad would give,
-        # so no box whose corners overflow can be built.
+        # The box rule bounds a box's reach and area, so no box whose corners
+        # or area overflow can be built.
         assert rejection(OrientedBox, *box) == (error, message)
 
     @given(st.floats(-2e4, 2e4), st.floats(-2e4, 2e4), st.floats(1e-3, 1e3),
@@ -571,6 +572,32 @@ class TestConvexIntersectionArea:
 # Two 1-20 px boxes whose centres lie within 10 px of each other, so most overlap.
 PAIR = st.tuples(*(st.builds(longside, st.floats(-5, 5), st.floats(-5, 5), st.floats(1, 20),
                              st.floats(1, 20), st.floats(0, 180)) for _ in range(2)))
+REACH = 2.0 ** 1000  # the box rule's bound on max(|cx|, |cy|) + w
+
+
+@st.composite
+def extreme_pair(draw):
+    # Two valid boxes over the box rule's whole range: log2 areas from the
+    # smallest normal float to half the float maximum, any aspect with w up to
+    # the reach bound, any angles. Box a sits anywhere the reach leaves room
+    # for; box b within about its own size of a, so most pairs are clipped.
+    boxes = []
+    for _ in range(2):
+        log_area = draw(st.floats(-1022, 1022))
+        log_h = draw(st.floats(max(log_area - 1000, -1074), log_area / 2))
+        w, h = 2.0 ** (log_area - log_h), 2.0 ** log_h
+        room = REACH - w
+        if boxes:
+            a, = boxes
+            cx, cy = (min(max(c + draw(st.floats(-1, 1)) * max(w, a.w), -room), room)
+                      for c in (a.cx, a.cy))
+        else:
+            cx, cy = (draw(st.floats(-1, 1)) * room for _ in range(2))
+        try:
+            boxes.append(OrientedBox(cx, cy, w, h, draw(st.floats(-360, 360))))
+        except InvalidInputError:  # a power that rounds past a bound
+            assume(False)
+    return boxes
 
 
 class TestRotatedIoU:
@@ -615,20 +642,20 @@ class TestRotatedIoU:
         assert rotated_iou(box, OrientedBox(2 - 1e-9, 0, 2, 1, 0)) > 0.0
 
     @pytest.mark.parametrize("boxes, error, message", [
-        pytest.param([(0, 0, 1e200, 1e200, 0)], InvalidInputError, NOT_FINITE,
-                     id="area-overflows"),
-        pytest.param([(1e308, 0, 1e308, 1, 0)], InvalidInputError, OVER_HALF_MAX,
-                     id="union-overflows"),
-        pytest.param([(0, 0, 2.0 ** 512, 2.0 ** 511, 0)], InvalidInputError, OVER_HALF_MAX,
-                     id="area-over-half-max"),
-        pytest.param([(0, 0, 1e-200, 1e-200, 0)], DegenerateQuadError, CCW_MESSAGE,
-                     id="area-underflows"),
+        pytest.param([(0, 0, 1e200, 1e200, 0)], InvalidInputError,
+                     AREA_RULE.format(1e200, 1e200), id="area-overflows"),
+        pytest.param([(1e308, 0, 1e308, 1, 0)], InvalidInputError,
+                     REACH_RULE.format(1e308, 0, 1e308), id="union-overflows"),
+        pytest.param([(0, 0, 2.0 ** 512, 2.0 ** 511, 0)], InvalidInputError,
+                     AREA_RULE.format(2.0 ** 512, 2.0 ** 511), id="area-over-half-max"),
+        pytest.param([(0, 0, 1e-200, 1e-200, 0)], InvalidInputError,
+                     AREA_RULE.format(1e-200, 1e-200), id="area-underflows"),
         pytest.param([(0, 0, 1e-170, 1e-170, 30), (0, 0, 1e-170, 1e-170, 10)],
-                     DegenerateQuadError, CCW_MESSAGE, id="area-subnormal"),
-        pytest.param([(0, 0, 1e-154, 1e-154, 0)], DegenerateQuadError, CCW_MESSAGE,
-                     id="area-below-float-min"),
+                     InvalidInputError, AREA_RULE.format(1e-170, 1e-170), id="area-subnormal"),
+        pytest.param([(0, 0, 1e-154, 1e-154, 0)], InvalidInputError,
+                     AREA_RULE.format(1e-154, 1e-154), id="area-below-float-min"),
         pytest.param([(1.7e308, 0, 1.7e308, 1, 0)], InvalidInputError,
-                     "non-finite quad vertices", id="extent-overflows"),
+                     REACH_RULE.format(1.7e308, 0, 1.7e308), id="extent-overflows"),
     ])
     def test_rejections(self, boxes, error, message):
         # The IoU kernel's box rule runs when a box is built, so a box it
@@ -641,6 +668,23 @@ class TestRotatedIoU:
         largest = OrientedBox(0, 0, 2.0 ** 511, 2.0 ** 511, 0)
         assert rotated_iou(largest, largest) == 1.0
         assert rotated_iou(largest, OrientedBox(0, 0, 1, 1, 0)) == 2.0 ** -1022
+
+    @given(extreme_pair())
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    def test_every_pair_of_valid_boxes_scores_in_the_unit_interval(self, pair):
+        # The box rule bounds every coordinate and area the pair kernel forms,
+        # so the kernel has no failure branch: any two built boxes score.
+        a, b = pair
+        assert 0.0 <= rotated_iou(a, b) <= 1.0
+        assert 0.0 <= rotated_iou(b, a) <= 1.0
+
+    def test_the_reach_bound_is_inclusive(self):
+        # w bounds the half-diagonal at every angle, so the rule reads no angle.
+        for theta in (0.0, 45.0, 90.0):
+            assert rotated_iou(*[OrientedBox(2.0 ** 999, 0, 2.0 ** 999, 1, theta)] * 2) == 1.0
+        up = math.nextafter(2.0 ** 999, math.inf)
+        assert rejection(OrientedBox, 0, -up, up, 1, 0) == (
+            InvalidInputError, REACH_RULE.format(0, -up, up))
 
     @pytest.mark.parametrize("offset", [2e4, 1e6])
     @given(st.floats(-1, 1), st.floats(-1, 1), PAIR)
@@ -765,6 +809,27 @@ class TestScoringTakesBuiltBoxes:
                          f"{rotated_iou(b, a).hex()}" for a, b in seeded_box_pairs(0, 50_000))
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "d684177a429d80adf1d00ec97db0ad7ed6a611b24e2529dfe127cf8320452f9f"
+
+
+QUAD = QuadPolygon(((0, 0), (1, 0), (1, 1), (0, 1)))
+# Values that are not built quads: the vertices of one, a single point, and None.
+NOT_QUADS = {"vertices": QUAD.vertices, "point": (0, 0), "None": None}
+
+
+class TestQuadCallsTakeBuiltQuads:
+    """The quad calls take only a QuadPolygon, whose constructor applied the quad rule."""
+
+    @pytest.mark.parametrize("value", NOT_QUADS.values(), ids=NOT_QUADS)
+    def test_from_corners(self, value):
+        with pytest.raises(InvalidInputError, match="^from_corners quad must be a QuadPolygon, got"):
+            from_corners(value)
+
+    @pytest.mark.parametrize("value", NOT_QUADS.values(), ids=NOT_QUADS)
+    def test_convex_intersection_area(self, value):
+        for pair in ((QUAD, value), (value, QUAD)):
+            with pytest.raises(InvalidInputError,
+                               match="^intersection quad must be a QuadPolygon, got"):
+                convex_intersection_area(*pair)
 
 
 class TestRotatedNms:
