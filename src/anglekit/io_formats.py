@@ -14,9 +14,9 @@ import re
 from fnmatch import fnmatchcase
 from pathlib import Path
 
-from .errors import InvalidInputError, ParseError, _check_box, _finite, _sequence
+from .errors import InvalidInputError, ParseError, _check_box, _sequence
 from .evaluation import DetectionRecord, EvalReport, GroundTruthRecord, threshold_label
-from .obb import OrientedBox, QuadPolygon, _ccw, from_corners
+from .obb import OrientedBox, _quad, from_corners
 
 _HEADER_PREFIXES = ("imagesource:", "gsd:")
 # The JSON type write_detections gives each field; a bool is not a number.
@@ -41,21 +41,15 @@ def _fail_or_skip(strict: bool, path, line_no: int, message: str) -> None:
     logging.getLogger("anglekit").warning("%s:%d: %s (skipped)", path, line_no, message)
 
 
-def _quad(tokens: list[str]) -> QuadPolygon:
-    # The quad QuadPolygon builds of the 8 numbers, each converted once.
-    x0, y0, x1, y1, x2, y2, x3, y3 = xy = tuple(map(float, tokens))
-    if not _finite(xy, "quad vertex"):
-        raise InvalidInputError("non-finite quad vertices")
-    return _ccw(((x0, y0), (x1, y1), (x2, y2), (x3, y3)))
-
-
 def _ground_truth(image_id: str, tokens: list[str]) -> GroundTruthRecord:
-    return GroundTruthRecord(image_id, from_corners(_quad(tokens[:8])), tokens[8], int(tokens[9]))
+    box = from_corners(_quad(tuple(map(float, tokens[:8]))))
+    return GroundTruthRecord(image_id, box, tokens[8], int(tokens[9]))
 
 
 def _task1_detection(category: str, tokens: list[str]) -> DetectionRecord:
     score = float(tokens[1])
-    return DetectionRecord(tokens[0], from_corners(_quad(tokens[2:])), category, score)
+    box = from_corners(_quad(tuple(map(float, tokens[2:]))))
+    return DetectionRecord(tokens[0], box, category, score)
 
 
 def _read_dota(path: Path, strict: bool, build, name: str, headers: bool = False) -> list:

@@ -137,10 +137,7 @@ class QuadPolygon(_Record):
         if len(points) != 4:
             raise DegenerateQuadError("expected exactly 4 points")
         xy = tuple(c for point in points for c in _sequence(point, "quad vertex", 2))
-        if not _finite(xy, "quad vertex"):
-            raise InvalidInputError("non-finite quad vertices")
-        x0, y0, x1, y1, x2, y2, x3, y3 = map(float, xy)
-        _set(self, "vertices", _ccw(((x0, y0), (x1, y1), (x2, y2), (x3, y3))).vertices)
+        _set(self, "vertices", _quad(xy).vertices)
 
 
 def _quad_fault(pts: tuple, centred: list, area: float) -> bool:
@@ -164,9 +161,14 @@ def _quad_fault(pts: tuple, centred: list, area: float) -> bool:
     return False
 
 
-def _ccw(pts: tuple) -> QuadPolygon:
-    # QuadPolygon's quad of four finite float pairs, built without a second
-    # run of the rule: the first order that passes _quad_fault.
+def _quad(xy: tuple) -> QuadPolygon:
+    # QuadPolygon's quad of eight numbers x0, y0, ..., x3, y3, built without a
+    # second run of the rule: finite, as float pairs, in the first order that
+    # passes _quad_fault.
+    if not _finite(xy, "quad vertex"):
+        raise InvalidInputError("non-finite quad vertices")
+    x0, y0, x1, y1, x2, y2, x3, y3 = map(float, xy)
+    pts = ((x0, y0), (x1, y1), (x2, y2), (x3, y3))
     centred = _centred(pts)
     vertices, shifted = pts, centred
     for by_angle in (False, True):
@@ -335,8 +337,6 @@ def _pair_iou(a: tuple, b: tuple) -> float:
         if not poly:
             return 0.0
     inter = _overlap(abs(_signed_area(poly)), area_a, area_b)
-    if inter == 0.0:
-        return 0.0
     union = area_a + area_b - inter
     # inter <= smaller and area_a + area_b >= 2 * smaller, so union >= inter
     # and union > 0: the ratio lies in [0, 1] without a clamp.
@@ -403,7 +403,6 @@ def rotated_nms(
     kept: list[int] = []
     for i in sorted(range(len(items)), key=lambda i: (-items[i][1], i)):
         group = kept_by_group.setdefault(items[i][2], [])
-        # `not any(>)` rather than `all(<=)`: a NaN IoU suppresses nothing.
         if not any(_pair_iou(prepared[k], prepared[i]) > iou_threshold for k in group):
             group.append(i)
             kept.append(i)

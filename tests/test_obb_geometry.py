@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import math
 import random
 import re
@@ -447,6 +448,32 @@ class TestOneQuadRule:
         (cx, cy, w, h, _), = line
         assert (w, h) == (pytest.approx(box[0], rel=1e-6), pytest.approx(box[1], rel=1e-6))
         assert abs(cx) <= 1e-6 * w and abs(cy) <= 1e-6 * w
+
+    def test_entry_points_agree_on_seeded_quads(self, tmp_path, caplog):
+        # 10,000 seeded quads of every kind as the lines of one annotation
+        # file: each line gives the box of from_corners(QuadPolygon(points)),
+        # bit for bit, or is skipped with the message that call raises.
+        quads = seeded_quads(0, 10_000)
+        (tmp_path / "P1.txt").write_text("".join(
+            " ".join(repr(c) for point in pts for c in point) + " ship 0\n" for pts in quads))
+        with caplog.at_level(logging.WARNING, logger="anglekit"):
+            records = iter(parse_annotation_dir(tmp_path, strict=False))
+        skips = {rec.args[1]: rec.args[2] for rec in caplog.records}
+
+        def bits(box):
+            return tuple(getattr(box, k).hex() for k in ("cx", "cy", "w", "h", "theta"))
+
+        boxes = 0
+        for line_no, points in enumerate(quads, start=1):
+            try:
+                expected = bits(from_corners(QuadPolygon(points)))
+            except InvalidInputError as exc:
+                assert skips.pop(line_no) == str(exc), line_no
+            else:
+                assert bits(next(records).box) == expected, line_no
+                boxes += 1
+        assert next(records, None) is None and not skips
+        assert (boxes, len(quads) - boxes) == (5777, 4223)
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(-60, 60))
     @settings(max_examples=150, derandomize=True, deadline=None)
